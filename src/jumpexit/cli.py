@@ -67,11 +67,10 @@ def _operator(cfg: RunConfig):
     return operators.assemble(cfg.kernel, grid, cfg.partition), grid
 
 
-def _solve_survival(cfg: RunConfig, store_every: int = 10**9):
+def _solve_survival(cfg: RunConfig):
     op, _ = _operator(cfg)
     u0 = solver.uniform_density(op)
-    return op, solver.evolve(op, u0, dt=cfg.dt, t_end=cfg.t_end,
-                             scheme=cfg.scheme, store_every=store_every)
+    return op, solver.evolve(op, u0, dt=cfg.dt, t_end=cfg.t_end)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -98,22 +97,24 @@ def cmd_moments(cfg: RunConfig, k_max: int) -> int:
     return EXIT_OK
 
 
-def _default_t_max(cfg: RunConfig) -> float:
+def _default_t_max(cfg: RunConfig, op=None) -> float:
     """Censoring horizon: fifty times the largest mean exit time, so the
-    censoring bias on moments sits below Monte Carlo noise."""
+    censoring bias on moments sits below Monte Carlo noise. Uses ``op``
+    when the caller has already assembled the operator."""
     if cfg.t_max is not None:
         return cfg.t_max
     if cfg.partition.absorbing.empty:
         raise ConfigurationError(
             "[mc] t_max is required when omega_d is empty (the walk never exits)"
         )
-    op, _ = _operator(cfg)
+    if op is None:
+        op, _ = _operator(cfg)
     met = solver.mean_exit_time(op)
     return 50.0 * float(np.max(met.interior_values))
 
 
-def _ensemble(cfg: RunConfig, workers: int):
-    t_max = _default_t_max(cfg)
+def _ensemble(cfg: RunConfig, workers: int, op=None):
+    t_max = _default_t_max(cfg, op)
     return mc.simulate_ensemble(cfg.kernel, cfg.partition, n_paths=cfg.n_paths,
                                 seed=cfg.seed, t_max=t_max, workers=workers), t_max
 
@@ -162,10 +163,10 @@ def cmd_verify(cfg: RunConfig, dump_operator: bool = False) -> int:
         checks[name] = {"value": float(value), "threshold": float(threshold),
                         "pass": bool(value <= threshold)}
 
-    norm = float(np.max(np.abs(op.a_gen.toarray()))) or 1.0
-    ones = np.ones(op.n_cells)
+    norm = float(abs(op.a_gen).max()) or 1.0
+    ones = np.ones(op.interior.size)
     record("generator_annihilates_constants",
-           float(np.max(np.abs((op.a_gen @ ones)[op.interior]))) / norm, 1e-10)
+           float(np.max(np.abs(op.a_gen @ ones + op.killing_rate))) / norm, 1e-10)
     record("adjoint_identity", operators.adjoint_check(op, trials=64, rng=rng) / norm, 1e-10)
 
     u = np.zeros(op.n_cells)
@@ -178,7 +179,7 @@ def cmd_verify(cfg: RunConfig, dump_operator: bool = False) -> int:
 
     u0 = solver.uniform_density(op)
     steps = max(10, min(200, int(round(cfg.t_end / cfg.dt))))
-    traj = solver.evolve(op, u0, dt=cfg.dt, t_end=steps * cfg.dt, store_every=10**9)
+    traj = solver.evolve(op, u0, dt=cfg.dt, t_end=steps * cfg.dt)
     record("conservation_S_plus_F",
            float(np.max(np.abs(traj.survival + traj.absorbed_cdf - traj.survival[0]))), 1e-10)
     if op.absorbing.size == 0:
@@ -186,8 +187,8 @@ def cmd_verify(cfg: RunConfig, dump_operator: bool = False) -> int:
                float(np.max(np.abs(traj.survival - traj.survival[0]))), 1e-12)
 
     if cfg.kernel.symmetric and np.ptp(op.widths) == 0.0:
-        a = op.a_gen.toarray()[np.ix_(op.interior, op.interior)]
-        record("symmetric_matrix", float(np.max(np.abs(a - a.T))) / norm, 1e-12)
+        asym = abs(op.a_gen - op.a_gen.T).max()
+        record("symmetric_matrix", float(asym) / norm, 1e-12)
 
     sig = solver.coercivity_sigma(op)
     if op.absorbing.size:
@@ -218,11 +219,11 @@ def cmd_verify(cfg: RunConfig, dump_operator: bool = False) -> int:
 def cmd_compare(cfg: RunConfig, workers: int) -> int:
     out = _prepare_out(cfg)
     op, traj = _solve_survival(cfg)
-    ens, _ = _ensemble(cfg, workers)
+    ens, _ = _ensemble(cfg, workers, op)
     times = np.array(cfg.checkpoints)
     s_solver = np.array([traj.survival_at(t) for t in times])
-    s_hat, stderr = mc.empirical_survival(ens, times)
-    z = (s_hat - s_solver) / stderr
+    s_hat, _ = mc.empirical_survival(ens, times)
+    z, stderr = mc.survival_z_scores(ens, times, s_solver)
     _write_csv(out / "compare.csv", cfg.config_hash,
                ["t", "S_solver", "S_mc", "stderr", "z"],
                zip(times, s_solver, s_hat, stderr, z))

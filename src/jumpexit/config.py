@@ -33,7 +33,6 @@ class RunConfig:
     kernel: JumpKernel
     partition: DomainPartition
     h: float
-    scheme: str
     dt: float
     t_end: float
     k_max: int
@@ -119,6 +118,11 @@ def _build_partition(cp, horizon: float) -> tuple[DomainPartition, dict]:
     return partition, resolved
 
 
+def _on_step_grid(t: float, dt: float) -> bool:
+    """Whether ``t`` is a whole number of steps ``dt``, to relative 1e-9."""
+    return abs(round(t / dt) * dt - t) <= 1e-9 * t
+
+
 def load_config(path, out_dir=None, seed=None) -> RunConfig:
     """Parse, validate, and resolve a configuration file.
 
@@ -148,10 +152,14 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
     dt = _get(cp, "solver", "dt", float, d["dt"])
     t_end = _get(cp, "solver", "t_end", float, d["t_end"])
     k_max = _get(cp, "solver", "k_max", int, d["k_max"])
-    if scheme not in ("implicit_euler", "crank_nicolson"):
-        raise ConfigurationError(f"[solver] scheme must be implicit_euler or crank_nicolson, got {scheme!r}")
+    if scheme != "implicit_euler":
+        raise ConfigurationError(
+            f"[solver] scheme must be implicit_euler, the only integrator "
+            f"(Crank-Nicolson was removed), got {scheme!r}")
     if dt <= 0 or t_end <= 0 or k_max < 1:
         raise ConfigurationError("[solver] dt and t_end must be positive, k_max >= 1")
+    if not _on_step_grid(t_end, dt):
+        raise ConfigurationError(f"[solver] t_end = {t_end} is not a whole number of steps dt = {dt}")
 
     d = _DEFAULTS["mc"]
     n_paths = _get(cp, "mc", "n_paths", int, d["n_paths"])
@@ -170,6 +178,10 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
     checkpoints = [float(t) for t in checkpoints]
     if any(t < 0 or t > t_end for t in checkpoints):
         raise ConfigurationError(f"[compare] checkpoints must lie in [0, t_end], got {checkpoints}")
+    off_grid = [t for t in checkpoints if not _on_step_grid(t, dt)]
+    if off_grid:
+        raise ConfigurationError(
+            f"[compare] checkpoints {off_grid} are not whole multiples of dt = {dt}")
 
     d = _DEFAULTS["paths"]
     has_paths = cp.has_section("paths")
@@ -193,7 +205,7 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
     cfg_hash = config_hash(resolved)
     return RunConfig(
         kernel=kernel, partition=partition, h=h,
-        scheme=scheme, dt=dt, t_end=t_end, k_max=k_max,
+        dt=dt, t_end=t_end, k_max=k_max,
         n_paths=n_paths, seed=cfg_seed, t_max=t_max,
         checkpoints=checkpoints,
         paths_n=paths_n, paths_free_space=paths_free,

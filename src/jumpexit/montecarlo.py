@@ -180,17 +180,17 @@ def brownian_path(x0: float, rng: np.random.Generator, t_max: float,
     return SamplePath(times=times, positions=positions)
 
 
-def empirical_survival(ensemble: ExitEnsemble, times) -> tuple[np.ndarray, np.ndarray]:
-    """Survival curve with binomial standard errors.
+def _survival_counts(ensemble: ExitEnsemble, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical survival at each time and the number of paths it is
+    estimated from.
 
     Censored paths count as still-inside for ``t < t_max`` and drop out of
     the estimate beyond the censoring time.
     """
     if ensemble.n_paths == 0:
         raise ValueError("ensemble is empty")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
     s_hat = np.empty(times.size)
-    stderr = np.empty(times.size)
+    n_obs = np.empty(times.size)
     for k, t in enumerate(times):
         if t < ensemble.t_max:
             alive = ensemble.exit_time > t
@@ -199,17 +199,39 @@ def empirical_survival(ensemble: ExitEnsemble, times) -> tuple[np.ndarray, np.nd
             ok = ~ensemble.censored
             alive = ok & (ensemble.exit_time > t)
             n = int(ok.sum())
-        s = float(alive.sum()) / n if n else np.nan
-        s_hat[k] = s
-        stderr[k] = np.sqrt(s * (1.0 - s) / n) if n else np.nan
+        s_hat[k] = float(alive.sum()) / n if n else np.nan
+        n_obs[k] = n
+    return s_hat, n_obs
+
+
+def empirical_survival(ensemble: ExitEnsemble, times) -> tuple[np.ndarray, np.ndarray]:
+    """Survival curve with binomial standard errors (see ``_survival_counts``
+    for how censored paths count)."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    s_hat, n = _survival_counts(ensemble, times)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        stderr = np.sqrt(s_hat * (1.0 - s_hat) / n)
     return s_hat, stderr
 
 
-def survival_z_scores(ensemble: ExitEnsemble, times, reference) -> np.ndarray:
+def survival_z_scores(ensemble: ExitEnsemble, times, reference) -> tuple[np.ndarray, np.ndarray]:
     """Per-checkpoint z-scores of the empirical survival against a
-    reference curve (callable or array of values at ``times``)."""
+    reference curve (callable or array of values at ``times``), and the
+    standard errors they divide by.
+
+    The standard error is the binomial one under the null hypothesis that
+    the reference is the true survival, ``sqrt(S_ref (1 - S_ref) / n)``,
+    with ``S_ref`` clipped to [0, 1] against rounding. Where it is zero
+    (at t = 0, say) z is 0 when the estimate equals the reference and
+    infinite otherwise.
+    """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    s_hat, stderr = empirical_survival(ensemble, times)
+    s_hat, n = _survival_counts(ensemble, times)
     ref = np.array([reference(t) for t in times]) if callable(reference) \
         else np.asarray(reference, dtype=float)
-    return (s_hat - ref) / stderr
+    ref = np.clip(ref, 0.0, 1.0)
+    diff = s_hat - ref
+    with np.errstate(invalid="ignore", divide="ignore"):
+        stderr = np.sqrt(ref * (1.0 - ref) / n)
+        z = np.divide(diff, stderr, out=np.zeros_like(diff), where=diff != 0)
+    return z, stderr

@@ -3,11 +3,14 @@
 Midpoint collocation of the master equation on the cells of the domain
 plus absorbing set: the gain into cell i from cell j carries weight
 ``gamma(x_j, x_i) * w_j`` and the loss at cell i is the same discrete sum
-taken in the forward direction, so generator rows sum to zero to rounding
-and mass bookkeeping closes exactly at the semi-discrete level. Jumps into
-the unreachable part of the collar are excluded from both gain and loss
-(censoring). Rows on absorbing cells are identity constraints with zero
-right-hand side.
+taken in the forward direction, over every target cell, absorbing ones
+included. Jumps into the unreachable part of the collar are excluded from
+both gain and loss (censoring). The volume constraint pins the density to
+zero on the absorbing cells, so those unknowns are known and the matrices
+hold only the domain block: generator rows sum to minus the killing rate
+(the rate of jumping into the absorbing set), and the flux matrix carries
+that rate to the absorbing cells, so mass bookkeeping closes exactly at
+the semi-discrete level.
 
 The forward matrix (density evolution) and the backward matrix (the
 process generator, acting on observables) satisfy the weighted-transpose
@@ -30,13 +33,16 @@ from .kernels import JumpKernel
 
 @dataclass(eq=False)
 class DiscreteOperator:
-    """Assembled operator pair on the Omega + absorbing cell set.
+    """Assembled operator pair on the domain block of the Omega + absorbing
+    cell set.
 
-    ``a_star`` evolves densities (forward), ``a_gen`` is the generator
-    (backward); ``flux_to_d`` maps a density supported on the domain to the
-    per-absorbing-cell arrival-rate density. ``values`` keeps the raw
-    collocation rate densities (row = source cell, column = target cell)
-    for the balance-law checks.
+    ``a_star`` evolves densities (forward) and ``a_gen`` is the generator
+    (backward), both ``n_int x n_int`` over the cells listed in
+    ``interior``; ``flux_to_d`` (``n_abs x n_int``) maps a domain density to
+    the per-absorbing-cell arrival-rate density. ``values`` keeps the raw
+    collocation rate densities over all cells (row = source cell, column =
+    target cell) for the balance-law checks. Full-cell vectors index
+    ``centers``; ``interior`` and ``absorbing`` pick their blocks.
     """
 
     centers: np.ndarray
@@ -55,19 +61,21 @@ class DiscreteOperator:
     def n_cells(self) -> int:
         return self.centers.size
 
+    @property
+    def killing_rate(self) -> np.ndarray:
+        """Jump rate from each domain cell into the absorbing set, read off
+        the flux matrix."""
+        return (self.flux_to_d.T @ self.widths[self.absorbing]) / self.widths[self.interior]
+
     def generator_solver(self):
-        """LU factorization of the generator system, built once and reused
-        across moment solves."""
+        """LU factorization of the generator's domain block, built once and
+        reused across moment solves."""
         if self._gen_lu is None:
             try:
                 self._gen_lu = splu(self.a_gen.tocsc())
             except RuntimeError as exc:
                 raise NumericalError(f"generator factorization failed: {exc}") from exc
         return self._gen_lu
-
-    def weighted_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Discrete L2 inner product with cell-width weights."""
-        return float(np.sum(u * v * self.widths))
 
 
 def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> DiscreteOperator:
@@ -106,36 +114,16 @@ def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> Disc
     else:
         values = sp.csr_matrix((n, n))
 
-    # loss rate: same discrete sum as the gain weights, forward direction
-    loss = values.dot(w)
-
-    gain_bwd = values.multiply(w[np.newaxis, :]).tocsr()          # A_bwd[i, j] = v_ij w_j
-    gain_fwd = values.T.multiply(w[np.newaxis, :]).tocsr()        # A_fwd[i, j] = v_ji w_j
-
-    interior_mask = np.zeros(n, dtype=bool)
-    interior_mask[interior] = True
-
-    def _with_constraints(gain: sp.csr_matrix) -> sp.csr_matrix:
-        mat = gain.tolil()
-        mat.setdiag(np.where(interior_mask, -loss, 0.0))
-        for i in absorbing:
-            mat.rows[i] = [int(i)]
-            mat.data[i] = [1.0]
-        return mat.tocsr()
-
-    a_gen = _with_constraints(gain_bwd)
-    a_star = _with_constraints(gain_fwd)
-
+    w_int = w[interior]
+    from_int = values[interior]
+    # loss rate: same discrete sum as the gain weights, forward direction,
+    # over every target cell
+    minus_loss = sp.diags(-(from_int @ w))
+    v_int = from_int[:, interior]
+    a_gen = (v_int.multiply(w_int[np.newaxis, :]) + minus_loss).tocsr()     # A_bwd[i, j] = v_ij w_j
+    a_star = (v_int.T.multiply(w_int[np.newaxis, :]) + minus_loss).tocsr()  # A_fwd[i, j] = v_ji w_j
     # arrival-rate density at each absorbing cell from the domain density
-    if absorbing.size:
-        flux = values[interior][:, absorbing].T.multiply(w[interior][np.newaxis, :]).tocsr()
-        cols_map = sp.csr_matrix(
-            (np.ones(interior.size), (np.arange(interior.size), interior)),
-            shape=(interior.size, n),
-        )
-        flux_to_d = (flux @ cols_map).tocsr()
-    else:
-        flux_to_d = sp.csr_matrix((0, n))
+    flux_to_d = from_int[:, absorbing].T.multiply(w_int[np.newaxis, :]).tocsr()
 
     return DiscreteOperator(
         centers=x, widths=w, tags=tags, interior=interior, absorbing=absorbing,
@@ -146,7 +134,7 @@ def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> Disc
 
 def adjoint_check(op: DiscreteOperator, trials: int = 100, rng=None) -> float:
     """Worst relative defect of <v, A_fwd u> = <A_bwd v, u> over random
-    domain-supported vector pairs, in the width-weighted inner product.
+    domain vector pairs, in the width-weighted inner product.
 
     For symmetric kernels this is the discrete self-adjointness of the
     operator; for asymmetric kernels it is the weighted-transpose relation
@@ -154,17 +142,15 @@ def adjoint_check(op: DiscreteOperator, trials: int = 100, rng=None) -> float:
     kernel. Both hold to rounding by construction.
     """
     rng = np.random.default_rng(rng)
-    n = op.n_cells
+    w = op.widths[op.interior]
     worst = 0.0
     for _ in range(trials):
-        u = np.zeros(n)
-        v = np.zeros(n)
-        u[op.interior] = rng.standard_normal(op.interior.size)
-        v[op.interior] = rng.standard_normal(op.interior.size)
-        lhs = op.weighted_inner(v, op.a_star @ u)
-        rhs = op.weighted_inner(op.a_gen @ v, u)
-        nu = np.sqrt(op.weighted_inner(u, u))
-        nv = np.sqrt(op.weighted_inner(v, v))
+        u = rng.standard_normal(op.interior.size)
+        v = rng.standard_normal(op.interior.size)
+        lhs = float(np.sum(v * (op.a_star @ u) * w))
+        rhs = float(np.sum((op.a_gen @ v) * u * w))
+        nu = np.sqrt(np.sum(u * u * w))
+        nv = np.sqrt(np.sum(v * v * w))
         worst = max(worst, abs(lhs - rhs) / (nu * nv))
     return worst
 
@@ -227,19 +213,20 @@ def balance_check(op: DiscreteOperator, u: np.ndarray, rng=None, trials: int = 1
 def divergence_theorem_check(op: DiscreteOperator, u: np.ndarray) -> float:
     """Defect of (rate of mass change in the domain) + (absorbed flux) = 0.
 
-    The density is taken with the volume constraint applied (zeroed on
-    absorbing cells), matching the evolution semantics.
+    Only the domain part of ``u`` enters: the volume constraint holds the
+    density at zero on the absorbing cells, matching the evolution
+    semantics.
     """
-    uc = np.asarray(u, dtype=float).copy()
-    uc[op.absorbing] = 0.0
-    interior_rate = float(np.sum((op.a_star @ uc)[op.interior] * op.widths[op.interior]))
-    absorbed = float(np.sum((op.flux_to_d @ uc) * op.widths[op.absorbing]))
+    ui = np.asarray(u, dtype=float)[op.interior]
+    interior_rate = float(np.sum((op.a_star @ ui) * op.widths[op.interior]))
+    absorbed = float(np.sum((op.flux_to_d @ ui) * op.widths[op.absorbing]))
     return abs(interior_rate + absorbed)
 
 
 def dump_operator(op: DiscreteOperator, csv_path, meta_path) -> None:
     """Write the forward matrix as (i, j, value) triplets plus a JSON
-    sidecar with the grid metadata, for external inspection."""
+    sidecar with the grid metadata, for external inspection. ``i`` and
+    ``j`` are positions in the sidecar's ``interior`` list."""
     coo = op.a_star.tocoo()
     with open(csv_path, "w") as fh:
         fh.write("i,j,value\n")

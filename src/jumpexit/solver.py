@@ -1,21 +1,24 @@
 """Time integration of the density equation and steady exit-moment solves.
 
-The default scheme is implicit Euler: ``I - dt * A_fwd`` is an M-matrix
+Both work on the operator's domain block: the volume constraint holds the
+density and the exit-time moments at zero on the absorbing cells, so
+those unknowns never enter a linear system. Public vectors keep one entry
+per cell; they are restricted to the domain on entry and scattered back,
+zero on the absorbing cells, on exit.
+
+Time stepping is implicit Euler: ``I - dt * A_fwd`` is an M-matrix
 (Metzler off-diagonal signs plus exact weighted column sums), so densities
 stay nonnegative and the survival probability is monotone for any step
-size. Crank-Nicolson is available for accuracy studies but can undershoot
-zero for large steps; it warns when it does. Absorbed mass is accumulated
-from the scheme's stage density, which closes the survival + absorbed
-budget to solver roundoff rather than O(dt).
+size. Absorbed mass is accumulated from the same new-step density, which
+closes the survival + absorbed budget to solver roundoff rather than
+O(dt).
 
 Exit-time moments solve the generator recursion ``A m_k = -k m_{k-1}``
-with ``m_0 = 1`` and moments pinned to zero on the absorbing cells,
-reusing one LU factorization. The coercivity constant is the smallest
-eigenvalue of the (symmetrized, width-weighted) negative generator,
-computed by shifted inverse iteration.
+with ``m_0 = 1``, reusing one LU factorization. The coercivity constant is
+the smallest eigenvalue of the (symmetrized, width-weighted) negative
+generator, computed by shifted inverse iteration.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,16 +29,15 @@ from scipy.sparse.linalg import splu
 from .errors import ConfigurationError, NumericalError
 from .operators import DiscreteOperator
 
-SCHEMES = ("implicit_euler", "crank_nicolson")
-
 
 @dataclass(eq=False)
 class DensityTrajectory:
     """Recorded evolution of the not-yet-exited density.
 
     ``survival[k]`` is the domain mass at ``times[k]``; ``absorbed_cdf[k]``
-    the cumulative flux into the absorbing cells. Densities are stored at
-    ``density_times`` (every ``store_every``-th step).
+    the cumulative flux into the absorbing cells. Densities (one entry per
+    cell) are stored at ``density_times``: the start and the end, plus
+    every ``store_every``-th step when that is given.
     """
 
     times: np.ndarray
@@ -97,8 +99,7 @@ def _validate_u0(op: DiscreteOperator, u0: np.ndarray) -> np.ndarray:
         raise ConfigurationError(f"u0 must have one entry per cell ({op.n_cells})")
     if np.any(u0 < 0):
         raise ConfigurationError("u0 must be nonnegative")
-    off = np.delete(np.arange(op.n_cells), op.interior)
-    if np.any(u0[off] != 0):
+    if np.any(u0[op.absorbing] != 0):
         raise ConfigurationError("u0 must be supported on the domain cells")
     mass = float(np.sum(u0 * op.widths))
     if abs(mass - 1.0) > 1e-8:
@@ -107,34 +108,16 @@ def _validate_u0(op: DiscreteOperator, u0: np.ndarray) -> np.ndarray:
 
 
 def evolve(op: DiscreteOperator, u0: np.ndarray, dt: float, t_end: float,
-           scheme: str = "implicit_euler", store_every: int = 1) -> DensityTrajectory:
-    """Advance the density under the forward operator with the absorbing
-    cells pinned to zero, recording survival and absorbed flux per step."""
-    if scheme not in SCHEMES:
-        raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+           store_every: int | None = None) -> DensityTrajectory:
+    """Advance the density by implicit Euler under the forward operator,
+    recording survival and absorbed flux per step."""
     if dt <= 0 or t_end <= 0:
         raise ConfigurationError("dt and t_end must be positive")
-    u = _validate_u0(op, u0).copy()
+    u = _validate_u0(op, u0)[op.interior]
 
-    n = op.n_cells
     n_steps = max(1, int(round(t_end / dt)))
     times = np.arange(n_steps + 1) * dt
-
-    # zero the constraint rows so the stepping matrix gets exact identity
-    # rows (the assembled matrices carry identity rows for steady solves)
-    a = op.a_star.tolil()
-    for i in op.absorbing:
-        a.rows[i] = []
-        a.data[i] = []
-    a = a.tocsr()
-
-    eye = sp.identity(n, format="csr")
-    if scheme == "implicit_euler":
-        system = (eye - dt * a).tocsc()
-        rhs_mat = None
-    else:
-        system = (eye - 0.5 * dt * a).tocsc()
-        rhs_mat = (eye + 0.5 * dt * a).tocsr()
+    system = (sp.identity(op.interior.size, format="csr") - dt * op.a_star).tocsc()
     try:
         lu = splu(system)
     except RuntimeError as exc:
@@ -144,37 +127,24 @@ def evolve(op: DiscreteOperator, u0: np.ndarray, dt: float, t_end: float,
     w_abs = op.widths[op.absorbing]
     survival = np.empty(n_steps + 1)
     absorbed = np.empty(n_steps + 1)
-    survival[0] = float(np.sum(u[op.interior] * w_int))
+    survival[0] = float(np.sum(u * w_int))
     absorbed[0] = 0.0
 
-    rec_idx = list(range(0, n_steps + 1, max(1, store_every)))
+    rec_idx = list(range(0, n_steps + 1, max(1, store_every or n_steps)))
     if rec_idx[-1] != n_steps:
         rec_idx.append(n_steps)
-    densities = np.empty((len(rec_idx), n))
-    densities[0] = u
+    densities = np.zeros((len(rec_idx), op.n_cells))
+    densities[0, op.interior] = u
     rec_pos = 1
 
-    warned_negative = False
     f_acc = 0.0
     for k in range(1, n_steps + 1):
-        rhs = u if rhs_mat is None else rhs_mat @ u
-        u_new = lu.solve(rhs)
-        u_new[op.absorbing] = 0.0
-        if scheme == "crank_nicolson" and not warned_negative:
-            floor = u_new.min()
-            if floor < -1e-12 * max(u_new.max(), 1.0):
-                warnings.warn(
-                    f"crank_nicolson produced negative densities (min {floor:.3e}); "
-                    "reduce dt or use implicit_euler", RuntimeWarning)
-                warned_negative = True
-        stage = u_new if scheme == "implicit_euler" else 0.5 * (u + u_new)
-        if w_abs.size:
-            f_acc += dt * float(np.sum((op.flux_to_d @ stage) * w_abs))
-        u = u_new
-        survival[k] = float(np.sum(u[op.interior] * w_int))
+        u = lu.solve(u)
+        f_acc += dt * float(np.sum((op.flux_to_d @ u) * w_abs))
+        survival[k] = float(np.sum(u * w_int))
         absorbed[k] = f_acc
         if rec_pos < len(rec_idx) and k == rec_idx[rec_pos]:
-            densities[rec_pos] = u
+            densities[rec_pos, op.interior] = u
             rec_pos += 1
 
     return DensityTrajectory(times=times, survival=survival, absorbed_cdf=absorbed,
@@ -191,22 +161,18 @@ def exit_moments(op: DiscreteOperator, k_max: int) -> list[ExitMoments]:
     if k_max < 1:
         raise ConfigurationError("k_max must be at least 1")
     lu = op.generator_solver()
-    n = op.n_cells
-    prev = np.ones(n)
-    prev[op.absorbing] = 0.0  # m_0 on the reachable set, pinned on absorbing
+    m = np.ones(op.interior.size)  # m_0 on the domain
     out = []
     for k in range(1, k_max + 1):
-        rhs = -k * prev
-        rhs[op.absorbing] = 0.0
-        m = lu.solve(rhs)
-        m[op.absorbing] = 0.0
-        if np.min(m[op.interior]) < -1e-10 * max(1.0, float(np.max(np.abs(m)))):
+        m = lu.solve(-k * m)
+        if np.min(m) < -1e-10 * max(1.0, float(np.max(np.abs(m)))):
             raise NumericalError(
-                f"moment {k} came out negative (min {np.min(m[op.interior]):.3e}); "
+                f"moment {k} came out negative (min {np.min(m):.3e}); "
                 "the discrete system is not an absorbed-process generator"
             )
-        out.append(ExitMoments(order=k, values=m, centers=op.centers, interior=op.interior))
-        prev = m
+        values = np.zeros(op.n_cells)
+        values[op.interior] = m
+        out.append(ExitMoments(order=k, values=values, centers=op.centers, interior=op.interior))
     return out
 
 
@@ -216,8 +182,8 @@ def mean_exit_time(op: DiscreteOperator) -> ExitMoments:
     return exit_moments(op, 1)[0]
 
 
-def coercivity_sigma(op: DiscreteOperator, grid=None, shift: float | None = None,
-                     tol: float = 1e-13, max_iter: int = 500) -> SigmaEstimate:
+def coercivity_sigma(op: DiscreteOperator, shift: float | None = None, tol: float = 1e-13,
+                     max_iter: int = 500) -> SigmaEstimate:
     """Smallest eigenvalue of the negative generator on the domain block.
 
     Works in the width-weighted inner product: the matrix is symmetrized as
@@ -225,9 +191,8 @@ def coercivity_sigma(op: DiscreteOperator, grid=None, shift: float | None = None
     spectrum found by shifted inverse iteration. Positive when the whole
     collar absorbs; zero (constants) when nothing does.
     """
-    idx = op.interior
-    m = -op.a_gen.toarray()[np.ix_(idx, idx)]
-    sw = np.sqrt(op.widths[idx])
+    m = -op.a_gen.toarray()
+    sw = np.sqrt(op.widths[op.interior])
     c = (sw[:, np.newaxis] * m) / sw[np.newaxis, :]
     b = 0.5 * (c + c.T)
     norm_b = float(np.max(np.abs(b))) or 1.0

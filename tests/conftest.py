@@ -55,7 +55,7 @@ def analytic_op_256(analytic_kernel, analytic_partition):
 @pytest.fixture(scope="session")
 def analytic_traj_256(analytic_op_256):
     return evolve(analytic_op_256, uniform_density(analytic_op_256),
-                  dt=0.01, t_end=50.0, store_every=10**9)
+                  dt=0.01, t_end=50.0)
 
 
 @pytest.fixture(scope="session")
@@ -87,7 +87,7 @@ def disconnected_op_256(analytic_kernel, disconnected_partition):
 @pytest.fixture(scope="session")
 def disconnected_traj(disconnected_op_256):
     return evolve(disconnected_op_256, uniform_density(disconnected_op_256),
-                  dt=0.01, t_end=50.0, store_every=10**9)
+                  dt=0.01, t_end=50.0)
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,16 @@
 """Configuration loading, subcommand orchestration, artifact formats,
 exit codes, and byte-level reproducibility."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jumpexit import operators
 from jumpexit.cli import main
 from jumpexit.config import load_config
 from jumpexit.errors import ConfigurationError
@@ -181,6 +184,70 @@ def test_exit_codes(config_file, tmp_path):
         "rate = 0.2", f"table_path = {table}")
     (tmp_path / "run.ini").write_text(text)
     assert main(["exit-time", "--config", str(tmp_path / "run.ini")]) == 3
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("scheme__", "crank_nicolson", "removed"),
+    ("dt__", "0.03", "t_end"),
+    (None, "[1.0, 1.01]", "checkpoints"),
+])
+def test_rejected_config_exits_2_with_error_json(config_file, tmp_path, key, value, match):
+    if key is None:
+        path = config_file(text=BASE_CONFIG + f"\n[compare]\ncheckpoints = {value}\n")
+    else:
+        path = config_file(**{key: value})
+    assert main(["compare", "--config", path, "--out", str(tmp_path / "e")]) == 2
+    err = json.loads((tmp_path / "e" / "error.json").read_text())
+    assert err["error"] == "ConfigurationError"
+    assert match in err["message"]
+
+
+def test_compare_checkpoint_at_zero(config_file, tmp_path):
+    # S(0) = 1 on both routes: the null-hypothesis variance is 0 there
+    path = config_file(text=BASE_CONFIG + "\n[compare]\ncheckpoints = [0.0, 5.0]\n",
+                       n_paths__="1000")
+    assert main(["compare", "--config", path]) == 0
+    rows = (tmp_path / "out" / "compare.csv").read_text().splitlines()[2:]
+    t0, s_solver, s_mc, stderr, z = (float(v) for v in rows[0].split(","))
+    assert (t0, s_mc, z) == (0.0, 1.0, 0.0)
+
+
+def test_compare_assembles_one_operator(config_file, monkeypatch):
+    # with t_max unset, the censoring horizon reuses the solver's operator
+    calls = []
+    original = operators.assemble
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "assemble", counting)
+    path = config_file(text=BASE_CONFIG.replace("t_max = 500.0\n", ""), n_paths__="500")
+    assert main(["compare", "--config", path]) == 0
+    assert len(calls) == 1
+
+
+def test_benchmark_tracer_reads_solver_counts(config_file, tmp_path):
+    # the benchmark's layer wrappers read op.a_star.nnz, the generator LU
+    # factors and the sigma iteration count; keep them readable
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    tracer_mod.install(tracer)
+    try:
+        for command in ("solve", "moments", "verify"):
+            assert main([command, "--config", config_file(),
+                         "--out", str(tmp_path / command)]) == 0
+    finally:
+        tracer.uninstall()
+    counts = {}
+    for span in tracer.spans:
+        counts.update(span["counts"])
+    assert counts["nnz"] > 0
+    assert counts["lu_fill"] > 0
+    assert counts["sigma_iterations"] > 0
 
 
 def test_compare_gate_fires_on_underresolved_grid(config_file, tmp_path):

@@ -38,16 +38,16 @@ def test_zero_kernel_gives_zero_rows():
     zero = TabulatedKernel(horizon=1.0, displacements=np.linspace(-1, 1, 9),
                            values=np.zeros(9))
     op = make_op(zero)
-    a = op.a_star.toarray()
-    assert np.all(a[op.interior] == 0.0)
-    # absorbing rows keep the identity constraint
-    assert np.all(a[op.absorbing][:, op.absorbing].diagonal() == 1.0)
+    # only the domain block is stored, and it is all zero
+    assert op.a_star.shape == (op.interior.size, op.interior.size)
+    assert np.all(op.a_star.toarray() == 0.0)
+    assert op.flux_to_d.shape == (op.absorbing.size, op.interior.size)
+    assert np.all(op.killing_rate == 0.0)
 
 
 def test_symmetric_kernel_symmetric_interior_block(analytic_op_128):
-    a = analytic_op_128.a_gen.toarray()
-    blk = a[np.ix_(analytic_op_128.interior, analytic_op_128.interior)]
-    assert np.max(np.abs(blk - blk.T)) <= 1e-12 * np.max(np.abs(a))
+    blk = analytic_op_128.a_gen.toarray()
+    assert np.max(np.abs(blk - blk.T)) <= 1e-12 * np.max(np.abs(blk))
     # forward and backward matrices coincide entry for entry here
     assert (analytic_op_128.a_star != analytic_op_128.a_gen).nnz == 0
 
@@ -55,7 +55,7 @@ def test_symmetric_kernel_symmetric_interior_block(analytic_op_128):
 def test_interior_diagonal_converges_to_total_rate(analytic_op_64, analytic_op_128, analytic_op_256):
     errs = []
     for op in (analytic_op_64, analytic_op_128, analytic_op_256):
-        diag = op.a_star.diagonal()[op.interior]
+        diag = op.a_star.diagonal()
         errs.append(np.max(np.abs(diag + 0.2)))
     assert errs[0] / errs[1] >= 1.9  # first-order quadrature of the loss integral
     assert errs[1] / errs[2] >= 1.9
@@ -69,10 +69,17 @@ def test_gain_entries_nonnegative(analytic_op_64):
 
 
 def test_generator_annihilates_constants(analytic_op_64, stable_kernel_05, stable_kernel_15):
+    # without absorbing rows, A 1 = -kappa, with the killing rate kappa read
+    # off the flux matrix (not off A itself)
     for op in (analytic_op_64, make_op(stable_kernel_05), make_op(stable_kernel_15)):
-        ones = np.ones(op.n_cells)
-        norm = np.max(np.abs(op.a_gen.toarray()))
-        assert np.max(np.abs((op.a_gen @ ones)[op.interior])) <= 1e-12 * norm
+        ones = np.ones(op.interior.size)
+        norm = abs(op.a_gen).max()
+        kappa = op.killing_rate
+        assert kappa.min() > 0.0  # every domain cell reaches the absorbing collar
+        assert np.max(np.abs(op.a_gen @ ones + kappa)) <= 1e-12 * norm
+    # censored process: no killing, constants annihilated outright
+    op = make_op(CompoundPoissonUniform(rate=0.2, horizon=1.0), absorbing="empty")
+    assert np.max(np.abs(op.a_gen @ np.ones(op.interior.size))) <= 1e-12 * abs(op.a_gen).max()
 
 
 def test_adjoint_identity_symmetric(analytic_op_64):
@@ -85,10 +92,10 @@ def test_adjoint_identity_asymmetric_weighted_transpose():
     norm = np.max(np.abs(op.a_gen.toarray()))
     # inner-product form of the duality
     assert adjoint_check(op, trials=100, rng=2) <= 1e-12 * norm
-    # matrix form: W A_fwd = A_bwd^T W on the interior block
-    w = op.widths
-    lhs = (w[:, None] * op.a_star.toarray())[np.ix_(op.interior, op.interior)]
-    rhs = (op.a_gen.toarray().T * w[:, None])[np.ix_(op.interior, op.interior)]
+    # matrix form: W A_fwd = A_bwd^T W on the domain block
+    w = op.widths[op.interior]
+    lhs = w[:, None] * op.a_star.toarray()
+    rhs = op.a_gen.toarray().T * w[:, None]
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * norm
 
 
@@ -126,7 +133,7 @@ def test_divergence_random_density(analytic_op_64):
     scale = float(np.sum(np.abs(u) * analytic_op_64.widths))
     assert divergence_theorem_check(analytic_op_64, u) <= 1e-12 * scale
     # mass flowing out of the domain shows up as absorbing-cell flux
-    flux = analytic_op_64.flux_to_d @ u
+    flux = analytic_op_64.flux_to_d @ u[analytic_op_64.interior]
     assert float(np.sum(flux * analytic_op_64.widths[analytic_op_64.absorbing])) > 0.0
 
 
@@ -145,7 +152,7 @@ def test_stable_kernel_operator_identities(stable_kernel_05):
     u = random_density(op, seed=10)
     scale = float(np.sum(np.abs(u) * op.widths))
     assert divergence_theorem_check(op, u) <= 1e-12 * scale
-    blk = op.a_gen.toarray()[np.ix_(op.interior, op.interior)]
+    blk = op.a_gen.toarray()
     assert np.max(np.abs(blk - blk.T)) <= 1e-12 * norm
 
 
@@ -160,3 +167,6 @@ def test_dump_operator(tmp_path, analytic_op_64):
     meta = json.loads(meta_path.read_text())
     assert meta["n_cells"] == analytic_op_64.n_cells
     assert len(meta["centers"]) == analytic_op_64.n_cells
+    # triplet indices are positions in the domain block
+    ij = np.array([[int(v) for v in line.split(",")[:2]] for line in lines[1:]])
+    assert ij.max() == len(meta["interior"]) - 1

@@ -27,17 +27,29 @@ def test_censored_survival_stays_one():
     traj = evolve(op, uniform_density(op), dt=0.05, t_end=20.0, store_every=100)
     assert np.max(np.abs(traj.survival - 1.0)) <= 1e-12
     assert np.all(traj.absorbed_cdf == 0.0)
+    assert np.array_equal(traj.density_times, traj.times[::100])
+
+
+def test_density_storage_is_opt_in(analytic_op_64):
+    u0 = uniform_density(analytic_op_64)
+    traj = evolve(analytic_op_64, u0, dt=0.1, t_end=5.0)
+    assert np.array_equal(traj.density_times, [0.0, traj.times[-1]])
+    # stored densities keep one entry per cell, zero on the absorbing set
+    assert traj.densities.shape == (2, analytic_op_64.n_cells)
+    assert np.array_equal(traj.densities[0], u0)
+    assert np.all(traj.densities[:, analytic_op_64.absorbing] == 0.0)
+    assert np.all(traj.densities[1, analytic_op_64.interior] > 0.0)
 
 
 def test_survival_matches_exponential(analytic_op_64):
     traj = evolve(analytic_op_64, uniform_density(analytic_op_64),
-                  dt=0.01, t_end=50.0, store_every=10**9)
+                  dt=0.01, t_end=50.0)
     assert np.max(np.abs(traj.survival - exp_survival(traj.times))) <= 1e-2
 
 
 def test_conservation_every_step(analytic_op_64):
     traj = evolve(analytic_op_64, uniform_density(analytic_op_64),
-                  dt=0.05, t_end=30.0, store_every=10**9)
+                  dt=0.05, t_end=30.0)
     assert np.max(np.abs(traj.survival + traj.absorbed_cdf - traj.survival[0])) <= 1e-10
 
 
@@ -49,19 +61,8 @@ def test_implicit_euler_monotone_and_positive(analytic_op_64, dt):
     assert traj.densities.min() >= -1e-14
 
 
-def test_crank_nicolson_conserves_and_warns(analytic_op_64):
-    u0 = point_mass(analytic_op_64, 0.5)
-    traj = evolve(analytic_op_64, u0, dt=0.1, t_end=10.0,
-                  scheme="crank_nicolson", store_every=10**9)
-    assert np.max(np.abs(traj.survival + traj.absorbed_cdf - 1.0)) <= 1e-10
-    with pytest.warns(RuntimeWarning, match="negative"):
-        evolve(analytic_op_64, u0, dt=20.0, t_end=100.0, scheme="crank_nicolson")
-
-
 def test_evolve_validates_inputs(analytic_op_64):
     good = uniform_density(analytic_op_64)
-    with pytest.raises(ConfigurationError, match="scheme"):
-        evolve(analytic_op_64, good, dt=0.1, t_end=1.0, scheme="explicit_euler")
     with pytest.raises(ConfigurationError, match="positive"):
         evolve(analytic_op_64, good, dt=-0.1, t_end=1.0)
     bad = good.copy()
@@ -119,7 +120,7 @@ def test_mean_exit_time_equals_time_integrated_survival(analytic_op_64):
         idx = analytic_op_64.interior[int(frac * analytic_op_64.interior.size)]
         x = analytic_op_64.centers[idx]
         u0 = point_mass(analytic_op_64, x)
-        traj = evolve(analytic_op_64, u0, dt=dt, t_end=200.0, store_every=10**9)
+        traj = evolve(analytic_op_64, u0, dt=dt, t_end=200.0)
         keep = traj.survival >= 1e-8
         integral = np.trapezoid(traj.survival[keep], traj.times[keep])
         assert integral == pytest.approx(met.values[idx], rel=2e-3)
@@ -128,7 +129,7 @@ def test_mean_exit_time_equals_time_integrated_survival(analytic_op_64):
 def test_moment_recursion_vs_trajectory_integral(analytic_op_64):
     # k-th moment against the integral of k t^(k-1) S(t) for uniform start
     u0 = uniform_density(analytic_op_64)
-    traj = evolve(analytic_op_64, u0, dt=0.01, t_end=200.0, store_every=10**9)
+    traj = evolve(analytic_op_64, u0, dt=0.01, t_end=200.0)
     keep = traj.survival >= 1e-8
     t, s = traj.times[keep], traj.survival[keep]
     m1, m2 = exit_moments(analytic_op_64, 2)
@@ -149,7 +150,7 @@ def test_moments_reject_negative_rhs_shape(analytic_op_64):
 def test_sigma_matches_dense_eigensolve(analytic_op_64):
     est = coercivity_sigma(analytic_op_64)
     idx = analytic_op_64.interior
-    m = -analytic_op_64.a_gen.toarray()[np.ix_(idx, idx)]
+    m = -analytic_op_64.a_gen.toarray()
     sw = np.sqrt(analytic_op_64.widths[idx])
     b = sw[:, None] * m / sw[None, :]
     dense = float(np.linalg.eigvalsh(0.5 * (b + b.T))[0])
@@ -175,7 +176,7 @@ def test_sigma_energy_bound_on_mean_exit_time(analytic_op_64):
     idx = analytic_op_64.interior
     w = analytic_op_64.widths[idx]
     m = met.values[idx]
-    neg_a = -analytic_op_64.a_gen.toarray()[np.ix_(idx, idx)]
+    neg_a = -analytic_op_64.a_gen.toarray()
     energy = float((m * w) @ (neg_a @ m))
     assert energy >= est.value * float(np.sum(m * m * w)) * (1 - 1e-10)
 
@@ -191,5 +192,5 @@ def test_sigma_positive_for_stable_kernel(stable_kernel_05):
     idx = op.interior
     w = op.widths[idx]
     m = met.values[idx]
-    energy = float((m * w) @ (-op.a_gen.toarray()[np.ix_(idx, idx)] @ m))
+    energy = float((m * w) @ (-op.a_gen.toarray() @ m))
     assert energy >= est.value * float(np.sum(m * m * w)) * (1 - 1e-9)
