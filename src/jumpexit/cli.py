@@ -29,7 +29,7 @@ import numpy as np
 
 from . import montecarlo as mc
 from . import operators, solver
-from .config import RunConfig, load_config, write_resolved
+from .config import RunConfig, configured_output_dir, load_config, write_resolved
 from .errors import ConfigurationError, NumericalError
 
 EXIT_OK = 0
@@ -264,7 +264,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        _report_error(args.out, "ConfigurationError", exc)
+        out_dir = args.out if args.out is not None else configured_output_dir(args.config)
+        _report_error(out_dir, "ConfigurationError", exc)
         return EXIT_CONFIG
 
     try:

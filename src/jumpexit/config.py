@@ -17,6 +17,7 @@ from .errors import ConfigurationError
 from .geometry import DomainPartition, Grid, Intervals, build_grid
 from .kernels import (CompoundPoissonUniform, JumpKernel, TruncatedStable,
                       load_tabulated_csv)
+from .solver import on_step_grid
 
 _DEFAULTS = {
     "solver": {"scheme": "implicit_euler", "dt": 0.01, "t_end": 50.0, "k_max": 1},
@@ -118,9 +119,22 @@ def _build_partition(cp, horizon: float) -> tuple[DomainPartition, dict]:
     return partition, resolved
 
 
-def _on_step_grid(t: float, dt: float) -> bool:
-    """Whether ``t`` is a whole number of steps ``dt``, to relative 1e-9."""
-    return abs(round(t / dt) * dt - t) <= 1e-9 * t
+def _output_dir(cp) -> Path:
+    return Path(cp.get("output", "dir", fallback="out"))
+
+
+def configured_output_dir(path) -> Path | None:
+    """The output directory a config file names, ``out`` when it names none,
+    read without validating the rest of the file, so that a config that
+    ``load_config`` rejects can still report its error there. None when the
+    file cannot be read or parsed."""
+    cp = configparser.ConfigParser()
+    try:
+        if not cp.read(path):
+            return None
+        return _output_dir(cp)
+    except (configparser.Error, UnicodeDecodeError):
+        return None
 
 
 def load_config(path, out_dir=None, seed=None) -> RunConfig:
@@ -158,7 +172,7 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
             f"(Crank-Nicolson was removed), got {scheme!r}")
     if dt <= 0 or t_end <= 0 or k_max < 1:
         raise ConfigurationError("[solver] dt and t_end must be positive, k_max >= 1")
-    if not _on_step_grid(t_end, dt):
+    if not on_step_grid(t_end, dt):
         raise ConfigurationError(f"[solver] t_end = {t_end} is not a whole number of steps dt = {dt}")
 
     d = _DEFAULTS["mc"]
@@ -178,7 +192,7 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
     checkpoints = [float(t) for t in checkpoints]
     if any(t < 0 or t > t_end for t in checkpoints):
         raise ConfigurationError(f"[compare] checkpoints must lie in [0, t_end], got {checkpoints}")
-    off_grid = [t for t in checkpoints if not _on_step_grid(t, dt)]
+    off_grid = [t for t in checkpoints if not on_step_grid(t, dt)]
     if off_grid:
         raise ConfigurationError(
             f"[compare] checkpoints {off_grid} are not whole multiples of dt = {dt}")
@@ -190,7 +204,7 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
     paths_brownian = _get(cp, "paths", "brownian", _bool, d["brownian"]) if has_paths else d["brownian"]
     paths_steps = _get(cp, "paths", "n_steps", int, d["n_steps"]) if has_paths else d["n_steps"]
 
-    out = Path(out_dir) if out_dir is not None else Path(_get(cp, "output", "dir", str, "out"))
+    out = Path(out_dir) if out_dir is not None else _output_dir(cp)
 
     resolved = {
         "kernel": kres,

@@ -62,10 +62,16 @@ class DiscreteOperator:
         return self.centers.size
 
     @property
+    def exit_weights(self) -> np.ndarray:
+        """Flux into the absorbing set per unit density on each domain cell,
+        read off the flux matrix: the absorbed flux of a domain density
+        ``u`` is ``exit_weights @ u``."""
+        return self.flux_to_d.T @ self.widths[self.absorbing]
+
+    @property
     def killing_rate(self) -> np.ndarray:
-        """Jump rate from each domain cell into the absorbing set, read off
-        the flux matrix."""
-        return (self.flux_to_d.T @ self.widths[self.absorbing]) / self.widths[self.interior]
+        """Jump rate from each domain cell into the absorbing set."""
+        return self.exit_weights / self.widths[self.interior]
 
     def generator_solver(self):
         """LU factorization of the generator's domain block, built once and
@@ -93,7 +99,9 @@ def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> Disc
     interior = np.flatnonzero(tags == int(Region.INTERIOR))
     absorbing = np.flatnonzero(tags == int(Region.ABSORBING))
 
-    rows, cols, vals = [], [], []
+    # one CSR row per source cell; flatnonzero keeps each row's columns sorted
+    counts = np.zeros(n, dtype=np.int64)
+    cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     for i in range(n):
         mask = np.abs(x - x[i]) < kernel.horizon
         mask[i] = False  # self-jumps cancel exactly between gain and loss
@@ -102,17 +110,11 @@ def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> Disc
             continue
         v = kernel.quadrature_values(x[i], x[j], w[j])
         nz = v != 0.0
-        if np.any(nz):
-            rows.append(np.full(int(nz.sum()), i))
-            cols.append(j[nz])
-            vals.append(v[nz])
-    if rows:
-        values = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-    else:
-        values = sp.csr_matrix((n, n))
+        counts[i] = np.count_nonzero(nz)
+        cols.append(j[nz])
+        vals.append(v[nz])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    values = sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), shape=(n, n))
 
     w_int = w[interior]
     from_int = values[interior]
@@ -179,30 +181,41 @@ def balance_check(op: DiscreteOperator, u: np.ndarray, rng=None, trials: int = 1
     The integrand ``psi_ij = u_j v_ji - u_i v_ij`` (collocation rate values)
     must be antisymmetric; sums of ``psi`` weighted by cell measures over any
     index set vanish (no self-interaction), fluxes between disjoint sets
-    cancel (action-reaction), and set sums are additive.
+    cancel (action-reaction), and set sums are additive. ``u`` has one entry
+    per cell and may be nonzero on the absorbing cells.
+
+    Everything runs on the sparse ``values`` in O(nnz): ``psi`` is the
+    sparse matrix ``(diag(u) V)^T - diag(u) V``, and each trial's set sums
+    are bilinear forms in 0/1 indicator vectors of the random subsets.
     """
     rng = np.random.default_rng(rng)
-    gamma = op.values.toarray()
     u = np.asarray(u, dtype=float)
     w = op.widths
-    psi = u[np.newaxis, :] * gamma.T - u[:, np.newaxis] * gamma
-    scale = float(np.sum(np.abs(psi) * w[:, np.newaxis] * w[np.newaxis, :]))
-
-    antisym = float(np.max(np.abs(psi + psi.T)))
-
     n = op.n_cells
-    weighted = psi * w[:, np.newaxis] * w[np.newaxis, :]
+    flux_out = sp.diags(u) @ op.values
+    psi = (flux_out.T - flux_out).tocsr()
+
+    antisym = float(abs(psi + psi.T).max())
+
+    weighted = psi  # weighted in place: psi_ij w_i w_j
+    weighted.data *= np.repeat(w, np.diff(weighted.indptr))
+    weighted.data *= w[weighted.indices]
+    scale = float(np.sum(np.abs(weighted.data)))
     self_int = 0.0
     action = 0.0
     additive = 0.0
-    row_flux = weighted.sum(axis=1)  # per-cell net outgoing minus incoming
+    row_flux = weighted @ np.ones(n)  # per-cell net outgoing minus incoming
     for _ in range(trials):
         size = max(1, n // 3)
         perm = rng.permutation(n)
         s1, s2 = perm[:size], perm[size:2 * size]
-        self_int = max(self_int, abs(float(weighted[np.ix_(s1, s1)].sum())))
-        action = max(action, abs(float(weighted[np.ix_(s1, s2)].sum())
-                                 + float(weighted[np.ix_(s2, s1)].sum())))
+        e1 = np.zeros(n)
+        e1[s1] = 1.0
+        e2 = np.zeros(n)
+        e2[s2] = 1.0
+        to1 = weighted @ e1
+        self_int = max(self_int, abs(float(e1 @ to1)))
+        action = max(action, abs(float(e1 @ (weighted @ e2)) + float(e2 @ to1)))
         both = np.concatenate([s1, s2])
         additive = max(additive, abs(float(row_flux[both].sum())
                                      - float(row_flux[s1].sum())

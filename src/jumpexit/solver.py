@@ -107,15 +107,22 @@ def _validate_u0(op: DiscreteOperator, u0: np.ndarray) -> np.ndarray:
     return u0
 
 
+def on_step_grid(t: float, dt: float) -> bool:
+    """Whether ``t`` is a whole number of steps ``dt``, to relative 1e-9."""
+    return abs(round(t / dt) * dt - t) <= 1e-9 * t
+
+
 def evolve(op: DiscreteOperator, u0: np.ndarray, dt: float, t_end: float,
            store_every: int | None = None) -> DensityTrajectory:
     """Advance the density by implicit Euler under the forward operator,
     recording survival and absorbed flux per step."""
     if dt <= 0 or t_end <= 0:
         raise ConfigurationError("dt and t_end must be positive")
+    if not on_step_grid(t_end, dt):
+        raise ConfigurationError(f"t_end = {t_end} is not a whole number of steps dt = {dt}")
+    n_steps = int(round(t_end / dt))
     u = _validate_u0(op, u0)[op.interior]
 
-    n_steps = max(1, int(round(t_end / dt)))
     times = np.arange(n_steps + 1) * dt
     system = (sp.identity(op.interior.size, format="csr") - dt * op.a_star).tocsc()
     try:
@@ -124,7 +131,7 @@ def evolve(op: DiscreteOperator, u0: np.ndarray, dt: float, t_end: float,
         raise NumericalError(f"time-step factorization failed: {exc}") from exc
 
     w_int = op.widths[op.interior]
-    w_abs = op.widths[op.absorbing]
+    exit_w = op.exit_weights  # each step's absorbed flux is one dot product
     survival = np.empty(n_steps + 1)
     absorbed = np.empty(n_steps + 1)
     survival[0] = float(np.sum(u * w_int))
@@ -140,7 +147,7 @@ def evolve(op: DiscreteOperator, u0: np.ndarray, dt: float, t_end: float,
     f_acc = 0.0
     for k in range(1, n_steps + 1):
         u = lu.solve(u)
-        f_acc += dt * float(np.sum((op.flux_to_d @ u) * w_abs))
+        f_acc += dt * float(exit_w @ u)
         survival[k] = float(np.sum(u * w_int))
         absorbed[k] = f_acc
         if rec_pos < len(rec_idx) and k == rec_idx[rec_pos]:

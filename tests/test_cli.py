@@ -3,6 +3,7 @@ exit codes, and byte-level reproducibility."""
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import jumpexit
 from jumpexit import operators
 from jumpexit.cli import main
 from jumpexit.config import load_config
@@ -202,6 +204,22 @@ def test_rejected_config_exits_2_with_error_json(config_file, tmp_path, key, val
     assert match in err["message"]
 
 
+def test_rejected_config_reports_to_its_own_output_dir(config_file, tmp_path, monkeypatch):
+    # without --out, error.json goes to the file's [output] dir
+    path = config_file(scheme__="crank_nicolson")
+    assert main(["solve", "--config", path]) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "ConfigurationError"
+    # and to ./out when the file names none
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    no_dir = cwd / "no_dir.ini"
+    no_dir.write_text(Path(path).read_text().split("[output]")[0])
+    assert main(["solve", "--config", str(no_dir)]) == 2
+    assert (cwd / "out" / "error.json").exists()
+
+
 def test_compare_checkpoint_at_zero(config_file, tmp_path):
     # S(0) = 1 on both routes: the null-hypothesis variance is 0 there
     path = config_file(text=BASE_CONFIG + "\n[compare]\ncheckpoints = [0.0, 5.0]\n",
@@ -276,7 +294,12 @@ def test_tabulated_kernel_through_config(config_file, tmp_path):
 
 
 def test_console_entry_point(config_file, tmp_path):
+    # the child imports the same jumpexit as this process, even when only
+    # pytest's pythonpath setting put it on sys.path
+    src = str(Path(jumpexit.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "jumpexit.cli", "solve", "--config", config_file()],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

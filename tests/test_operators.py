@@ -3,11 +3,12 @@ identities: adjointness, balance laws, flux bookkeeping, sign structure."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from jumpexit.errors import ConfigurationError
 from jumpexit.geometry import DomainPartition, build_grid
 from jumpexit.kernels import CompoundPoissonUniform, TabulatedKernel, TruncatedStable
-from jumpexit.operators import (adjoint_check, assemble, balance_check,
+from jumpexit.operators import (BalanceReport, adjoint_check, assemble, balance_check,
                                 divergence_theorem_check, dump_operator)
 
 
@@ -112,6 +113,72 @@ def test_balance_conditions_asymmetric():
     rep = balance_check(op, random_density(op, seed=5), rng=6)
     assert rep.antisymmetry == 0.0
     assert rep.max_relative <= 1e-12
+
+
+def dense_balance_reference(op, u, rng=None, trials=16):
+    """The balance-law check on the densified rate matrix, kept as the
+    reference for the sparse ``balance_check``: same formulas, same RNG
+    order."""
+    rng = np.random.default_rng(rng)
+    gamma = op.values.toarray()
+    w = op.widths
+    psi = u[np.newaxis, :] * gamma.T - u[:, np.newaxis] * gamma
+    scale = float(np.sum(np.abs(psi) * w[:, np.newaxis] * w[np.newaxis, :]))
+    antisym = float(np.max(np.abs(psi + psi.T)))
+    n = op.n_cells
+    weighted = psi * w[:, np.newaxis] * w[np.newaxis, :]
+    self_int = action = additive = 0.0
+    row_flux = weighted.sum(axis=1)
+    for _ in range(trials):
+        size = max(1, n // 3)
+        perm = rng.permutation(n)
+        s1, s2 = perm[:size], perm[size:2 * size]
+        self_int = max(self_int, abs(float(weighted[np.ix_(s1, s1)].sum())))
+        action = max(action, abs(float(weighted[np.ix_(s1, s2)].sum())
+                                 + float(weighted[np.ix_(s2, s1)].sum())))
+        both = np.concatenate([s1, s2])
+        additive = max(additive, abs(float(row_flux[both].sum())
+                                     - float(row_flux[s1].sum())
+                                     - float(row_flux[s2].sum())))
+    return BalanceReport(antisym, self_int, action, additive, scale)
+
+
+@pytest.fixture(params=["analytic_64", "asymmetric_16"])
+def balance_case(request):
+    if request.param == "analytic_64":
+        op = request.getfixturevalue("analytic_op_64")
+        u = random_density(op, seed=3, domain_only=False)
+        u[op.absorbing] = 0.3
+        return op, u
+    op = make_op(asym_kernel(), h=1 / 16)
+    return op, random_density(op, seed=5)
+
+
+def test_sparse_balance_check_matches_dense_reference(balance_case):
+    op, u = balance_case
+    rep = balance_check(op, u, rng=11)
+    ref = dense_balance_reference(op, u, rng=11)
+    assert rep.antisymmetry == 0.0 and ref.antisymmetry == 0.0
+    assert ref.scale > 0.0
+    for name in ("self_interaction", "action_reaction", "additivity", "scale"):
+        assert abs(getattr(rep, name) - getattr(ref, name)) <= 1e-15 * ref.scale, name
+
+
+def test_balance_check_never_densifies(balance_case, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("balance_check densified a sparse matrix")
+
+    classes = {cls for kind in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.dia_matrix,
+                                sp.csr_array, sp.csc_array, sp.coo_array, sp.dia_array)
+               for cls in kind.__mro__}
+    for cls in classes:
+        for name in ("toarray", "todense"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, refuse)
+    op, u = balance_case
+    with pytest.raises(AssertionError, match="densified"):
+        op.values.toarray()
+    assert balance_check(op, u, rng=11).antisymmetry == 0.0
 
 
 def test_divergence_censored_case_conserves():

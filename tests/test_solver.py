@@ -2,6 +2,8 @@
 validated against the analytic exponential exit law and against each other
 (moment solves vs time-integrated survival)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,26 @@ def test_conservation_every_step(analytic_op_64):
     assert np.max(np.abs(traj.survival + traj.absorbed_cdf - traj.survival[0])) <= 1e-10
 
 
+def test_absorbed_flux_comes_from_flux_matrix(analytic_op_64):
+    # F is accumulated from the flux into the absorbing cells, not read off
+    # as 1 - S: recompute it from the stored densities
+    op = analytic_op_64
+    dt = 0.1
+    traj = evolve(op, uniform_density(op), dt=dt, t_end=5.0, store_every=1)
+    w_abs = op.widths[op.absorbing]
+    per_step = [float(np.sum((op.flux_to_d @ u[op.interior]) * w_abs))
+                for u in traj.densities[1:]]
+    f = dt * np.concatenate([[0.0], np.cumsum(per_step)])
+    assert np.max(np.abs(f - traj.absorbed_cdf)) <= 1e-13
+    assert traj.absorbed_cdf[-1] > 0.1
+    assert np.max(np.abs(traj.survival + traj.absorbed_cdf - traj.survival[0])) <= 1e-12
+    # a doubled flux matrix doubles F and leaves S alone; 1 - S would not
+    doubled = evolve(dataclasses.replace(op, flux_to_d=2 * op.flux_to_d),
+                     uniform_density(op), dt=dt, t_end=5.0)
+    assert np.array_equal(doubled.survival, traj.survival)
+    assert np.max(np.abs(doubled.absorbed_cdf - 2 * traj.absorbed_cdf)) <= 1e-13
+
+
 @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0, 10.0])
 def test_implicit_euler_monotone_and_positive(analytic_op_64, dt):
     traj = evolve(analytic_op_64, uniform_density(analytic_op_64),
@@ -73,6 +95,9 @@ def test_evolve_validates_inputs(analytic_op_64):
         evolve(analytic_op_64, 2 * good, dt=0.1, t_end=1.0)
     with pytest.raises(ConfigurationError, match="nonnegative"):
         evolve(analytic_op_64, -good, dt=0.1, t_end=1.0)
+    # 1.0 / 0.03 is not whole; rounding would silently stop at t = 0.99
+    with pytest.raises(ConfigurationError, match="whole number"):
+        evolve(analytic_op_64, good, dt=0.03, t_end=1.0)
 
 
 # --- moments ----------------------------------------------------------------
