@@ -40,20 +40,26 @@ EXIT_VERIFY = 4
 _F = "%.17g"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return _F % float(x)
+def _row_format(types) -> str:
+    """printf format of one CSV line with these cell types: integers and
+    booleans as whole numbers (booleans as 1/0), everything else as a
+    float to 17 significant digits."""
+    return ",".join("%d" if issubclass(t, (int, np.integer, np.bool_)) else _F
+                    for t in types) + "\n"
 
 
 def _write_csv(path: Path, cfg_hash: str, header: list[str], rows) -> None:
+    formats = {}  # cell types -> line format; a file's rows share a few
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg_hash}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(c) for c in row) + "\n")
+            row = tuple(row)
+            types = tuple(map(type, row))
+            fmt = formats.get(types)
+            if fmt is None:
+                fmt = formats[types] = _row_format(types)
+            fh.write(fmt % row)
 
 
 def _prepare_out(cfg: RunConfig) -> Path:

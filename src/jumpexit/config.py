@@ -143,7 +143,10 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
     ``out_dir`` and ``seed`` override the file (CLI flags).
     """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
     for section in ("kernel", "domain", "grid"):

@@ -20,12 +20,16 @@ Rate integrals over interval unions use exact piecewise antiderivatives
 (power-law, constant, and linear pieces), and jump destinations are drawn
 by inverting the piecewise closed-form CDF -- no rejection loops, so the
 cost per jump is deterministic even when the admissible region is tiny.
+``JumpKernel.jump_law`` builds the clipped pieces and their masses once;
+the walk takes both its waiting rate and its landing draw from that one
+table, so each jump makes a single pass over the pieces.
 
 Kernels are immutable and safe to share across workers; sampling state
 lives entirely in the caller-supplied generator.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +76,11 @@ class KernelDecomposition:
 # density pieces: closed-form mass and inverse CDF per piece
 
 
-@dataclass(frozen=True)
+# Pieces are built per jump, so they are plain slotted dataclasses (cheap to
+# construct); nothing mutates one after it is built.
+
+
+@dataclass(slots=True)
 class _ConstPiece:
     lo: float
     hi: float
@@ -85,10 +93,12 @@ class _ConstPiece:
         return self.lo + v / self.value
 
     def clip(self, lo: float, hi: float) -> "_ConstPiece":
+        if lo == self.lo and hi == self.hi:
+            return self
         return _ConstPiece(lo, hi, self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _PowerPiece:
     """Density scale * |y - center|**-(1 + alpha) on one side of center."""
 
@@ -116,10 +126,12 @@ class _PowerPiece:
         return self.center - z
 
     def clip(self, lo: float, hi: float) -> "_PowerPiece":
+        if lo == self.lo and hi == self.hi:
+            return self
         return _PowerPiece(lo, hi, self.center, self.scale, self.alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _LinearPiece:
     lo: float
     hi: float
@@ -135,7 +147,7 @@ class _LinearPiece:
     def invert(self, v: float) -> float:
         s = self._slope()
         disc = self.v_lo * self.v_lo + 2.0 * s * v
-        denom = self.v_lo + np.sqrt(max(disc, 0.0))
+        denom = self.v_lo + math.sqrt(max(disc, 0.0))
         if denom <= 0.0:
             return self.lo
         return self.lo + 2.0 * v / denom
@@ -144,19 +156,49 @@ class _LinearPiece:
         return self.v_lo + self._slope() * (y - self.lo)
 
     def clip(self, lo: float, hi: float) -> "_LinearPiece":
+        # always rebuilt: value_at(hi) may differ from v_hi in the last bit
         return _LinearPiece(lo, hi, self.value_at(lo), self.value_at(hi))
 
 
 def _clip_pieces(pieces, region: Intervals | None):
     if region is None:
         return [p for p in pieces if p.hi > p.lo]
+    bounds = region.bounds
     out = []
     for p in pieces:
-        for rlo, rhi in region.bounds:
-            lo, hi = max(p.lo, rlo), min(p.hi, rhi)
+        plo, phi = p.lo, p.hi
+        for rlo, rhi in bounds:
+            # max(plo, rlo) and min(phi, rhi), ties going to the piece
+            lo = rlo if rlo > plo else plo
+            hi = rhi if rhi < phi else phi
             if hi > lo:
                 out.append(p.clip(lo, hi))
     return out
+
+
+@dataclass(slots=True)
+class JumpLaw:
+    """The jump law from one point over one region: the clipped density
+    pieces, their masses in piece order, and the total rate (their sum)."""
+
+    x: float
+    pieces: list
+    masses: list
+    total: float
+
+    def sample(self, rng: np.random.Generator) -> float:
+        """Draw a destination by exact inversion of the piecewise CDF."""
+        if self.total <= 0.0:
+            raise ConfigurationError(
+                f"no jump mass reachable from x={self.x}; the point is isolated "
+                "within the configured region"
+            )
+        u = rng.random() * self.total
+        for p, m in zip(self.pieces, self.masses):
+            if u <= m:
+                return p.invert(u)
+            u -= m
+        return self.pieces[-1].hi  # unreachable up to rounding
 
 
 class JumpKernel:
@@ -164,6 +206,8 @@ class JumpKernel:
 
     Subclasses provide ``evaluate`` (vectorized in y), ``_pieces`` (the
     closed-form density pieces of y -> gamma(x, y)), and a classification.
+    ``jump_law`` clips the pieces to a region once; ``total_rate`` and
+    ``sample_jump`` are its total and its draw.
     """
 
     horizon: float
@@ -186,28 +230,21 @@ class JumpKernel:
         """Kernel with all rates multiplied by ``c > 0``."""
         raise NotImplementedError
 
+    def jump_law(self, x: float, region: Intervals | None = None) -> JumpLaw:
+        """Pieces of gamma(x, .) clipped to ``region`` (all space when
+        None), with their masses and total, built in one pass."""
+        pieces = _clip_pieces(self._pieces(x), region)
+        masses = [p.mass() for p in pieces]
+        return JumpLaw(x, pieces, masses, float(sum(masses)))
+
     def total_rate(self, x: float, region: Intervals | None = None) -> float:
         """Integral of gamma(x, .) over ``region`` (all space when None)."""
-        pieces = _clip_pieces(self._pieces(x), region)
-        return float(sum(p.mass() for p in pieces))
+        return self.jump_law(x, region).total
 
     def sample_jump(self, x: float, region: Intervals | None, rng: np.random.Generator) -> float:
         """Draw a destination with density gamma(x, .)/rate restricted to
         ``region``, by exact inversion of the piecewise CDF."""
-        pieces = _clip_pieces(self._pieces(x), region)
-        masses = [p.mass() for p in pieces]
-        total = sum(masses)
-        if total <= 0.0:
-            raise ConfigurationError(
-                f"no jump mass reachable from x={x}; the point is isolated "
-                "within the configured region"
-            )
-        u = rng.random() * total
-        for p, m in zip(pieces, masses):
-            if u <= m:
-                return p.invert(u)
-            u -= m
-        return pieces[-1].hi  # unreachable up to rounding
+        return self.jump_law(x, region).sample(rng)
 
     def decompose(self) -> KernelDecomposition:
         return KernelDecomposition(self)
@@ -359,8 +396,9 @@ class TabulatedKernel(JumpKernel):
 
     Either translation-invariant (``displacements``/``values`` over signed
     displacement, linear interpolation, zero outside the table) or bivariate
-    (``x_nodes`` x ``y_nodes`` grid of values, bilinear). Values beyond the
-    horizon are clipped to zero regardless of the table.
+    (``x_nodes`` x ``y_nodes`` grid of values, bilinear, zero for y outside
+    the table and clamped to the nearest row for x outside it). Values
+    beyond the horizon are clipped to zero regardless of the table.
     """
 
     horizon: float
@@ -422,6 +460,8 @@ class TabulatedKernel(JumpKernel):
             vals = _interp_zero_outside(z, self.displacements, self.values)
         else:
             vals = self._bilinear(np.full_like(y, x, dtype=float), y)
+            # the sampling pieces stop at the table's y range; so does gamma
+            vals = np.where((y >= self.y_nodes[0]) & (y <= self.y_nodes[-1]), vals, 0.0)
         return np.where(np.abs(z) < self.horizon, vals, 0.0)
 
     def _bilinear(self, x, y):
@@ -443,8 +483,11 @@ class TabulatedKernel(JumpKernel):
         else:
             nodes = self.y_nodes
             vals = self._bilinear(np.full_like(nodes, x, dtype=float), nodes)
+        # Python floats: the piece arithmetic rounds exactly as on numpy
+        # scalars, at a fraction of the cost
+        nodes, vals = nodes.tolist(), vals.tolist()
         pieces = []
-        for k in range(nodes.size - 1):
+        for k in range(len(nodes) - 1):
             pieces.append(_LinearPiece(nodes[k], nodes[k + 1], vals[k], vals[k + 1]))
         return _clip_pieces(pieces, Intervals(((x - lam, x + lam),)))
 
@@ -487,11 +530,14 @@ def load_tabulated_csv(path, horizon: float) -> TabulatedKernel:
     three-column rows ``x,y,value`` must fill a complete rectangular grid.
     """
     rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            rows.append([float(c) for c in row])
+    try:
+        with open(path, newline="") as fh:
+            for row in csv.reader(fh):
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                rows.append([float(c) for c in row])
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ConfigurationError(f"cannot load kernel table {path}: {exc}") from exc
     if not rows:
         raise ConfigurationError(f"kernel table {path} is empty")
     ncol = len(rows[0])

@@ -3,8 +3,8 @@
 Each path draws exponential waits at the local censored jump rate (the
 rate integral over domain + absorbing set only, so jumps into the
 unreachable collar never occur) and lands by exact inverse-CDF sampling.
-A path ends when it lands in the absorbing set, or is censored at
-``t_max``.
+The rate and the draw come from one ``JumpLaw`` built per jump. A path
+ends when it lands in the absorbing set, or is censored at ``t_max``.
 
 Reproducibility: every path owns a generator seeded from ``(seed,
 path_index)``, so an ensemble is bit-identical no matter how the paths are
@@ -76,7 +76,8 @@ def simulate_exit(kernel: JumpKernel, partition: DomainPartition, x0: float,
     t = 0.0
     jumps = 0
     while True:
-        rate = kernel.total_rate(x, region)
+        law = kernel.jump_law(x, region)
+        rate = law.total
         if rate <= 0.0:
             raise ConfigurationError(
                 f"zero jump rate at x={x}: the point cannot reach the rest of "
@@ -86,7 +87,7 @@ def simulate_exit(kernel: JumpKernel, partition: DomainPartition, x0: float,
         if t > t_max:
             return ExitRecord(x0=x0, exit_time=t_max, exit_location=np.nan,
                               jumps=jumps, censored=True)
-        y = kernel.sample_jump(x, region, rng)
+        y = law.sample(rng)
         jumps += 1
         if partition.region_of(y) == Region.ABSORBING:
             return ExitRecord(x0=x0, exit_time=t, exit_location=y,
@@ -152,7 +153,8 @@ def simulate_path(kernel: JumpKernel, x0: float, rng: np.random.Generator,
     x = float(x0)
     t = 0.0
     while True:
-        rate = kernel.total_rate(x, region)
+        law = kernel.jump_law(x, region)
+        rate = law.total
         if rate <= 0.0:
             raise ConfigurationError(f"zero jump rate at x={x}")
         t += rng.standard_exponential() / rate
@@ -160,7 +162,7 @@ def simulate_path(kernel: JumpKernel, x0: float, rng: np.random.Generator,
             times.append(t_max)
             positions.append(x)
             break
-        y = kernel.sample_jump(x, region, rng)
+        y = law.sample(rng)
         times.append(t)
         positions.append(y)
         if not free_space and partition.region_of(y) == Region.ABSORBING:

@@ -13,7 +13,7 @@ import pytest
 
 import jumpexit
 from jumpexit import operators
-from jumpexit.cli import main
+from jumpexit.cli import _write_csv, main
 from jumpexit.config import load_config
 from jumpexit.errors import ConfigurationError
 
@@ -202,6 +202,56 @@ def test_rejected_config_exits_2_with_error_json(config_file, tmp_path, key, val
     err = json.loads((tmp_path / "e" / "error.json").read_text())
     assert err["error"] == "ConfigurationError"
     assert match in err["message"]
+
+
+def _tabulated_config(config_file, tmp_path, table):
+    config_file(family__="custom_tabulated")
+    path = tmp_path / "run.ini"
+    path.write_text(path.read_text().replace("rate = 0.2", f"table_path = {table}"))
+    return str(path)
+
+
+@pytest.mark.parametrize("case, match", [
+    ("no_section_header", "cannot parse config file"),
+    ("missing_table", "cannot load kernel table"),
+    ("non_numeric_table", "cannot load kernel table"),
+])
+def test_unreadable_config_or_table_exits_2(config_file, tmp_path, case, match):
+    if case == "no_section_header":
+        path = tmp_path / "bad.ini"
+        path.write_text("h = 1\n")
+    elif case == "missing_table":
+        path = _tabulated_config(config_file, tmp_path, tmp_path / "absent.csv")
+    else:
+        table = tmp_path / "bad.csv"
+        table.write_text("-1.0,0.1\n0.0,abc\n1.0,0.1\n")
+        path = _tabulated_config(config_file, tmp_path, table)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "e")]) == 2
+    err = json.loads((tmp_path / "e" / "error.json").read_text())
+    assert err["error"] == "ConfigurationError"
+    assert match in err["message"]
+
+
+def _reference_fmt(x) -> str:
+    """Cell rendering the CSV files have always used."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return "%.17g" % float(x)
+
+
+def test_csv_cells_render_as_before(tmp_path):
+    rows = [
+        [7, np.int64(-3), 0.1, np.float64(1 / 3), np.nan, True, np.bool_(False)],
+        [0, np.int64(2**40), -2.5e-300, np.float64(-np.inf), np.float64(np.nan),
+         False, np.bool_(True)],
+        [2**70, np.int32(5), 1e22, np.float32(0.1), float("inf"), np.True_, 3],
+    ]
+    _write_csv(tmp_path / "t.csv", "abc", ["a", "b"], iter(rows))
+    expected = "# config_hash=abc\na,b\n" + "".join(
+        ",".join(_reference_fmt(c) for c in row) + "\n" for row in rows)
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
 
 def test_rejected_config_reports_to_its_own_output_dir(config_file, tmp_path, monkeypatch):

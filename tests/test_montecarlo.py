@@ -6,13 +6,15 @@ Anderson-Darling gate uses the 1% critical value 3.857 for a fully
 specified null distribution.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import EXIT_RATE, exp_survival
 from jumpexit.errors import ConfigurationError
 from jumpexit.geometry import DomainPartition, Intervals
-from jumpexit.kernels import CompoundPoissonUniform, TabulatedKernel
+from jumpexit.kernels import CompoundPoissonUniform, TabulatedKernel, TruncatedStable
 from jumpexit.montecarlo import (ExitEnsemble, brownian_path, empirical_survival,
                                  path_rng, simulate_ensemble, simulate_exit,
                                  simulate_path, survival_z_scores)
@@ -219,3 +221,84 @@ def test_mc_matches_solver_on_strict_subset_config():
     ref = [traj.survival_at(t) for t in times]
     z, _ = survival_z_scores(ens, times, ref)
     assert np.max(np.abs(z)) <= 3.0
+
+
+# --- one jump law per jump ---------------------------------------------------
+
+def _family_cases():
+    """One walk per kernel family, two of them on a partial absorbing set."""
+    unit = [(0.0, 1.0)]
+    z = np.linspace(-1.0, 1.0, 21)
+    v = np.where(z > 0, 0.35, 0.15)
+    nodes = np.linspace(-1.5, 2.5, 41)
+    vv = 0.2 + 0.05 * np.add.outer(np.sin(nodes), np.cos(nodes)) ** 2
+    return {
+        "uniform": (CompoundPoissonUniform(rate=0.2, horizon=1.0),
+                    DomainPartition.build(unit, horizon=1.0, absorbing="full"), 50.0),
+        "capped_power_law": (TruncatedStable(alpha=0.5, m=1.0, horizon=1.0, epsilon=1e-3),
+                             DomainPartition.build(unit, horizon=1.0, absorbing=[(1.0, 2.0)]),
+                             20.0),
+        "translation_table": (TabulatedKernel(horizon=1.0, displacements=z, values=v),
+                              DomainPartition.build(unit, horizon=1.0, absorbing="full"), 50.0),
+        "bivariate_table": (TabulatedKernel(horizon=1.0, x_nodes=nodes, y_nodes=nodes,
+                                            grid_values=vv),
+                            DomainPartition.build(unit, horizon=1.0, absorbing=[(-1.0, 0.0)]),
+                            50.0),
+    }
+
+
+# sha256 of x0, exit_time, exit_location and jumps (raw float64/int64 bytes)
+# of a 200-path, seed-7 ensemble, recorded before the rate and the draw were
+# taken from one jump law: the random streams must not move.
+STREAM_PINS = {
+    "uniform": "03e349c2df443349b7688de33b1c2d8a7000fae07af155886c057c6462d890bc",
+    "capped_power_law": "80b7155bb113b3a9e8c7c75b669ba241e8ebc25579dc317e5b2b4f3ea07c3ce9",
+    "translation_table": "ed384d2c75dc5d686d3faf4048392cb5d06cd1e4f2c52b9a27b5ab3aa3b1ba3a",
+    "bivariate_table": "748a30f1b430e6140d61234270ebda207c86c910d2752fbad16126eb8213840f",
+}
+
+
+@pytest.mark.parametrize("family", sorted(STREAM_PINS))
+def test_ensemble_streams_are_pinned(family):
+    kernel, part, t_max = _family_cases()[family]
+    ens = simulate_ensemble(kernel, part, n_paths=200, seed=7, t_max=t_max)
+    digest = hashlib.sha256()
+    for a in (ens.x0, ens.exit_time, ens.exit_location, ens.jumps):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == STREAM_PINS[family]
+
+
+@pytest.mark.parametrize("family", sorted(STREAM_PINS))
+def test_one_piece_build_per_jump(family, monkeypatch):
+    kernel, part, _ = _family_cases()[family]
+    cls = type(kernel)
+    original = cls._pieces
+    calls = []
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(cls, "_pieces", counting)
+    seen = set()
+    for i, t_max in enumerate([0.05, 0.5, 5.0, 50.0] * 4):
+        calls.clear()
+        rec = simulate_exit(kernel, part, 0.5, path_rng(5, i), t_max=t_max)
+        # a censored walk builds one more law for the wait that overran t_max
+        assert len(calls) == rec.jumps + rec.censored
+        seen.add(rec.censored)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("family", sorted(STREAM_PINS))
+def test_jump_law_matches_rate_and_draw(family):
+    kernel, part, _ = _family_cases()[family]
+    xs = np.random.default_rng(2).random(20)
+    for region in (None, part.reachable, part.absorbing, Intervals(((0.2, 0.3), (0.6, 0.9)))):
+        for i, x in enumerate(xs):
+            law = kernel.jump_law(x, region)
+            assert kernel.total_rate(x, region) == law.total
+            assert law.total == sum(law.masses)
+            if law.total > 0.0:
+                a, b = path_rng(9, i), path_rng(9, i)
+                assert kernel.sample_jump(x, region, a) == law.sample(b)

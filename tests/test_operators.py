@@ -237,3 +237,23 @@ def test_dump_operator(tmp_path, analytic_op_64):
     # triplet indices are positions in the domain block
     ij = np.array([[int(v) for v in line.split(",")[:2]] for line in lines[1:]])
     assert ij.max() == len(meta["interior"]) - 1
+
+
+def test_bivariate_table_short_of_collar_matches_pieces():
+    # y nodes stop short of x +- lambda: gamma vanishes beyond the table on
+    # both routes, so the operator's first-jump exit odds kappa_i / |A_ii|
+    # match the sampling pieces' to O(h) on every domain cell
+    xs = np.linspace(0.0, 1.0, 11)
+    ys = np.linspace(-0.4, 1.6, 41)
+    vv = 0.2 + 0.1 * np.add.outer(xs, np.cos(3 * ys)) ** 2
+    k = TabulatedKernel(horizon=1.0, x_nodes=xs, y_nodes=ys, grid_values=vv)
+    assert float(k.evaluate(0.0, -0.6)) == 0.0
+    assert float(k.evaluate(0.0, -0.3)) > 0.0
+    part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
+    for h in (1 / 64, 1 / 128):
+        op = make_op(k, h=h)
+        odds = op.killing_rate / np.abs(op.a_star.diagonal())
+        x = op.centers[op.interior]
+        ref = np.array([k.total_rate(xi, part.absorbing) / k.total_rate(xi, part.reachable)
+                        for xi in x])
+        assert np.max(np.abs(odds - ref)) <= h
