@@ -142,8 +142,10 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> int:
 
 
 def cmd_paths(cfg: RunConfig) -> int:
-    out = _prepare_out(cfg)
     t_max = cfg.t_max if cfg.t_max is not None else cfg.t_end
+    if not np.isfinite(t_max):
+        raise ConfigurationError(f"[mc] t_max must be finite to record sample paths, got {t_max}")
+    out = _prepare_out(cfg)
     rows = []
     for i in range(cfg.paths_n):
         rng = mc.path_rng(cfg.seed, i)

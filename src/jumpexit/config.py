@@ -184,6 +184,8 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
     t_max = _get(cp, "mc", "t_max", float, d["t_max"])
     if n_paths < 1:
         raise ConfigurationError("[mc] n_paths must be at least 1")
+    if t_max is not None and not t_max > 0:  # inf stays: an absorbed walk ends anyway
+        raise ConfigurationError(f"[mc] t_max must be positive, got {t_max}")
     if seed is not None:
         cfg_seed = int(seed)
     if cfg_seed < 0:
@@ -192,7 +194,12 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
     d = _DEFAULTS["compare"]
     checkpoints = _get(cp, "compare", "checkpoints", json.loads, d["checkpoints"]) \
         if cp.has_section("compare") else d["checkpoints"]
-    checkpoints = [float(t) for t in checkpoints]
+    if not isinstance(checkpoints, list) or not checkpoints:
+        raise ConfigurationError(f"[compare] checkpoints must be a nonempty list, got {checkpoints!r}")
+    try:
+        checkpoints = [float(t) for t in checkpoints]
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"[compare] checkpoints must be numbers: {exc}") from exc
     if any(t < 0 or t > t_end for t in checkpoints):
         raise ConfigurationError(f"[compare] checkpoints must lie in [0, t_end], got {checkpoints}")
     off_grid = [t for t in checkpoints if not on_step_grid(t, dt)]
@@ -206,6 +213,8 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
     paths_free = _get(cp, "paths", "free_space", _bool, d["free_space"]) if has_paths else d["free_space"]
     paths_brownian = _get(cp, "paths", "brownian", _bool, d["brownian"]) if has_paths else d["brownian"]
     paths_steps = _get(cp, "paths", "n_steps", int, d["n_steps"]) if has_paths else d["n_steps"]
+    if paths_n < 1 or paths_steps < 1:
+        raise ConfigurationError("[paths] n_paths and n_steps must be at least 1")
 
     out = Path(out_dir) if out_dir is not None else _output_dir(cp)
 

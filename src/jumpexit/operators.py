@@ -12,6 +12,12 @@ hold only the domain block: generator rows sum to minus the killing rate
 that rate to the absorbing cells, so mass bookkeeping closes exactly at
 the semi-discrete level.
 
+Since the absorbing densities are pinned, the solver reads only the
+jump rates out of domain cells: assembly evaluates the kernel rows of the
+domain cells alone. The full rate matrix over every cell, absorbing rows
+included, is built from the same row routine on first read, for the
+balance-law check of a density that is nonzero on the absorbing set.
+
 The forward matrix (density evolution) and the backward matrix (the
 process generator, acting on observables) satisfy the weighted-transpose
 duality ``W A_fwd = A_bwd^T W`` with ``W = diag(cell widths)``; for a
@@ -21,6 +27,7 @@ entry for entry.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,9 +46,10 @@ class DiscreteOperator:
     ``a_star`` evolves densities (forward) and ``a_gen`` is the generator
     (backward), both ``n_int x n_int`` over the cells listed in
     ``interior``; ``flux_to_d`` (``n_abs x n_int``) maps a domain density to
-    the per-absorbing-cell arrival-rate density. ``values`` keeps the raw
-    collocation rate densities over all cells (row = source cell, column =
-    target cell) for the balance-law checks. Full-cell vectors index
+    the per-absorbing-cell arrival-rate density. ``domain_rows``
+    (``n_int x n_cells``) keeps the raw collocation rate densities out of
+    each domain cell (row k = source ``interior[k]``, column = target
+    cell), the rows all of these were built from. Full-cell vectors index
     ``centers``; ``interior`` and ``absorbing`` pick their blocks.
     """
 
@@ -53,13 +61,25 @@ class DiscreteOperator:
     a_star: sp.csr_matrix
     a_gen: sp.csr_matrix
     flux_to_d: sp.csr_matrix
-    values: sp.csr_matrix
-    horizon: float
+    domain_rows: sp.csr_matrix
+    kernel: JumpKernel
     _gen_lu: object = field(default=None, repr=False)
 
     @property
     def n_cells(self) -> int:
         return self.centers.size
+
+    @property
+    def horizon(self) -> float:
+        return self.kernel.horizon
+
+    @cached_property
+    def values(self) -> sp.csr_matrix:
+        """Raw collocation rate densities over all cells (row = source
+        cell, column = target cell), absorbing rows included. Assembly
+        never needs the absorbing rows, so the matrix is built on first
+        read, with the row routine assembly uses."""
+        return _rate_rows(self.kernel, self.centers, self.widths, np.arange(self.n_cells))
 
     @property
     def exit_weights(self) -> np.ndarray:
@@ -84,8 +104,40 @@ class DiscreteOperator:
         return self._gen_lu
 
 
+def _rate_rows(kernel: JumpKernel, x: np.ndarray, w: np.ndarray,
+               sources: np.ndarray) -> sp.csr_matrix:
+    """Collocation rate densities out of each cell in ``sources`` (row k =
+    source ``sources[k]``) into every cell of ``x`` within the horizon, as
+    CSR with sorted columns and no stored zeros."""
+    counts = np.zeros(sources.size, dtype=np.int64)
+    cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for k, i in enumerate(sources):
+        mask = np.abs(x - x[i]) < kernel.horizon
+        mask[i] = False  # self-jumps cancel exactly between gain and loss
+        j = np.flatnonzero(mask)
+        if j.size == 0:
+            continue
+        v = kernel.quadrature_values(x[i], x[j], w[j])
+        nz = v != 0.0
+        counts[k] = np.count_nonzero(nz)
+        cols.append(j[nz])
+        vals.append(v[nz])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr),
+                         shape=(sources.size, x.size))
+
+
+def _scaled_transpose(block: sp.csr_matrix, row_scale: np.ndarray) -> sp.csr_matrix:
+    """``(diag(row_scale) block)^T`` as CSR, scaling ``block`` in place."""
+    block.data *= np.repeat(row_scale, np.diff(block.indptr))
+    return block.T.tocsr()
+
+
 def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> DiscreteOperator:
-    """Assemble forward/backward matrices for the censored-and-absorbed process."""
+    """Assemble forward/backward matrices for the censored-and-absorbed
+    process from the kernel rows of the domain cells alone: the volume
+    constraint pins the absorbing densities to zero, so no rate out of an
+    absorbing cell enters either matrix."""
     if abs(kernel.horizon - partition.horizon) > 1e-12 * max(1.0, partition.horizon):
         raise ConfigurationError(
             f"kernel horizon {kernel.horizon} does not match the domain "
@@ -95,42 +147,24 @@ def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> Disc
     x = grid.centers[sel]
     w = grid.widths[sel]
     tags = grid.tags[sel]
-    n = x.size
     interior = np.flatnonzero(tags == int(Region.INTERIOR))
     absorbing = np.flatnonzero(tags == int(Region.ABSORBING))
 
-    # one CSR row per source cell; flatnonzero keeps each row's columns sorted
-    counts = np.zeros(n, dtype=np.int64)
-    cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-    for i in range(n):
-        mask = np.abs(x - x[i]) < kernel.horizon
-        mask[i] = False  # self-jumps cancel exactly between gain and loss
-        j = np.flatnonzero(mask)
-        if j.size == 0:
-            continue
-        v = kernel.quadrature_values(x[i], x[j], w[j])
-        nz = v != 0.0
-        counts[i] = np.count_nonzero(nz)
-        cols.append(j[nz])
-        vals.append(v[nz])
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    values = sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), shape=(n, n))
-
+    rows = _rate_rows(kernel, x, w, interior)
     w_int = w[interior]
-    from_int = values[interior]
+    # arrival-rate density at each absorbing cell from the domain density
+    flux_to_d = _scaled_transpose(rows[:, absorbing], w_int)
     # loss rate: same discrete sum as the gain weights, forward direction,
     # over every target cell
-    minus_loss = sp.diags(-(from_int @ w))
-    v_int = from_int[:, interior]
-    a_gen = (v_int.multiply(w_int[np.newaxis, :]) + minus_loss).tocsr()     # A_bwd[i, j] = v_ij w_j
-    a_star = (v_int.T.multiply(w_int[np.newaxis, :]) + minus_loss).tocsr()  # A_fwd[i, j] = v_ji w_j
-    # arrival-rate density at each absorbing cell from the domain density
-    flux_to_d = from_int[:, absorbing].T.multiply(w_int[np.newaxis, :]).tocsr()
+    minus_loss = sp.diags(-(rows @ w))
+    v_int = rows[:, interior]
+    a_gen = v_int.multiply(w_int[np.newaxis, :]) + minus_loss    # A_bwd[i, j] = v_ij w_j
+    # v_int's last use: it is scaled in place
+    a_star = _scaled_transpose(v_int, w_int) + minus_loss         # A_fwd[i, j] = v_ji w_j
 
     return DiscreteOperator(
         centers=x, widths=w, tags=tags, interior=interior, absorbing=absorbing,
-        a_star=a_star, a_gen=a_gen, flux_to_d=flux_to_d, values=values,
-        horizon=kernel.horizon,
+        a_star=a_star, a_gen=a_gen, flux_to_d=flux_to_d, domain_rows=rows, kernel=kernel,
     )
 
 
@@ -184,15 +218,25 @@ def balance_check(op: DiscreteOperator, u: np.ndarray, rng=None, trials: int = 1
     cancel (action-reaction), and set sums are additive. ``u`` has one entry
     per cell and may be nonzero on the absorbing cells.
 
-    Everything runs on the sparse ``values`` in O(nnz): ``psi`` is the
-    sparse matrix ``(diag(u) V)^T - diag(u) V``, and each trial's set sums
-    are bilinear forms in 0/1 indicator vectors of the random subsets.
+    Everything runs on sparse rate rows in O(nnz): ``psi`` is the sparse
+    matrix ``(diag(u) V)^T - diag(u) V``, and each trial's set sums are
+    bilinear forms in 0/1 indicator vectors of the random subsets. Only
+    the rows of ``V`` where ``u`` is nonzero enter ``diag(u) V``: when
+    ``u`` vanishes on the absorbing cells they are the assembled domain
+    rows, and the full ``values`` is never built.
     """
     rng = np.random.default_rng(rng)
     u = np.asarray(u, dtype=float)
     w = op.widths
     n = op.n_cells
-    flux_out = sp.diags(u) @ op.values
+    if np.any(u[op.absorbing]):
+        rates = op.values
+    else:  # the domain rows in their places, absorbing rows empty
+        counts = np.zeros(n, dtype=np.int64)
+        counts[op.interior] = np.diff(op.domain_rows.indptr)
+        rates = sp.csr_matrix((op.domain_rows.data, op.domain_rows.indices,
+                               np.concatenate([[0], np.cumsum(counts)])), shape=(n, n))
+    flux_out = sp.diags(u) @ rates
     psi = (flux_out.T - flux_out).tocsr()
 
     antisym = float(abs(psi + psi.T).max())

@@ -204,6 +204,39 @@ def test_rejected_config_exits_2_with_error_json(config_file, tmp_path, key, val
     assert match in err["message"]
 
 
+@pytest.mark.parametrize("command, change, match", [
+    ("paths", {"t_max__": "nan"}, "t_max"),
+    ("simulate", {"t_max__": "0"}, "t_max"),
+    ("compare", {"t_max__": "-5.0"}, "t_max"),
+    ("paths", {"t_max__": "inf"}, "finite"),
+    ("compare", "[compare]\ncheckpoints = []", "checkpoints"),
+    ("compare", "[compare]\ncheckpoints = 5.0", "checkpoints"),
+    ("compare", '[compare]\ncheckpoints = [1.0, "a"]', "checkpoints"),
+    ("paths", "[paths]\nbrownian = true\nn_steps = 0", "n_steps"),
+    ("paths", "[paths]\nn_paths = -3", "n_paths"),
+], ids=["t_max_nan", "t_max_zero", "t_max_negative", "paths_t_max_inf", "checkpoints_empty",
+        "checkpoints_not_list", "checkpoints_not_numbers", "brownian_zero_steps",
+        "negative_paths"])
+def test_rejected_run_input_exits_2_with_error_json(config_file, tmp_path, command, change, match):
+    if isinstance(change, dict):
+        path = config_file(**change)
+    else:
+        path = config_file(text=BASE_CONFIG + "\n" + change + "\n")
+    assert main([command, "--config", path, "--out", str(tmp_path / "e")]) == 2
+    err = json.loads((tmp_path / "e" / "error.json").read_text())
+    assert err["error"] == "ConfigurationError"
+    assert match in err["message"]
+
+
+def test_infinite_t_max_simulates_on_absorbing_domain(config_file, tmp_path):
+    # every walk is absorbed, so no censoring horizon is needed
+    path = config_file(t_max__="inf", n_paths__="200")
+    assert main(["simulate", "--config", path]) == 0
+    rows = (tmp_path / "out" / "ensemble.csv").read_text().splitlines()[2:]
+    assert len(rows) == 200
+    assert not any(int(r.split(",")[5]) for r in rows)
+
+
 def _tabulated_config(config_file, tmp_path, table):
     config_file(family__="custom_tabulated")
     path = tmp_path / "run.ini"
@@ -293,6 +326,30 @@ def test_compare_assembles_one_operator(config_file, monkeypatch):
     path = config_file(text=BASE_CONFIG.replace("t_max = 500.0\n", ""), n_paths__="500")
     assert main(["compare", "--config", path]) == 0
     assert len(calls) == 1
+
+
+def test_verify_evaluates_domain_rows_only(config_file, monkeypatch):
+    # the density verify checks vanishes on the absorbing set, so no stage
+    # needs a kernel row out of an absorbing cell
+    from jumpexit.kernels import CompoundPoissonUniform
+    calls, ops = [], []
+    quadrature, assemble = CompoundPoissonUniform.quadrature_values, operators.assemble
+
+    def counting(self, *args):
+        calls.append(1)
+        return quadrature(self, *args)
+
+    def keeping(*args):
+        ops.append(assemble(*args))
+        return ops[-1]
+
+    monkeypatch.setattr(CompoundPoissonUniform, "quadrature_values", counting)
+    monkeypatch.setattr(operators, "assemble", keeping)
+    assert main(["verify", "--config", config_file()]) == 0
+    (op,) = ops
+    assert op.absorbing.size > 0
+    assert len(calls) == op.interior.size
+    assert "values" not in vars(op)
 
 
 def test_benchmark_tracer_reads_solver_counts(config_file, tmp_path):

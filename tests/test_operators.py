@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from jumpexit.errors import ConfigurationError
-from jumpexit.geometry import DomainPartition, build_grid
+from jumpexit.geometry import DomainPartition, Intervals, Region, build_grid
 from jumpexit.kernels import CompoundPoissonUniform, TabulatedKernel, TruncatedStable
 from jumpexit.operators import (BalanceReport, adjoint_check, assemble, balance_check,
                                 divergence_theorem_check, dump_operator)
@@ -16,6 +16,15 @@ def make_op(kernel, omega=((0.0, 1.0),), absorbing="full", h=1 / 32, horizon=1.0
     part = DomainPartition.build(list(omega), horizon=horizon, absorbing=absorbing)
     grid = build_grid(part, h)
     return assemble(kernel, grid, part)
+
+
+def bivariate_short_table():
+    """Bivariate table whose y nodes stop short of x +- lambda on the unit
+    domain."""
+    xs = np.linspace(0.0, 1.0, 11)
+    ys = np.linspace(-0.4, 1.6, 41)
+    vv = 0.2 + 0.1 * np.add.outer(xs, np.cos(3 * ys)) ** 2
+    return TabulatedKernel(horizon=1.0, x_nodes=xs, y_nodes=ys, grid_values=vv)
 
 
 def random_density(op, seed=0, domain_only=True):
@@ -243,10 +252,7 @@ def test_bivariate_table_short_of_collar_matches_pieces():
     # y nodes stop short of x +- lambda: gamma vanishes beyond the table on
     # both routes, so the operator's first-jump exit odds kappa_i / |A_ii|
     # match the sampling pieces' to O(h) on every domain cell
-    xs = np.linspace(0.0, 1.0, 11)
-    ys = np.linspace(-0.4, 1.6, 41)
-    vv = 0.2 + 0.1 * np.add.outer(xs, np.cos(3 * ys)) ** 2
-    k = TabulatedKernel(horizon=1.0, x_nodes=xs, y_nodes=ys, grid_values=vv)
+    k = bivariate_short_table()
     assert float(k.evaluate(0.0, -0.6)) == 0.0
     assert float(k.evaluate(0.0, -0.3)) > 0.0
     part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
@@ -257,3 +263,100 @@ def test_bivariate_table_short_of_collar_matches_pieces():
         ref = np.array([k.total_rate(xi, part.absorbing) / k.total_rate(xi, part.reachable)
                         for xi in x])
         assert np.max(np.abs(odds - ref)) <= h
+
+
+def all_rows_reference(kernel, grid, partition):
+    """Assembly from a kernel row for every cell, absorbing ones included,
+    then sliced to the domain rows: kept as the reference for ``assemble``,
+    which evaluates the domain rows alone. Returns the four matrices."""
+    sel = np.flatnonzero(grid.tags != int(Region.COLLAR))
+    x = grid.centers[sel]
+    w = grid.widths[sel]
+    tags = grid.tags[sel]
+    n = x.size
+    interior = np.flatnonzero(tags == int(Region.INTERIOR))
+    absorbing = np.flatnonzero(tags == int(Region.ABSORBING))
+    counts = np.zeros(n, dtype=np.int64)
+    cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for i in range(n):
+        mask = np.abs(x - x[i]) < kernel.horizon
+        mask[i] = False
+        j = np.flatnonzero(mask)
+        if j.size == 0:
+            continue
+        v = kernel.quadrature_values(x[i], x[j], w[j])
+        nz = v != 0.0
+        counts[i] = np.count_nonzero(nz)
+        cols.append(j[nz])
+        vals.append(v[nz])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    values = sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), shape=(n, n))
+    w_int = w[interior]
+    from_int = values[interior]
+    minus_loss = sp.diags(-(from_int @ w))
+    v_int = from_int[:, interior]
+    return {
+        "a_gen": (v_int.multiply(w_int[np.newaxis, :]) + minus_loss).tocsr(),
+        "a_star": (v_int.T.multiply(w_int[np.newaxis, :]) + minus_loss).tocsr(),
+        "flux_to_d": from_int[:, absorbing].T.multiply(w_int[np.newaxis, :]).tocsr(),
+        "values": values,
+    }
+
+
+ASSEMBLY_CASES = {
+    "compound_poisson": (lambda: CompoundPoissonUniform(rate=0.2, horizon=1.0),
+                         [(0.0, 1.0)], "full", 1 / 32),
+    "stable_05": (lambda: TruncatedStable(alpha=0.5, m=1.0, horizon=1.0, epsilon=1e-3),
+                  [(0.0, 1.0)], "full", 1 / 32),
+    "stable_15": (lambda: TruncatedStable(alpha=1.5, m=1.0, horizon=1.0),
+                  [(0.0, 1.0)], "full", 1 / 16),
+    "translation_table": (asym_kernel, [(0.0, 1.0)], "full", 1 / 16),
+    "bivariate_short_of_collar": (bivariate_short_table, [(0.0, 1.0)], "full", 1 / 32),
+    "disconnected": (lambda: CompoundPoissonUniform(rate=0.2, horizon=1.0),
+                     [(0.0, 1.0), (1.5, 2.5)], "full", 1 / 16),
+    "censored": (lambda: CompoundPoissonUniform(rate=0.2, horizon=1.0),
+                 [(0.0, 1.0)], "empty", 1 / 32),
+    "partial_absorbing": (lambda: TruncatedStable(alpha=0.5, m=1.0, horizon=0.5),
+                          [(0.0, 1.0), (1.25, 2.0)],
+                          Intervals.from_pairs([[-0.5, 0.0], [1.0, 1.25]]), 1 / 32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+def test_domain_row_assembly_matches_all_rows_reference(case):
+    make_kernel, omega, absorbing, h = ASSEMBLY_CASES[case]
+    kernel = make_kernel()
+    part = DomainPartition.build(omega, horizon=kernel.horizon, absorbing=absorbing)
+    grid = build_grid(part, h)
+    op = assemble(kernel, grid, part)
+    ref = all_rows_reference(kernel, grid, part)
+    ref["domain_rows"] = ref["values"][op.interior]
+    for name, expected in ref.items():
+        got = getattr(op, name)
+        assert got.shape == expected.shape, name
+        assert np.array_equal(got.indptr, expected.indptr), name
+        assert np.array_equal(got.indices, expected.indices), name
+        assert got.data.tobytes() == expected.data.tobytes(), name
+
+
+def test_assembly_evaluates_domain_rows_only(stable_kernel_05, monkeypatch):
+    calls = []
+    original = type(stable_kernel_05).quadrature_values
+
+    def counting(self, *args):
+        calls.append(args[0])
+        return original(self, *args)
+
+    monkeypatch.setattr(type(stable_kernel_05), "quadrature_values", counting)
+    op = make_op(stable_kernel_05, omega=((0.0, 1.0), (1.5, 2.5)), h=1 / 16)
+    assert len(calls) == op.interior.size
+    assert sorted(calls) == sorted(op.centers[op.interior])
+    # a density that vanishes on the absorbing cells needs no absorbing row
+    balance_check(op, random_density(op, seed=12), rng=13)
+    assert len(calls) == op.interior.size and "values" not in vars(op)
+    # one that does not builds the full rate matrix, once
+    u = random_density(op, seed=12, domain_only=False)
+    balance_check(op, u, rng=13)
+    assert len(calls) == op.interior.size + op.n_cells
+    assert op.values is op.values and op.values.shape == (op.n_cells, op.n_cells)
+    assert len(calls) == op.interior.size + op.n_cells
