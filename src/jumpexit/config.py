@@ -248,12 +248,14 @@ def config_hash(resolved: dict) -> str:
 
 def write_resolved(cfg: RunConfig, path) -> None:
     """Write the fully resolved configuration (defaults included) so a run
-    directory is self-describing."""
+    directory is self-describing, and reloads with the same hash. A key left
+    unset (None, such as a derived ``[mc] t_max``) is omitted."""
     cp = configparser.ConfigParser()
     for section, items in cfg.resolved.items():
         cp[section] = {}
         for key, val in items.items():
-            cp[section][key] = json.dumps(val) if isinstance(val, (list, dict)) else str(val)
+            if val is not None:
+                cp[section][key] = json.dumps(val) if isinstance(val, (list, dict)) else str(val)
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg.config_hash}\n")
         cp.write(fh)

@@ -23,6 +23,10 @@ cost per jump is deterministic even when the admissible region is tiny.
 ``JumpKernel.jump_law`` builds the clipped pieces and their masses once;
 the walk takes both its waiting rate and its landing draw from that one
 table, so each jump makes a single pass over the pieces.
+``JumpKernel.jump_laws`` builds the same table for a whole batch of points,
+each piece held as arrays over the points it reaches. It repeats the scalar
+arithmetic operation for operation, and takes power-law powers through
+Python floats, so every point's law is bit for bit the scalar one.
 
 Kernels are immutable and safe to share across workers; sampling state
 lives entirely in the caller-supplied generator.
@@ -31,6 +35,7 @@ lives entirely in the caller-supplied generator.
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -176,6 +181,118 @@ def _clip_pieces(pieces, region: Intervals | None):
     return out
 
 
+# Batched pieces: one piece of the table for many points at once. ``rows``
+# index the points of the batch that the piece reaches; every other field is
+# an array over those rows (or a scalar shared by them). The arithmetic
+# repeats the scalar piece's, operation for operation, so each row rounds
+# exactly as the scalar piece would.
+
+
+def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """``base ** exponent`` elementwise, rounded as Python floats round it.
+
+    numpy's vectorized power is not the C library's: it differs in the last
+    bit on a few percent of inputs, which would move the walks' streams.
+    """
+    return np.fromiter(map(pow, base.tolist(), repeat(exponent)), float, base.size)
+
+
+@dataclass(slots=True)
+class _ConstColumn:
+    rows: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    value: float
+
+    def mass(self) -> np.ndarray:
+        return self.value * (self.hi - self.lo)
+
+    def invert(self, sel: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.lo[sel] + v / self.value
+
+    def clip(self, keep, lo, hi) -> "_ConstColumn":
+        return _ConstColumn(self.rows[keep], lo, hi, self.value)
+
+
+@dataclass(slots=True)
+class _PowerColumn:
+    rows: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    center: np.ndarray
+    scale: float
+    alpha: float
+
+    def mass(self) -> np.ndarray:
+        za = np.abs(self.lo - self.center)
+        zb = np.abs(self.hi - self.center)
+        # min(za, zb) and max(za, zb), ties going to za
+        near = np.where(zb < za, zb, za)
+        far = np.where(zb > za, zb, za)
+        return self.scale * (_pow(near, -self.alpha) - _pow(far, -self.alpha)) / self.alpha
+
+    def invert(self, sel: np.ndarray, v: np.ndarray) -> np.ndarray:
+        a = self.alpha
+        lo, c = self.lo[sel], self.center[sel]
+        y = np.empty(lo.size)
+        right = lo >= c
+        left = ~right
+        z = _pow(_pow(lo[right] - c[right], -a) - v[right] * a / self.scale, -1.0 / a)
+        y[right] = c[right] + z
+        z = _pow(v[left] * a / self.scale + _pow(c[left] - lo[left], -a), -1.0 / a)
+        y[left] = c[left] - z
+        return y
+
+    def clip(self, keep, lo, hi) -> "_PowerColumn":
+        return _PowerColumn(self.rows[keep], lo, hi, self.center[keep], self.scale, self.alpha)
+
+
+@dataclass(slots=True)
+class _LinearColumn:
+    rows: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    v_lo: np.ndarray
+    v_hi: np.ndarray
+
+    def _slope(self) -> np.ndarray:
+        return (self.v_hi - self.v_lo) / (self.hi - self.lo)
+
+    def mass(self) -> np.ndarray:
+        return 0.5 * (self.v_lo + self.v_hi) * (self.hi - self.lo)
+
+    def invert(self, sel: np.ndarray, v: np.ndarray) -> np.ndarray:
+        lo, v_lo = self.lo[sel], self.v_lo[sel]
+        s = (self.v_hi[sel] - v_lo) / (self.hi[sel] - lo)
+        disc = v_lo * v_lo + 2.0 * s * v
+        denom = v_lo + np.sqrt(np.where(0.0 > disc, 0.0, disc))  # max(disc, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(denom <= 0.0, lo, lo + 2.0 * v / denom)
+
+    def clip(self, keep, lo, hi) -> "_LinearColumn":
+        # value_at on each end, from the unclipped piece's slope
+        s, base, v = self._slope()[keep], self.lo[keep], self.v_lo[keep]
+        return _LinearColumn(self.rows[keep], lo, hi, v + s * (lo - base), v + s * (hi - base))
+
+
+def _clip_column(c, rlo, rhi):
+    """``c`` clipped to [rlo, rhi] with ``_clip_pieces``' tie rule, keeping
+    the rows where something is left; None when no row keeps any."""
+    lo = np.where(rlo > c.lo, rlo, c.lo)
+    hi = np.where(rhi < c.hi, rhi, c.hi)
+    keep = hi > lo
+    if keep.all():
+        return c.clip(slice(None), lo, hi)
+    if not keep.any():
+        return None
+    return c.clip(keep, lo[keep], hi[keep])
+
+
+def _clip_columns(columns, region: Intervals):
+    clipped = (_clip_column(c, rlo, rhi) for c in columns for rlo, rhi in region.bounds)
+    return [c for c in clipped if c is not None]
+
+
 @dataclass(slots=True)
 class JumpLaw:
     """The jump law from one point over one region: the clipped density
@@ -201,13 +318,49 @@ class JumpLaw:
         return self.pieces[-1].hi  # unreachable up to rounding
 
 
+@dataclass(slots=True)
+class JumpLaws:
+    """``JumpLaw`` for every point of a batch at once, bit for bit: the same
+    clipped pieces in the same order (as batched columns), their masses,
+    and per-point totals summed left to right in piece order."""
+
+    x: np.ndarray
+    columns: list
+    masses: list
+    total: np.ndarray
+
+    def sample(self, uniforms: np.ndarray) -> np.ndarray:
+        """Destinations for one uniform per point, by the piece walk of
+        ``JumpLaw.sample``. A point without mass gets a meaningless value;
+        the caller must drop it."""
+        u = uniforms * self.total
+        y = np.full(self.x.size, np.nan)
+        searching = np.ones(self.x.size, dtype=bool)
+        for c, m in zip(self.columns, self.masses):
+            rows = c.rows
+            ur = u[rows]
+            hit = searching[rows] & (ur <= m)
+            if hit.any():
+                found = rows[hit]
+                y[found] = c.invert(hit, ur[hit])
+                searching[found] = False
+            u[rows] = ur - m  # only rows still searching read it again
+        if searching.any():  # unreachable up to rounding: the last piece's hi
+            for c in self.columns:
+                left = searching[c.rows]
+                y[c.rows[left]] = c.hi[left]
+        return y
+
+
 class JumpKernel:
     """Shared behavior for all kernel families.
 
     Subclasses provide ``evaluate`` (vectorized in y), ``_pieces`` (the
-    closed-form density pieces of y -> gamma(x, y)), and a classification.
+    closed-form density pieces of y -> gamma(x, y)), ``_piece_columns``
+    (the same pieces for a batch of points), and a classification.
     ``jump_law`` clips the pieces to a region once; ``total_rate`` and
-    ``sample_jump`` are its total and its draw.
+    ``sample_jump`` are its total and its draw. ``jump_laws`` is
+    ``jump_law`` for a batch.
     """
 
     horizon: float
@@ -223,6 +376,10 @@ class JumpKernel:
     def _pieces(self, x: float):
         raise NotImplementedError
 
+    def _piece_columns(self, xs: np.ndarray) -> list:
+        """``_pieces`` for every point of ``xs``, as batched columns."""
+        raise NotImplementedError
+
     def classify(self) -> ActivityClass:
         raise NotImplementedError
 
@@ -236,6 +393,17 @@ class JumpKernel:
         pieces = _clip_pieces(self._pieces(x), region)
         masses = [p.mass() for p in pieces]
         return JumpLaw(x, pieces, masses, float(sum(masses)))
+
+    def jump_laws(self, xs: np.ndarray, region: Intervals) -> JumpLaws:
+        """``jump_law(x, region)`` for every point x of ``xs``, in one pass
+        over the pieces."""
+        xs = np.asarray(xs, dtype=float)
+        columns = _clip_columns(self._piece_columns(xs), region)
+        masses = [c.mass() for c in columns]
+        total = np.zeros(xs.size)
+        for c, m in zip(columns, masses):
+            total[c.rows] += m  # rows are distinct within a column
+        return JumpLaws(xs, columns, masses, total)
 
     def total_rate(self, x: float, region: Intervals | None = None) -> float:
         """Integral of gamma(x, .) over ``region`` (all space when None)."""
@@ -284,6 +452,10 @@ class CompoundPoissonUniform(JumpKernel):
 
     def _pieces(self, x: float):
         return [_ConstPiece(x - self.horizon, x + self.horizon, self.density)]
+
+    def _piece_columns(self, xs):
+        rows = np.arange(xs.size)
+        return [_ConstColumn(rows, xs - self.horizon, xs + self.horizon, self.density)]
 
     def classify(self) -> ActivityClass:
         return ActivityClass(FINITE, FINITE)
@@ -353,6 +525,16 @@ class TruncatedStable(JumpKernel):
             _PowerPiece(x - lam, x - eps, x, scale, self.alpha),
             _ConstPiece(x - eps, x + eps, self.plateau),
             _PowerPiece(x + eps, x + lam, x, scale, self.alpha),
+        ]
+
+    def _piece_columns(self, xs):
+        lam, eps = self.horizon, self.epsilon
+        scale = 1.0 / self.m
+        rows = np.arange(xs.size)
+        return [
+            _PowerColumn(rows, xs - lam, xs - eps, xs, scale, self.alpha),
+            _ConstColumn(rows, xs - eps, xs + eps, self.plateau),
+            _PowerColumn(rows, xs + eps, xs + lam, xs, scale, self.alpha),
         ]
 
     def classify(self) -> ActivityClass:
@@ -477,11 +659,15 @@ class TabulatedKernel(JumpKernel):
 
     def _pieces(self, x: float):
         lam = self.horizon
+        nodes = x + self.displacements if self.translation_invariant else self.y_nodes
+        # piece k survives the clip to the horizon ball only when
+        # nodes[k + 1] > x - lam and nodes[k] < x + lam; build no others
+        a = max(int(np.searchsorted(nodes, x - lam, side="right")) - 1, 0)
+        b = int(np.searchsorted(nodes, x + lam, side="left")) + 1
+        nodes = nodes[a:b]
         if self.translation_invariant:
-            nodes = x + self.displacements
-            vals = self.values
+            vals = self.values[a:b]
         else:
-            nodes = self.y_nodes
             vals = self._bilinear(np.full_like(nodes, x, dtype=float), nodes)
         # Python floats: the piece arithmetic rounds exactly as on numpy
         # scalars, at a fraction of the cost
@@ -490,6 +676,21 @@ class TabulatedKernel(JumpKernel):
         for k in range(len(nodes) - 1):
             pieces.append(_LinearPiece(nodes[k], nodes[k + 1], vals[k], vals[k + 1]))
         return _clip_pieces(pieces, Intervals(((x - lam, x + lam),)))
+
+    def _piece_columns(self, xs):
+        lam = self.horizon
+        if self.translation_invariant:
+            nodes = xs[:, None] + self.displacements
+            vals = np.broadcast_to(self.values, nodes.shape)
+        else:
+            nodes = np.broadcast_to(self.y_nodes, (xs.size, self.y_nodes.size))
+            vals = self._bilinear(np.broadcast_to(xs[:, None], nodes.shape), nodes)
+        rows = np.arange(xs.size)
+        lo, hi = xs - lam, xs + lam
+        columns = (_clip_column(_LinearColumn(rows, nodes[:, k], nodes[:, k + 1],
+                                              vals[:, k], vals[:, k + 1]), lo, hi)
+                   for k in range(nodes.shape[1] - 1))
+        return [c for c in columns if c is not None]
 
     def classify(self) -> ActivityClass:
         # integral test at the table's resolution: does the mass outside a

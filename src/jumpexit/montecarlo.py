@@ -3,21 +3,31 @@
 Each path draws exponential waits at the local censored jump rate (the
 rate integral over domain + absorbing set only, so jumps into the
 unreachable collar never occur) and lands by exact inverse-CDF sampling.
-The rate and the draw come from one ``JumpLaw`` built per jump. A path
-ends when it lands in the absorbing set, or is censored at ``t_max``.
+A path ends when it lands in the absorbing set, or is censored at ``t_max``.
+
+Ensembles walk in lockstep: each step builds one batched ``JumpLaws`` for
+the positions of every live path, takes every path's wait and landing from
+it, and drops the paths that were absorbed or censored. ``simulate_exit``
+is the one-path case of the same engine. ``simulate_path`` keeps the scalar
+``JumpLaw`` walk, one law per jump, since it records few long paths.
 
 Reproducibility: every path owns a generator seeded from ``(seed,
-path_index)``, so an ensemble is bit-identical no matter how the paths are
-chunked across workers; reductions sum in fixed path order.
+path_index)`` and draws from it in the order a lone walk would (the wait,
+then the landing uniform), and the batched law rounds as the scalar one
+does. So a path's record does not depend on the batch it walked in, on how
+the paths are chunked across workers, or on the worker count; reductions
+sum in fixed path order.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
+from numpy.random import Generator
 
 from .errors import ConfigurationError
-from .geometry import DomainPartition, Region
+from .geometry import DomainPartition, Intervals, Region
 from .kernels import JumpKernel
 
 
@@ -66,43 +76,119 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(index)))
 
 
+# Live paths per lockstep batch. A chunk larger than this refills the batch
+# as paths finish, so it never holds more than this many generators (about
+# 1 kB each) at once; larger batches also raised the peak RSS of later
+# solver runs in the same process.
+_BATCH = 2048
+
+
+def _inside(region: Intervals, ys: np.ndarray) -> np.ndarray:
+    """``region.contains`` for every point of ``ys``."""
+    out = np.zeros(ys.size, dtype=bool)
+    for lo, hi in region.bounds:
+        out |= (lo <= ys) & (ys <= hi)
+    return out
+
+
+def _walk(kernel: JumpKernel, partition: DomainPartition, start, n: int,
+          t_max: float) -> tuple[np.ndarray, ...]:
+    """Walk paths ``0 .. n-1`` in lockstep until each is absorbed or
+    censored; ``start(i)`` returns path i's start point and generator.
+
+    Every step builds one batched jump law for all live positions, then
+    each path draws its exponential wait and its uniform from its own
+    generator, in the order a lone walk draws them. Paths therefore come
+    out bit for bit as if each walked alone, whatever else is in the batch.
+    A bad start or a zero rate is a ``ConfigurationError``; when several
+    paths fail, the first one's error is raised, as a path-by-path walk
+    would raise it. Returns ``x0, exit_time, exit_location, jumps,
+    censored`` in path order.
+    """
+    region = partition.reachable
+    x0 = np.empty(n)
+    exit_time = np.full(n, t_max, dtype=float)
+    exit_location = np.full(n, np.nan)
+    jumps = np.zeros(n, dtype=np.int64)
+    censored = np.zeros(n, dtype=bool)
+    errors = {}
+    ids = np.empty(0, dtype=np.int64)
+    x = np.empty(0)
+    t = np.empty(0)
+    count = np.empty(0, dtype=np.int64)
+    gens: list[Generator] = []
+    pending = 0
+    while True:
+        if pending < n and len(gens) <= _BATCH // 2:
+            stop = min(n, pending + _BATCH - len(gens))
+            new_ids = []
+            for i in range(pending, stop):
+                x0_i, rng = start(i)
+                x0[i] = x0_i
+                if partition.region_of(x0_i) != Region.INTERIOR:
+                    errors[i] = ConfigurationError(f"start point {x0_i} is not inside the domain")
+                    continue
+                new_ids.append(i)
+                gens.append(rng)
+            pending = stop
+            new_ids = np.array(new_ids, dtype=np.int64)
+            ids = np.concatenate([ids, new_ids])
+            x = np.concatenate([x, x0[new_ids]])
+            t = np.concatenate([t, np.zeros(new_ids.size)])
+            count = np.concatenate([count, np.zeros(new_ids.size, dtype=np.int64)])
+        if not gens:
+            break
+        law = kernel.jump_laws(x, region)
+        rate = law.total
+        stuck = rate <= 0.0
+        if stuck.any():
+            for k in np.flatnonzero(stuck):
+                errors[int(ids[k])] = ConfigurationError(
+                    f"zero jump rate at x={float(x[k])}: the point cannot reach the rest "
+                    "of the configured region"
+                )
+            rate = np.where(stuck, np.inf, rate)  # these paths are dropped below
+        wait = np.fromiter(map(Generator.standard_exponential, gens), float, len(gens))
+        uniforms = np.fromiter(map(Generator.random, gens), float, len(gens))
+        t = t + wait / rate
+        over = (t > t_max) & ~stuck
+        censored[ids[over]] = True
+        jumps[ids[over]] = count[over]
+        y = law.sample(uniforms)
+        count = count + 1
+        out = ~stuck & ~over & ~_inside(partition.domain, y) & _inside(partition.absorbing, y)
+        exit_time[ids[out]] = t[out]
+        exit_location[ids[out]] = y[out]
+        jumps[ids[out]] = count[out]
+        live = ~(stuck | over | out)
+        if not live.all():
+            gens = list(compress(gens, live.tolist()))
+            ids, t, count = ids[live], t[live], count[live]
+        x = y[live]
+    if errors:
+        raise errors[min(errors)]
+    return x0, exit_time, exit_location, jumps, censored
+
+
 def simulate_exit(kernel: JumpKernel, partition: DomainPartition, x0: float,
                   rng: np.random.Generator, t_max: float) -> ExitRecord:
     """Walk one path until it lands in the absorbing set or time runs out."""
-    if partition.region_of(x0) != Region.INTERIOR:
-        raise ConfigurationError(f"start point {x0} is not inside the domain")
-    region = partition.reachable
-    x = float(x0)
-    t = 0.0
-    jumps = 0
-    while True:
-        law = kernel.jump_law(x, region)
-        rate = law.total
-        if rate <= 0.0:
-            raise ConfigurationError(
-                f"zero jump rate at x={x}: the point cannot reach the rest of "
-                "the configured region"
-            )
-        t += rng.standard_exponential() / rate
-        if t > t_max:
-            return ExitRecord(x0=x0, exit_time=t_max, exit_location=np.nan,
-                              jumps=jumps, censored=True)
-        y = law.sample(rng)
-        jumps += 1
-        if partition.region_of(y) == Region.ABSORBING:
-            return ExitRecord(x0=x0, exit_time=t, exit_location=y,
-                              jumps=jumps, censored=False)
-        x = y
+    _, exit_time, exit_location, jumps, censored = _walk(
+        kernel, partition, lambda i: (x0, rng), 1, t_max)
+    return ExitRecord(x0=x0, exit_time=float(exit_time[0]),
+                      exit_location=float(exit_location[0]), jumps=int(jumps[0]),
+                      censored=bool(censored[0]))
 
 
-def _run_chunk(args):
-    kernel, partition, x0_spec, seed, t_max, start, stop = args
-    records = []
-    for idx in range(start, stop):
-        rng = path_rng(seed, idx)
+def _simulate_chunk(args):
+    kernel, partition, x0_spec, seed, t_max, first, stop = args
+
+    def start(i):
+        rng = path_rng(seed, first + i)
         x0 = partition.domain.sample_uniform(rng) if x0_spec is None else float(x0_spec)
-        records.append(simulate_exit(kernel, partition, x0, rng, t_max))
-    return records
+        return x0, rng
+
+    return _walk(kernel, partition, start, stop - first, t_max)
 
 
 def simulate_ensemble(kernel: JumpKernel, partition: DomainPartition, n_paths: int,
@@ -111,33 +197,26 @@ def simulate_ensemble(kernel: JumpKernel, partition: DomainPartition, n_paths: i
     """Simulate ``n_paths`` independent exits.
 
     ``x0=None`` draws each start uniformly over the domain (from the path's
-    own stream); a float pins every path's start. ``workers > 1`` farms
-    chunks out to processes; results are identical to a serial run.
+    own stream); a float pins every path's start. ``workers > 1`` splits
+    the paths into one chunk per worker process; results are identical to
+    a serial run.
     """
     if n_paths < 1:
         raise ConfigurationError("n_paths must be at least 1")
     if partition.absorbing.empty and not np.isfinite(t_max):
         raise ConfigurationError("confined process needs a finite t_max")
-    chunks = []
-    n_chunks = max(1, min(workers * 4, n_paths)) if workers > 1 else 1
+    n_chunks = min(workers, n_paths) if workers > 1 else 1
     bounds = np.linspace(0, n_paths, n_chunks + 1).astype(int)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b > a:
-            chunks.append((kernel, partition, x0, seed, t_max, int(a), int(b)))
-    if workers > 1 and len(chunks) > 1:
+    chunks = [(kernel, partition, x0, seed, t_max, int(a), int(b))
+              for a, b in zip(bounds[:-1], bounds[1:])]
+    if len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_chunk, chunks))
+            results = list(pool.map(_simulate_chunk, chunks))
     else:
-        results = [_run_chunk(c) for c in chunks]
-    records = [r for chunk in results for r in chunk]
-    return ExitEnsemble(
-        x0=np.array([r.x0 for r in records]),
-        exit_time=np.array([r.exit_time for r in records]),
-        exit_location=np.array([r.exit_location for r in records]),
-        jumps=np.array([r.jumps for r in records], dtype=np.int64),
-        censored=np.array([r.censored for r in records], dtype=bool),
-        seed=seed, t_max=t_max,
-    )
+        results = [_simulate_chunk(chunks[0])]
+    x0s, exit_time, exit_location, jumps, censored = (np.concatenate(a) for a in zip(*results))
+    return ExitEnsemble(x0=x0s, exit_time=exit_time, exit_location=exit_location,
+                        jumps=jumps, censored=censored, seed=seed, t_max=t_max)
 
 
 def simulate_path(kernel: JumpKernel, x0: float, rng: np.random.Generator,

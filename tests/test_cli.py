@@ -106,6 +106,17 @@ def test_solve_writes_survival(config_file, tmp_path):
     assert (tmp_path / "out" / "resolved.ini").exists()
 
 
+def test_resolved_ini_reloads_without_mc_section(config_file, tmp_path):
+    # no [mc] section, as in perfbench's fine_grid.ini: t_max stays unset
+    path = config_file(BASE_CONFIG.replace("[mc]\nn_paths = 5000\nseed = 1234\nt_max = 500.0\n\n", ""))
+    cfg = load_config(path)
+    assert cfg.t_max is None
+    assert main(["solve", "--config", path]) == 0
+    resolved = tmp_path / "out" / "resolved.ini"
+    assert "t_max" not in resolved.read_text()
+    assert load_config(resolved).config_hash == cfg.config_hash
+
+
 def test_moments_and_exit_time(config_file, tmp_path):
     assert main(["exit-time", "--config", config_file()]) == 0
     met = (tmp_path / "out" / "met.csv").read_text().splitlines()

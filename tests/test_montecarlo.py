@@ -10,11 +10,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXIT_RATE, exp_survival
 from jumpexit.errors import ConfigurationError
-from jumpexit.geometry import DomainPartition, Intervals
-from jumpexit.kernels import CompoundPoissonUniform, TabulatedKernel, TruncatedStable
+from jumpexit.geometry import DomainPartition, Intervals, Region, interaction_domain
+from jumpexit.kernels import (CompoundPoissonUniform, JumpKernel, TabulatedKernel,
+                              TruncatedStable)
 from jumpexit.montecarlo import (ExitEnsemble, brownian_path, empirical_survival,
                                  path_rng, simulate_ensemble, simulate_exit,
                                  simulate_path, survival_z_scores)
@@ -271,23 +274,30 @@ def test_ensemble_streams_are_pinned(family):
 @pytest.mark.parametrize("family", sorted(STREAM_PINS))
 def test_one_piece_build_per_jump(family, monkeypatch):
     kernel, part, _ = _family_cases()[family]
-    cls = type(kernel)
-    original = cls._pieces
-    calls = []
+    original = JumpKernel.jump_laws
+    sizes = []
 
-    def counting(self, x):
-        calls.append(x)
-        return original(self, x)
+    def counting(self, xs, region):
+        sizes.append(len(xs))
+        return original(self, xs, region)
 
-    monkeypatch.setattr(cls, "_pieces", counting)
+    monkeypatch.setattr(JumpKernel, "jump_laws", counting)
+    # the walk builds no scalar law: its pieces come from the batched build
+    monkeypatch.setattr(type(kernel), "_pieces", lambda self, x: pytest.fail("scalar law built"))
     seen = set()
     for i, t_max in enumerate([0.05, 0.5, 5.0, 50.0] * 4):
-        calls.clear()
+        sizes.clear()
         rec = simulate_exit(kernel, part, 0.5, path_rng(5, i), t_max=t_max)
         # a censored walk builds one more law for the wait that overran t_max
-        assert len(calls) == rec.jumps + rec.censored
+        assert sizes == [1] * (rec.jumps + rec.censored)
         seen.add(rec.censored)
     assert seen == {True, False}
+
+    sizes.clear()
+    ens = simulate_ensemble(kernel, part, n_paths=200, seed=7, t_max=5.0)
+    laws = ens.jumps + ens.censored  # laws each path built
+    # one build per lockstep step, holding exactly the paths still live
+    assert sizes == [int((laws > step).sum()) for step in range(laws.max())]
 
 
 @pytest.mark.parametrize("family", sorted(STREAM_PINS))
@@ -302,3 +312,146 @@ def test_jump_law_matches_rate_and_draw(family):
             if law.total > 0.0:
                 a, b = path_rng(9, i), path_rng(9, i)
                 assert kernel.sample_jump(x, region, a) == law.sample(b)
+
+
+# --- lockstep engine against the path-by-path walk -------------------------
+
+def scalar_reference_walk(kernel, partition, n_paths, seed, t_max, x0=None):
+    """The path-by-path exit walk that the lockstep engine replaced: each
+    path in turn, one scalar ``jump_law`` per jump, its wait and its landing
+    drawn from its own generator. Returns the ensemble's five arrays."""
+    region = partition.reachable
+    records = []
+    for idx in range(n_paths):
+        rng = path_rng(seed, idx)
+        start = partition.domain.sample_uniform(rng) if x0 is None else float(x0)
+        if partition.region_of(start) != Region.INTERIOR:
+            raise ConfigurationError(f"start point {start} is not inside the domain")
+        x, t, jumps = start, 0.0, 0
+        while True:
+            law = kernel.jump_law(x, region)
+            if law.total <= 0.0:
+                raise ConfigurationError(
+                    f"zero jump rate at x={x}: the point cannot reach the rest "
+                    "of the configured region"
+                )
+            t += rng.standard_exponential() / law.total
+            if t > t_max:
+                records.append((start, t_max, np.nan, jumps, True))
+                break
+            y = law.sample(rng)
+            jumps += 1
+            if partition.region_of(y) == Region.ABSORBING:
+                records.append((start, t, y, jumps, False))
+                break
+            x = y
+    x0s, times, locations, jumps, censored = zip(*records)
+    return (np.array(x0s, dtype=float), np.array(times, dtype=float),
+            np.array(locations, dtype=float), np.array(jumps, dtype=np.int64),
+            np.array(censored, dtype=bool))
+
+
+def _ensemble_arrays(ens):
+    return ens.x0, ens.exit_time, ens.exit_location, ens.jumps, ens.censored
+
+
+@st.composite
+def _walk_cases(draw):
+    """A kernel of one of the four families on a random interval-union
+    domain with a random partial absorbing set, and a run to make on it."""
+    horizon = draw(st.sampled_from([0.5, 1.0]))
+    omega, lo = [], 0.0
+    for _ in range(draw(st.integers(1, 3))):
+        lo += draw(st.floats(0.05, 2.5))
+        length = draw(st.floats(0.1, 1.5))
+        omega.append((lo, lo + length))
+        lo += length
+    absorbing = []
+    for clo, chi in interaction_domain(Intervals(tuple(omega)), horizon).bounds:
+        a, b = sorted(draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
+        kind = draw(st.sampled_from(["full", "none", "part"]))
+        if kind == "full":
+            absorbing.append((clo, chi))
+        elif kind == "part" and b - a > 0.05:
+            absorbing.append((clo + a * (chi - clo), clo + b * (chi - clo)))
+    part = DomainPartition.build(omega, horizon=horizon, absorbing=absorbing or "empty")
+
+    family = draw(st.sampled_from(["uniform", "power_half", "power_three_halves",
+                                   "translation_table", "bivariate_table"]))
+    if family == "uniform":
+        kernel = CompoundPoissonUniform(rate=draw(st.floats(0.5, 3.0)), horizon=horizon)
+        t_scale = 20.0
+    elif family == "power_half":
+        kernel = TruncatedStable(alpha=0.5, m=1.0, horizon=horizon,
+                                 epsilon=draw(st.sampled_from([1e-3, 1e-2])))
+        t_scale = 2.0
+    elif family == "power_three_halves":
+        kernel = TruncatedStable(alpha=1.5, m=100.0, horizon=horizon, epsilon=1e-2)
+        t_scale = 3.0
+    elif family == "translation_table":
+        # the table may stop short of the horizon or run past it
+        n = draw(st.integers(2, 24))
+        width = draw(st.floats(0.5, 1.5)) * horizon
+        values = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+        kernel = TabulatedKernel(horizon=horizon,
+                                 displacements=np.linspace(-width, width, n),
+                                 values=np.array(values))
+        t_scale = 20.0
+    else:
+        # y nodes stop short of the collar on both sides
+        y_lo = omega[0][0] - draw(st.floats(0.1, 0.9)) * horizon
+        y_hi = omega[-1][1] + draw(st.floats(0.1, 0.9)) * horizon
+        x_nodes = np.linspace(omega[0][0], omega[-1][1], draw(st.integers(2, 12)))
+        y_nodes = np.linspace(y_lo, y_hi, draw(st.integers(2, 60)))
+        c = draw(st.floats(0.5, 4.0))
+        grid = 0.2 + 0.1 * np.add.outer(np.sin(c * x_nodes), np.cos(c * y_nodes)) ** 2
+        kernel = TabulatedKernel(horizon=horizon, x_nodes=x_nodes, y_nodes=y_nodes,
+                                 grid_values=grid)
+        t_scale = 20.0
+    x0 = draw(st.one_of(st.none(), st.just(0.5 * (omega[0][0] + omega[0][1]))))
+    run = dict(n_paths=draw(st.integers(1, 25)), seed=draw(st.integers(0, 2**16)),
+               t_max=t_scale * draw(st.floats(0.05, 1.0)), x0=x0)
+    return kernel, part, run
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_walk_cases(), workers=st.sampled_from([1, 2, 3]))
+def test_lockstep_ensemble_matches_scalar_walk_bit_for_bit(case, workers):
+    kernel, part, run = case
+    ens = simulate_ensemble(kernel, part, workers=workers, **run)
+    reference = scalar_reference_walk(kernel, part, **run)
+    for got, want in zip(_ensemble_arrays(ens), reference):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_lockstep_ensemble_refills_its_batch(monkeypatch):
+    # more paths than one batch holds: the batch refills as paths finish
+    import jumpexit.montecarlo as mc
+    monkeypatch.setattr(mc, "_BATCH", 16)
+    kernel, part, t_max = _family_cases()["capped_power_law"]
+    ens = simulate_ensemble(kernel, part, n_paths=70, seed=4, t_max=t_max)
+    reference = scalar_reference_walk(kernel, part, 70, 4, t_max)
+    for got, want in zip(_ensemble_arrays(ens), reference):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_raises_the_first_failing_paths_error(workers):
+    # rates vanish for x >= 0.7: a path that starts or lands there is stuck.
+    # A low-numbered path may get stuck many jumps after a later one does;
+    # the error raised must still be the lowest-numbered path's.
+    x_nodes = np.array([0.0, 0.6, 0.7, 1.0])
+    y_nodes = np.linspace(-1.0, 2.0, 13)
+    grid = 0.3 * np.outer([1.0, 1.0, 0.0, 0.0], np.ones(y_nodes.size))
+    kernel = TabulatedKernel(horizon=1.0, x_nodes=x_nodes, y_nodes=y_nodes, grid_values=grid)
+    part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
+    for seed in range(6):
+        with pytest.raises(ConfigurationError) as want:
+            scalar_reference_walk(kernel, part, 12, seed, 10.0)
+        with pytest.raises(ConfigurationError) as got:
+            simulate_ensemble(kernel, part, n_paths=12, seed=seed, t_max=10.0, workers=workers)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ConfigurationError, match="not inside"):
+        simulate_ensemble(kernel, part, n_paths=12, seed=3, t_max=10.0, x0=1.5,
+                          workers=workers)
