@@ -10,32 +10,29 @@ paths).
 from .errors import ConfigurationError, NumericalError
 from .geometry import (DomainPartition, Grid, Intervals, Region,
                        build_grid, interaction_domain)
-from .kernels import (ActivityClass, CompoundPoissonUniform, JumpKernel,
-                      KernelDecomposition, TabulatedKernel, TruncatedStable,
-                      load_tabulated_csv)
-from .montecarlo import (ExitEnsemble, ExitRecord, SamplePath, brownian_path,
+from .kernels import (CompoundPoissonUniform, JumpKernel, TabulatedKernel,
+                      TruncatedStable, load_tabulated_csv)
+from .montecarlo import (ExitEnsemble, SamplePath, brownian_path,
                          empirical_survival, path_rng, simulate_ensemble,
-                         simulate_exit, simulate_path, survival_z_scores)
+                         simulate_path, survival_z_scores)
 from .operators import (BalanceReport, DiscreteOperator, adjoint_check,
                         assemble, balance_check, divergence_theorem_check,
                         dump_operator)
 from .solver import (DensityTrajectory, ExitMoments, SigmaEstimate,
                      coercivity_sigma, evolve, exit_moments, mean_exit_time,
-                     point_mass, uniform_density)
+                     uniform_density)
 
 __all__ = [
-    "ActivityClass", "BalanceReport", "CompoundPoissonUniform",
-    "ConfigurationError", "DensityTrajectory", "DiscreteOperator",
-    "DomainPartition", "ExitEnsemble", "ExitMoments", "ExitRecord", "Grid",
-    "Intervals", "JumpKernel", "KernelDecomposition", "NumericalError",
-    "Region", "SamplePath", "SigmaEstimate", "TabulatedKernel",
-    "TruncatedStable", "adjoint_check", "assemble", "balance_check",
-    "brownian_path", "build_grid", "coercivity_sigma",
+    "BalanceReport", "CompoundPoissonUniform", "ConfigurationError",
+    "DensityTrajectory", "DiscreteOperator", "DomainPartition",
+    "ExitEnsemble", "ExitMoments", "Grid", "Intervals", "JumpKernel",
+    "NumericalError", "Region", "SamplePath", "SigmaEstimate",
+    "TabulatedKernel", "TruncatedStable", "adjoint_check", "assemble",
+    "balance_check", "brownian_path", "build_grid", "coercivity_sigma",
     "divergence_theorem_check", "dump_operator", "empirical_survival",
     "evolve", "exit_moments", "interaction_domain", "load_tabulated_csv",
-    "mean_exit_time", "path_rng", "point_mass", "simulate_ensemble",
-    "simulate_exit", "simulate_path", "survival_z_scores",
-    "uniform_density",
+    "mean_exit_time", "path_rng", "simulate_ensemble", "simulate_path",
+    "survival_z_scores", "uniform_density",
 ]
 
 __version__ = "0.1.0"

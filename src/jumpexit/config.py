@@ -192,8 +192,7 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
         raise ConfigurationError("[mc] seed must be nonnegative")
 
     d = _DEFAULTS["compare"]
-    checkpoints = _get(cp, "compare", "checkpoints", json.loads, d["checkpoints"]) \
-        if cp.has_section("compare") else d["checkpoints"]
+    checkpoints = _get(cp, "compare", "checkpoints", json.loads, d["checkpoints"])
     if not isinstance(checkpoints, list) or not checkpoints:
         raise ConfigurationError(f"[compare] checkpoints must be a nonempty list, got {checkpoints!r}")
     try:
@@ -208,11 +207,10 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
             f"[compare] checkpoints {off_grid} are not whole multiples of dt = {dt}")
 
     d = _DEFAULTS["paths"]
-    has_paths = cp.has_section("paths")
-    paths_n = _get(cp, "paths", "n_paths", int, d["n_paths"]) if has_paths else d["n_paths"]
-    paths_free = _get(cp, "paths", "free_space", _bool, d["free_space"]) if has_paths else d["free_space"]
-    paths_brownian = _get(cp, "paths", "brownian", _bool, d["brownian"]) if has_paths else d["brownian"]
-    paths_steps = _get(cp, "paths", "n_steps", int, d["n_steps"]) if has_paths else d["n_steps"]
+    paths_n = _get(cp, "paths", "n_paths", int, d["n_paths"])
+    paths_free = _get(cp, "paths", "free_space", _bool, d["free_space"])
+    paths_brownian = _get(cp, "paths", "brownian", _bool, d["brownian"])
+    paths_steps = _get(cp, "paths", "n_steps", int, d["n_steps"])
     if paths_n < 1 or paths_steps < 1:
         raise ConfigurationError("[paths] n_paths and n_steps must be at least 1")
 

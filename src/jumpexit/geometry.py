@@ -55,10 +55,6 @@ class Intervals:
     def empty(self) -> bool:
         return not self.bounds
 
-    @property
-    def measure(self) -> float:
-        return float(sum(hi - lo for lo, hi in self.bounds))
-
     def contains(self, x: float) -> bool:
         return any(lo <= x <= hi for lo, hi in self.bounds)
 
@@ -75,15 +71,6 @@ class Intervals:
         if other.empty:
             return self
         return Intervals.from_pairs(self.bounds + other.bounds)
-
-    def intersect(self, other: "Intervals") -> "Intervals":
-        out = []
-        for alo, ahi in self.bounds:
-            for blo, bhi in other.bounds:
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if hi > lo:
-                    out.append((lo, hi))
-        return Intervals(tuple(out))
 
     def difference(self, other: "Intervals") -> "Intervals":
         """Set difference self \\ other (up to measure zero)."""
@@ -103,14 +90,6 @@ class Intervals:
                 cuts = nxt
             out.extend(c for c in cuts if c[1] > c[0])
         return Intervals(tuple(out))
-
-    def covers(self, other: "Intervals", tol: float = 1e-12) -> bool:
-        """True when every component of ``other`` lies inside self (slack
-        ``tol`` at endpoints, absorbing float noise from collar builds)."""
-        for lo, hi in other.bounds:
-            if not any(blo - tol <= lo and hi <= bhi + tol for blo, bhi in self.bounds):
-                return False
-        return True
 
     def sample_uniform(self, rng: np.random.Generator) -> float:
         """Draw a point uniformly with respect to length."""
@@ -174,14 +153,14 @@ class DomainPartition:
             absorbing_iv = absorbing
         else:
             absorbing_iv = Intervals.from_pairs(absorbing)
+        # slack at the endpoints absorbs float noise from the collar build
         tol = 1e-12 * max(1.0, abs(collar.bounds[0][0]), abs(collar.bounds[-1][1])) if not collar.empty else 0.0
-        if not collar.covers(absorbing_iv, tol=tol):
-            for lo, hi in absorbing_iv.bounds:
-                if not any(blo - tol <= lo and hi <= bhi + tol for blo, bhi in collar.bounds):
-                    raise ConfigurationError(
-                        f"absorbing interval ({lo}, {hi}) is not contained in the "
-                        f"interaction collar {collar.bounds}"
-                    )
+        for lo, hi in absorbing_iv.bounds:
+            if not any(blo - tol <= lo and hi <= bhi + tol for blo, bhi in collar.bounds):
+                raise ConfigurationError(
+                    f"absorbing interval ({lo}, {hi}) is not contained in the "
+                    f"interaction collar {collar.bounds}"
+                )
         return cls(domain=omega, collar=collar, absorbing=absorbing_iv, horizon=float(horizon))
 
     @property

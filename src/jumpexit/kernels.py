@@ -13,8 +13,7 @@ whenever |x - y| >= horizon. Three families are provided:
   has infinite activity, with finite variation exactly when ``alpha < 1``.
 * ``TabulatedKernel`` -- values interpolated from a table, either a
   translation-invariant profile over signed displacements or a full
-  bivariate (x, y) grid. Integration is trapezoidal on the interpolant and
-  activity classification is heuristic.
+  bivariate (x, y) grid. Integration is trapezoidal on the interpolant.
 
 Rate integrals over interval unions use exact piecewise antiderivatives
 (power-law, constant, and linear pieces), and jump destinations are drawn
@@ -41,41 +40,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Intervals
-
-FINITE = "finite"
-INFINITE = "infinite"
-
-
-@dataclass(frozen=True)
-class ActivityClass:
-    """Sample-path fluctuation class of the (unregularized) kernel family.
-
-    ``activity`` counts jumps per unit time (infinite when the rate density
-    is non-integrable at zero displacement); ``variation`` is the vertical
-    distance traversed by the path. ``heuristic`` flags classifications read
-    off numerically from tabulated values rather than from the family.
-    """
-
-    activity: str
-    variation: str
-    heuristic: bool = False
-
-
-@dataclass(frozen=True)
-class KernelDecomposition:
-    """Split of a kernel into symmetric (diffusive) and antisymmetric
-    (convective) parts; ``gamma_s + gamma_a`` recovers the original and
-    ``gamma_s >= |gamma_a|`` pointwise since both jump directions carry
-    nonnegative rates."""
-
-    kernel: "JumpKernel"
-
-    def gamma_s(self, x, y):
-        return 0.5 * (self.kernel.evaluate(x, y) + self.kernel.evaluate(y, x))
-
-    def gamma_a(self, x, y):
-        return 0.5 * (self.kernel.evaluate(x, y) - self.kernel.evaluate(y, x))
-
 
 # ---------------------------------------------------------------------------
 # density pieces: closed-form mass and inverse CDF per piece
@@ -357,7 +321,7 @@ class JumpKernel:
 
     Subclasses provide ``evaluate`` (vectorized in y), ``_pieces`` (the
     closed-form density pieces of y -> gamma(x, y)), ``_piece_columns``
-    (the same pieces for a batch of points), and a classification.
+    (the same pieces for a batch of points).
     ``jump_law`` clips the pieces to a region once; ``total_rate`` and
     ``sample_jump`` are its total and its draw. ``jump_laws`` is
     ``jump_law`` for a batch.
@@ -378,13 +342,6 @@ class JumpKernel:
 
     def _piece_columns(self, xs: np.ndarray) -> list:
         """``_pieces`` for every point of ``xs``, as batched columns."""
-        raise NotImplementedError
-
-    def classify(self) -> ActivityClass:
-        raise NotImplementedError
-
-    def scaled(self, c: float) -> "JumpKernel":
-        """Kernel with all rates multiplied by ``c > 0``."""
         raise NotImplementedError
 
     def jump_law(self, x: float, region: Intervals | None = None) -> JumpLaw:
@@ -413,9 +370,6 @@ class JumpKernel:
         """Draw a destination with density gamma(x, .)/rate restricted to
         ``region``, by exact inversion of the piecewise CDF."""
         return self.jump_law(x, region).sample(rng)
-
-    def decompose(self) -> KernelDecomposition:
-        return KernelDecomposition(self)
 
     def quadrature_values(self, x: float, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
         """Per-cell effective rate densities for collocation rows.
@@ -456,17 +410,6 @@ class CompoundPoissonUniform(JumpKernel):
     def _piece_columns(self, xs):
         rows = np.arange(xs.size)
         return [_ConstColumn(rows, xs - self.horizon, xs + self.horizon, self.density)]
-
-    def classify(self) -> ActivityClass:
-        return ActivityClass(FINITE, FINITE)
-
-    def scaled(self, c: float) -> "CompoundPoissonUniform":
-        return CompoundPoissonUniform(rate=self.rate * c, horizon=self.horizon)
-
-    def unregularized_tail_mass(self, delta: float) -> float:
-        """Rate mass at displacements delta < |z| < horizon (bounded family:
-        converges to ``rate`` as delta -> 0)."""
-        return 2.0 * self.density * max(self.horizon - delta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -537,22 +480,6 @@ class TruncatedStable(JumpKernel):
             _PowerColumn(rows, xs + eps, xs + lam, xs, scale, self.alpha),
         ]
 
-    def classify(self) -> ActivityClass:
-        variation = FINITE if self.alpha < 1.0 else INFINITE
-        return ActivityClass(INFINITE, variation)
-
-    def scaled(self, c: float) -> "TruncatedStable":
-        return TruncatedStable(alpha=self.alpha, m=self.m / c,
-                               horizon=self.horizon, epsilon=self.epsilon)
-
-    def unregularized_tail_mass(self, delta: float) -> float:
-        """Mass of the *uncapped* power law on delta < |z| < horizon; grows
-        without bound as delta -> 0 (the infinite-activity signature)."""
-        delta = min(max(delta, 0.0), self.horizon)
-        if delta == 0.0:
-            return np.inf
-        return 2.0 * (delta ** -self.alpha - self.horizon ** -self.alpha) / (self.m * self.alpha)
-
     def quadrature_values(self, x, centers, widths):
         vals = np.asarray(self.evaluate(x, centers), dtype=float)
         d = np.abs(np.asarray(centers, dtype=float) - x)
@@ -565,11 +492,6 @@ class TruncatedStable(JumpKernel):
             mass = self.one_sided_cumulative(zb) - self.one_sided_cumulative(za)
             vals[near] = mass / widths[near]
         return vals
-
-
-def _interp_zero_outside(z, zs, vs):
-    out = np.interp(z, zs, vs, left=0.0, right=0.0)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -626,7 +548,7 @@ class TabulatedKernel(JumpKernel):
     def symmetric(self) -> bool:
         if self.translation_invariant:
             z, v = self.displacements, self.values
-            mirrored = _interp_zero_outside(-z, z, v)
+            mirrored = np.interp(-z, z, v, left=0.0, right=0.0)
             scale = max(float(v.max()), 1e-300)
             return bool(np.max(np.abs(v - mirrored)) <= 1e-12 * scale)
         vv = self.grid_values
@@ -639,7 +561,7 @@ class TabulatedKernel(JumpKernel):
         y = np.asarray(y, dtype=float)
         z = y - x
         if self.translation_invariant:
-            vals = _interp_zero_outside(z, self.displacements, self.values)
+            vals = np.interp(z, self.displacements, self.values, left=0.0, right=0.0)
         else:
             vals = self._bilinear(np.full_like(y, x, dtype=float), y)
             # the sampling pieces stop at the table's y range; so does gamma
@@ -691,37 +613,6 @@ class TabulatedKernel(JumpKernel):
                                               vals[:, k], vals[:, k + 1]), lo, hi)
                    for k in range(nodes.shape[1] - 1))
         return [c for c in columns if c is not None]
-
-    def classify(self) -> ActivityClass:
-        # integral test at the table's resolution: does the mass outside a
-        # shrinking ball keep growing, and does |z| * gamma stay integrable?
-        deltas = np.geomspace(self.horizon / 2, self.horizon * 1e-6, 12)
-        masses = []
-        first_moments = []
-        zg = np.linspace(-self.horizon, self.horizon, 4097)
-        g = np.asarray(self.evaluate(0.0, zg), dtype=float) if self.translation_invariant else None
-        for d in deltas:
-            if g is not None:
-                mask = np.abs(zg) > d
-                masses.append(np.trapezoid(np.where(mask, g, 0.0), zg))
-                first_moments.append(np.trapezoid(np.where(mask, np.abs(zg) * g, 0.0), zg))
-            else:
-                x0 = 0.5 * (self.x_nodes[0] + self.x_nodes[-1])
-                region = Intervals.from_pairs([(x0 - self.horizon, x0 - d), (x0 + d, x0 + self.horizon)])
-                masses.append(self.total_rate(x0, region))
-                first_moments.append(masses[-1] * self.horizon)  # crude bound
-        growth = masses[-1] / max(masses[0], 1e-300)
-        activity = INFINITE if growth > 10.0 else FINITE
-        var_growth = first_moments[-1] / max(first_moments[0], 1e-300)
-        variation = INFINITE if var_growth > 10.0 else FINITE
-        return ActivityClass(activity, variation, heuristic=True)
-
-    def scaled(self, c: float) -> "TabulatedKernel":
-        if self.translation_invariant:
-            return TabulatedKernel(horizon=self.horizon, displacements=self.displacements,
-                                   values=self.values * c)
-        return TabulatedKernel(horizon=self.horizon, x_nodes=self.x_nodes,
-                               y_nodes=self.y_nodes, grid_values=self.grid_values * c)
 
 
 def load_tabulated_csv(path, horizon: float) -> TabulatedKernel:

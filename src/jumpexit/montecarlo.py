@@ -7,9 +7,9 @@ A path ends when it lands in the absorbing set, or is censored at ``t_max``.
 
 Ensembles walk in lockstep: each step builds one batched ``JumpLaws`` for
 the positions of every live path, takes every path's wait and landing from
-it, and drops the paths that were absorbed or censored. ``simulate_exit``
-is the one-path case of the same engine. ``simulate_path`` keeps the scalar
-``JumpLaw`` walk, one law per jump, since it records few long paths.
+it, and drops the paths that were absorbed or censored. ``simulate_path``
+keeps the scalar ``JumpLaw`` walk, one law per jump, since it records few
+long paths.
 
 Reproducibility: every path owns a generator seeded from ``(seed,
 path_index)`` and draws from it in the order a lone walk would (the wait,
@@ -29,15 +29,6 @@ from numpy.random import Generator
 from .errors import ConfigurationError
 from .geometry import DomainPartition, Intervals, Region
 from .kernels import JumpKernel
-
-
-@dataclass(frozen=True)
-class ExitRecord:
-    x0: float
-    exit_time: float
-    exit_location: float  # nan when censored
-    jumps: int
-    censored: bool
 
 
 @dataclass(eq=False)
@@ -168,16 +159,6 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, start, n: int,
     if errors:
         raise errors[min(errors)]
     return x0, exit_time, exit_location, jumps, censored
-
-
-def simulate_exit(kernel: JumpKernel, partition: DomainPartition, x0: float,
-                  rng: np.random.Generator, t_max: float) -> ExitRecord:
-    """Walk one path until it lands in the absorbing set or time runs out."""
-    _, exit_time, exit_location, jumps, censored = _walk(
-        kernel, partition, lambda i: (x0, rng), 1, t_max)
-    return ExitRecord(x0=x0, exit_time=float(exit_time[0]),
-                      exit_location=float(exit_location[0]), jumps=int(jumps[0]),
-                      censored=bool(censored[0]))
 
 
 def _simulate_chunk(args):

@@ -85,14 +85,6 @@ def uniform_density(op: DiscreteOperator) -> np.ndarray:
     return u
 
 
-def point_mass(op: DiscreteOperator, x: float) -> np.ndarray:
-    """Single-cell density of unit mass at the domain cell nearest ``x``."""
-    i = op.interior[np.argmin(np.abs(op.centers[op.interior] - x))]
-    u = np.zeros(op.n_cells)
-    u[i] = 1.0 / op.widths[i]
-    return u
-
-
 def _validate_u0(op: DiscreteOperator, u0: np.ndarray) -> np.ndarray:
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.n_cells,):
@@ -189,8 +181,15 @@ def mean_exit_time(op: DiscreteOperator) -> ExitMoments:
     return exit_moments(op, 1)[0]
 
 
-def coercivity_sigma(op: DiscreteOperator, shift: float | None = None, tol: float = 1e-13,
-                     max_iter: int = 500) -> SigmaEstimate:
+# Inverse iteration for sigma: shift relative to the largest entry (keeps
+# the shifted matrix SPD when 0 is an eigenvalue), stopping tolerance on
+# the Rayleigh quotient relative to that entry, and the step budget.
+_SIGMA_SHIFT = -1e-10
+_SIGMA_TOL = 1e-13
+_SIGMA_MAX_ITER = 500
+
+
+def coercivity_sigma(op: DiscreteOperator) -> SigmaEstimate:
     """Smallest eigenvalue of the negative generator on the domain block.
 
     Works in the width-weighted inner product: the matrix is symmetrized as
@@ -203,28 +202,26 @@ def coercivity_sigma(op: DiscreteOperator, shift: float | None = None, tol: floa
     c = (sw[:, np.newaxis] * m) / sw[np.newaxis, :]
     b = 0.5 * (c + c.T)
     norm_b = float(np.max(np.abs(b))) or 1.0
-    if shift is None:
-        shift = -1e-10 * norm_b  # keeps the shifted matrix SPD when 0 is an eigenvalue
     try:
-        lu, piv = scipy.linalg.lu_factor(b - shift * np.eye(b.shape[0]))
+        lu, piv = scipy.linalg.lu_factor(b - _SIGMA_SHIFT * norm_b * np.eye(b.shape[0]))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"coercivity shift solve failed: {exc}") from exc
     x = np.ones(b.shape[0]) / np.sqrt(b.shape[0])
     rho_old = np.inf
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _SIGMA_MAX_ITER + 1):
         y = scipy.linalg.lu_solve((lu, piv), x)
         x = y / np.linalg.norm(y)
         rho = float(x @ (b @ x))
-        if abs(rho - rho_old) <= tol * norm_b:
+        if abs(rho - rho_old) <= _SIGMA_TOL * norm_b:
             converged = True
             break
         rho_old = rho
     residual = float(np.linalg.norm(b @ x - rho * x))
     if not converged:
         raise NumericalError(
-            f"coercivity iteration did not converge in {max_iter} steps "
+            f"coercivity iteration did not converge in {_SIGMA_MAX_ITER} steps "
             f"(residual {residual:.3e})"
         )
     mode = x / sw

@@ -98,3 +98,11 @@ def disconnected_ensemble(analytic_kernel, disconnected_partition):
 
 def exp_survival(t):
     return np.exp(-EXIT_RATE * np.asarray(t, dtype=float))
+
+
+def point_mass(op, x):
+    """Single-cell density of unit mass at the domain cell nearest ``x``."""
+    i = op.interior[np.argmin(np.abs(op.centers[op.interior] - x))]
+    u = np.zeros(op.n_cells)
+    u[i] = 1.0 / op.widths[i]
+    return u

@@ -72,6 +72,18 @@ def test_load_config_resolves_defaults(config_file):
     assert len(cfg.config_hash) == 16
 
 
+def test_missing_compare_and_paths_sections_resolve_to_defaults(config_file):
+    # BASE_CONFIG has neither section; the hash was recorded when load_config
+    # still special-cased their absence, and must not move
+    cfg = load_config(config_file())
+    assert cfg.resolved["compare"] == {"checkpoints": [1.0, 5.0, 10.0, 25.0, 50.0]}
+    assert cfg.resolved["paths"] == {"n_paths": 5, "free_space": True,
+                                     "brownian": False, "n_steps": 2000}
+    assert (cfg.paths_n, cfg.paths_free_space, cfg.paths_brownian, cfg.paths_n_steps) \
+        == (5, True, False, 2000)
+    assert cfg.config_hash == "9fc25f67034e89fd"
+
+
 def test_seed_override_changes_hash(config_file):
     path = config_file()
     assert load_config(path).config_hash != load_config(path, seed=77).config_hash

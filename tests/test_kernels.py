@@ -1,5 +1,5 @@
-"""Kernel families: branch values, rate integrals, sampling, classification,
-and the symmetric/antisymmetric split.
+"""Kernel families: branch values, rate integrals, sampling, and parameter
+validation.
 
 Expected numbers for the regularized power-law family come from its
 closed-form antiderivative: with index 1/2, unit scale and range, and cap
@@ -13,22 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from jumpexit.errors import ConfigurationError
 from jumpexit.geometry import Intervals
-from jumpexit.kernels import (FINITE, INFINITE, CompoundPoissonUniform,
-                              TabulatedKernel, TruncatedStable)
+from jumpexit.kernels import CompoundPoissonUniform, TabulatedKernel, TruncatedStable
 
 PLATEAU_05 = 31622.776601683792          # 0.001 ** -1.5
 TOTAL_RATE_05 = 185.73665961010278       # 6 / sqrt(1e-3) - 4
 PLATEAU_PROB_05 = 0.34051195566956066    # (2 / sqrt(1e-3)) / TOTAL_RATE_05
 
 KS_CRIT_1PCT = 1.628  # one-sample asymptotic critical value at the 1% level
-
-
-def step_table(c_left, c_right, horizon=1.0, n=41):
-    """Tabulated kernel with value c_right for y > x, c_left for y < x."""
-    z = np.linspace(-horizon, horizon, n)
-    v = np.where(z > 0, c_right, c_left).astype(float)
-    v[z == 0] = 0.5 * (c_left + c_right)
-    return TabulatedKernel(horizon=horizon, displacements=z, values=v)
 
 
 # --- evaluate -------------------------------------------------------------
@@ -170,98 +161,7 @@ def test_sample_jump_zero_mass_raises():
         k.sample_jump(0.0, Intervals(((5.0, 6.0),)), np.random.default_rng(0))
 
 
-# --- classification -------------------------------------------------------
-
-@pytest.mark.parametrize("kernel_args, expected", [
-    (dict(family="cp", rate=0.2), (FINITE, FINITE)),
-    (dict(family="ts", alpha=0.5, m=1.0), (INFINITE, FINITE)),
-    (dict(family="ts", alpha=1.5, m=1000.0), (INFINITE, INFINITE)),
-])
-def test_classify_builtin_families(kernel_args, expected):
-    if kernel_args["family"] == "cp":
-        k = CompoundPoissonUniform(rate=kernel_args["rate"], horizon=1.0)
-    else:
-        k = TruncatedStable(alpha=kernel_args["alpha"], m=kernel_args["m"],
-                            horizon=1.0, epsilon=1e-3)
-    cls = k.classify()
-    assert (cls.activity, cls.variation) == expected
-    assert not cls.heuristic
-
-
-@pytest.mark.parametrize("make", [
-    lambda: CompoundPoissonUniform(rate=0.2, horizon=1.0),
-    lambda: TruncatedStable(alpha=0.5, m=1.0, horizon=1.0, epsilon=1e-3),
-    lambda: TruncatedStable(alpha=1.5, m=1000.0, horizon=1.0, epsilon=1e-3),
-])
-def test_classify_matches_tail_mass_growth(make):
-    # infinite activity iff the unregularized mass outside a shrinking ball
-    # grows without bound
-    k = make()
-    deltas = np.geomspace(0.5, 1e-9, 10)
-    masses = np.array([k.unregularized_tail_mass(d) for d in deltas])
-    assert np.all(np.diff(masses) >= -1e-12)
-    unbounded = masses[-1] / masses[0] > 1e3
-    assert unbounded == (k.classify().activity == INFINITE)
-
-
-def test_classify_tabulated_is_heuristic(stable_kernel_05):
-    # a fine tabulation of the power-law profile still reads as infinite
-    # activity, finite variation -- but flagged heuristic
-    z = np.sign(np.linspace(-1, 1, 8001)) * np.abs(np.linspace(-1, 1, 8001))
-    z = np.unique(np.concatenate([z, np.geomspace(1e-7, 1.0, 300), -np.geomspace(1e-7, 1.0, 300)]))
-    v = np.where(np.abs(z) > 0, np.abs(np.where(z == 0, 1.0, z)) ** -1.5, 0.0)
-    v[np.abs(z) >= 1.0] = 0.0
-    tab = TabulatedKernel(horizon=1.0, displacements=z, values=v)
-    cls = tab.classify()
-    assert cls.heuristic
-    assert cls.activity == INFINITE
-    assert cls.variation == FINITE
-    flat = TabulatedKernel(horizon=1.0, displacements=np.linspace(-1, 1, 11),
-                           values=np.full(11, 0.3))
-    cls = flat.classify()
-    assert cls.heuristic
-    assert (cls.activity, cls.variation) == (FINITE, FINITE)
-
-
-# --- decomposition --------------------------------------------------------
-
-def test_decompose_symmetric_family_has_no_drift(stable_kernel_05):
-    dec = stable_kernel_05.decompose()
-    xs = np.linspace(-0.5, 0.5, 17)
-    for x in xs:
-        assert np.all(dec.gamma_a(x, xs) == 0.0)
-        np.testing.assert_allclose(dec.gamma_s(x, xs), stable_kernel_05.evaluate(x, xs))
-
-
-def test_decompose_step_kernel():
-    c1, c2 = 0.3, 0.1  # forward and backward rates
-    k = step_table(c_left=c2, c_right=c1)
-    assert not k.symmetric
-    dec = k.decompose()
-    assert dec.gamma_s(0.0, 0.4) == pytest.approx((c1 + c2) / 2, rel=1e-12)
-    assert dec.gamma_a(0.0, 0.4) == pytest.approx((c1 - c2) / 2, rel=1e-12)
-    assert dec.gamma_a(0.4, 0.0) == pytest.approx(-(c1 - c2) / 2, rel=1e-12)
-
-
-@settings(max_examples=40)
-@given(x=st.floats(-1, 1), y=st.floats(-1, 1))
-def test_decompose_roundtrip_and_antisymmetry(x, y):
-    k = step_table(c_left=0.17, c_right=0.93)
-    dec = k.decompose()
-    gs, ga = float(dec.gamma_s(x, y)), float(dec.gamma_a(x, y))
-    assert gs + ga == pytest.approx(float(k.evaluate(x, y)), rel=1e-14, abs=1e-16)
-    assert float(dec.gamma_a(y, x)) == pytest.approx(-ga, rel=1e-14, abs=1e-16)
-    assert gs >= abs(ga) - 1e-16
-
-
-# --- scaling and parameter validation --------------------------------------
-
-def test_scaled_kernels():
-    cp = CompoundPoissonUniform(rate=0.2, horizon=1.0)
-    assert cp.scaled(3.0).total_rate(0.0) == pytest.approx(0.6, rel=1e-14)
-    ts = TruncatedStable(alpha=0.5, m=1.0, horizon=1.0, epsilon=1e-3)
-    assert ts.scaled(2.0).total_rate(0.0) == pytest.approx(2 * TOTAL_RATE_05, rel=1e-13)
-
+# --- parameter validation ---------------------------------------------------
 
 @pytest.mark.parametrize("kwargs", [
     dict(alpha=0.0, m=1.0, horizon=1.0, epsilon=1e-3),

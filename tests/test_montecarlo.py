@@ -19,8 +19,8 @@ from jumpexit.geometry import DomainPartition, Intervals, Region, interaction_do
 from jumpexit.kernels import (CompoundPoissonUniform, JumpKernel, TabulatedKernel,
                               TruncatedStable)
 from jumpexit.montecarlo import (ExitEnsemble, brownian_path, empirical_survival,
-                                 path_rng, simulate_ensemble, simulate_exit,
-                                 simulate_path, survival_z_scores)
+                                 path_rng, simulate_ensemble, simulate_path,
+                                 survival_z_scores)
 from jumpexit.solver import evolve, uniform_density
 
 AD_CRIT_1PCT = 3.857
@@ -181,8 +181,8 @@ def test_brownian_comparator_msd():
 
 def test_simulate_exit_rejects_bad_start(analytic_kernel, analytic_partition):
     with pytest.raises(ConfigurationError, match="not inside"):
-        simulate_exit(analytic_kernel, analytic_partition, 1.5,
-                      path_rng(0, 0), t_max=10.0)
+        simulate_ensemble(analytic_kernel, analytic_partition, n_paths=1, seed=0,
+                          t_max=10.0, x0=1.5)
 
 
 def test_stuck_particle_is_a_configuration_error():
@@ -190,7 +190,7 @@ def test_stuck_particle_is_a_configuration_error():
                            values=np.zeros(9))
     part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
     with pytest.raises(ConfigurationError):
-        simulate_exit(zero, part, 0.5, path_rng(0, 0), t_max=10.0)
+        simulate_ensemble(zero, part, n_paths=1, seed=0, t_max=10.0, x0=0.5)
 
 
 def test_asymmetric_kernel_moments_validate_against_mc():
@@ -287,10 +287,11 @@ def test_one_piece_build_per_jump(family, monkeypatch):
     seen = set()
     for i, t_max in enumerate([0.05, 0.5, 5.0, 50.0] * 4):
         sizes.clear()
-        rec = simulate_exit(kernel, part, 0.5, path_rng(5, i), t_max=t_max)
+        one = simulate_ensemble(kernel, part, n_paths=1, seed=5 + i, t_max=t_max, x0=0.5)
+        jumps, censored = int(one.jumps[0]), bool(one.censored[0])
         # a censored walk builds one more law for the wait that overran t_max
-        assert sizes == [1] * (rec.jumps + rec.censored)
-        seen.add(rec.censored)
+        assert sizes == [1] * (jumps + censored)
+        seen.add(censored)
     assert seen == {True, False}
 
     sizes.clear()
