@@ -195,9 +195,6 @@ class Grid:
     h: float
     horizon: float
 
-    def indices(self, tag: Region) -> np.ndarray:
-        return np.flatnonzero(self.tags == int(tag))
-
     @property
     def n_cells(self) -> int:
         return self.centers.size

@@ -12,11 +12,9 @@ hold only the domain block: generator rows sum to minus the killing rate
 that rate to the absorbing cells, so mass bookkeeping closes exactly at
 the semi-discrete level.
 
-Since the absorbing densities are pinned, the solver reads only the
-jump rates out of domain cells: assembly evaluates the kernel rows of the
-domain cells alone. The full rate matrix over every cell, absorbing rows
-included, is built from the same row routine on first read, for the
-balance-law check of a density that is nonzero on the absorbing set.
+Since the absorbing densities are pinned, the solver and the checks read
+only the jump rates out of domain cells: assembly evaluates the kernel rows
+of the domain cells alone.
 
 The forward matrix (density evolution) and the backward matrix (the
 process generator, acting on observables) satisfy the weighted-transpose
@@ -27,7 +25,6 @@ entry for entry.
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,24 +59,12 @@ class DiscreteOperator:
     a_gen: sp.csr_matrix
     flux_to_d: sp.csr_matrix
     domain_rows: sp.csr_matrix
-    kernel: JumpKernel
+    horizon: float
     _gen_lu: object = field(default=None, repr=False)
 
     @property
     def n_cells(self) -> int:
         return self.centers.size
-
-    @property
-    def horizon(self) -> float:
-        return self.kernel.horizon
-
-    @cached_property
-    def values(self) -> sp.csr_matrix:
-        """Raw collocation rate densities over all cells (row = source
-        cell, column = target cell), absorbing rows included. Assembly
-        never needs the absorbing rows, so the matrix is built on first
-        read, with the row routine assembly uses."""
-        return _rate_rows(self.kernel, self.centers, self.widths, np.arange(self.n_cells))
 
     @property
     def exit_weights(self) -> np.ndarray:
@@ -164,7 +149,8 @@ def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> Disc
 
     return DiscreteOperator(
         centers=x, widths=w, tags=tags, interior=interior, absorbing=absorbing,
-        a_star=a_star, a_gen=a_gen, flux_to_d=flux_to_d, domain_rows=rows, kernel=kernel,
+        a_star=a_star, a_gen=a_gen, flux_to_d=flux_to_d, domain_rows=rows,
+        horizon=kernel.horizon,
     )
 
 
@@ -216,26 +202,25 @@ def balance_check(op: DiscreteOperator, u: np.ndarray, rng=None, trials: int = 1
     point, so that condition is not measured. Sums of ``psi`` weighted by cell measures over any
     index set must vanish (no self-interaction), fluxes between disjoint
     sets cancel (action-reaction), and set sums are additive. ``u`` has one
-    entry per cell and may be nonzero on the absorbing cells.
+    entry per cell and must vanish on the absorbing cells, where the volume
+    constraint pins the density.
 
     Everything runs on sparse rate rows in O(nnz): ``psi`` is the sparse
     matrix ``(diag(u) V)^T - diag(u) V``, and each trial's set sums are
     bilinear forms in 0/1 indicator vectors of the random subsets. Only
-    the rows of ``V`` where ``u`` is nonzero enter ``diag(u) V``: when
-    ``u`` vanishes on the absorbing cells they are the assembled domain
-    rows, and the full ``values`` is never built.
+    the rows of ``V`` where ``u`` is nonzero enter ``diag(u) V``, and those
+    are the assembled domain rows.
     """
     rng = np.random.default_rng(rng)
     u = np.asarray(u, dtype=float)
+    if np.any(u[op.absorbing]):
+        raise ConfigurationError("u must be supported on the domain cells")
     w = op.widths
     n = op.n_cells
-    if np.any(u[op.absorbing]):
-        rates = op.values
-    else:  # the domain rows in their places, absorbing rows empty
-        counts = np.zeros(n, dtype=np.int64)
-        counts[op.interior] = np.diff(op.domain_rows.indptr)
-        rates = sp.csr_matrix((op.domain_rows.data, op.domain_rows.indices,
-                               np.concatenate([[0], np.cumsum(counts)])), shape=(n, n))
+    counts = np.zeros(n, dtype=np.int64)  # the domain rows in their places
+    counts[op.interior] = np.diff(op.domain_rows.indptr)
+    rates = sp.csr_matrix((op.domain_rows.data, op.domain_rows.indices,
+                           np.concatenate([[0], np.cumsum(counts)])), shape=(n, n))
     flux_out = sp.diags(u) @ rates
     psi = (flux_out.T - flux_out).tocsr()
 

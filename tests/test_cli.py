@@ -10,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import jumpexit
-from jumpexit import operators
+from jumpexit import operators, solver
 from jumpexit.cli import _write_csv, main
 from jumpexit.config import load_config
-from jumpexit.errors import ConfigurationError
+from jumpexit.errors import ConfigurationError, NumericalError
 
 BASE_CONFIG = """\
 [kernel]
@@ -211,6 +212,23 @@ def test_exit_codes(config_file, tmp_path):
     assert main(["exit-time", "--config", str(tmp_path / "run.ini")]) == 3
 
 
+def test_eigensolver_failure_exits_3_with_error_json(config_file, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0),
+                                  np.zeros((0, 0)))
+
+    monkeypatch.setattr(solver, "eigsh", fail)
+    path = config_file()
+    cfg = load_config(path)
+    op = operators.assemble(cfg.kernel, cfg.build_grid(), cfg.partition)
+    with pytest.raises(NumericalError, match="coercivity eigensolve failed"):
+        solver.coercivity_sigma(op)
+    assert main(["verify", "--config", path]) == 3
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "NumericalError" and "No convergence" in err["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value, match", [
     ("scheme__", "crank_nicolson", "removed"),
     ("dt__", "0.03", "t_end"),
@@ -372,7 +390,6 @@ def test_verify_evaluates_domain_rows_only(config_file, monkeypatch):
     (op,) = ops
     assert op.absorbing.size > 0
     assert len(calls) == op.interior.size
-    assert "values" not in vars(op)
 
 
 def test_benchmark_tracer_reads_solver_counts(config_file, tmp_path):

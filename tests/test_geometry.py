@@ -130,19 +130,19 @@ def test_grid_cell_counts_and_tags():
     part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="empty")
     grid = build_grid(part, 0.25)
     assert grid.n_cells == 12  # 4 interior + 4 collar each side
-    assert grid.indices(Region.INTERIOR).size == 4
-    assert grid.indices(Region.COLLAR).size == 8
-    assert grid.indices(Region.ABSORBING).size == 0
+    assert np.flatnonzero(grid.tags == int(Region.INTERIOR)).size == 4
+    assert np.flatnonzero(grid.tags == int(Region.COLLAR)).size == 8
+    assert np.flatnonzero(grid.tags == int(Region.ABSORBING)).size == 0
     # tags partition the index set
-    counts = sum(grid.indices(tag).size for tag in Region)
+    counts = sum(np.flatnonzero(grid.tags == int(tag)).size for tag in Region)
     assert counts == grid.n_cells
 
 
 def test_grid_full_absorbing_has_no_collar_tags():
     part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
     grid = build_grid(part, 0.25)
-    assert grid.indices(Region.COLLAR).size == 0
-    assert grid.indices(Region.ABSORBING).size == 8
+    assert np.flatnonzero(grid.tags == int(Region.COLLAR)).size == 0
+    assert np.flatnonzero(grid.tags == int(Region.ABSORBING)).size == 8
 
 
 def test_grid_tiles_domain_plus_collar():

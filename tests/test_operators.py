@@ -110,10 +110,13 @@ def test_adjoint_identity_asymmetric_weighted_transpose():
 
 
 def test_balance_conditions(analytic_op_64):
-    u = random_density(analytic_op_64, seed=3, domain_only=False)
-    u[analytic_op_64.absorbing] = 0.3  # conditions hold for any density
-    rep = balance_check(analytic_op_64, u, rng=4)
+    rep = balance_check(analytic_op_64, random_density(analytic_op_64, seed=3), rng=4)
     assert rep.max_relative <= 1e-12
+    # the volume constraint pins the density to zero on the absorbing cells,
+    # and no rate out of them is assembled
+    u = random_density(analytic_op_64, seed=3, domain_only=False)
+    with pytest.raises(ConfigurationError, match="supported on the domain"):
+        balance_check(analytic_op_64, u, rng=4)
 
 
 def test_balance_conditions_asymmetric():
@@ -122,12 +125,12 @@ def test_balance_conditions_asymmetric():
     assert rep.max_relative <= 1e-12
 
 
-def dense_balance_reference(op, u, rng=None, trials=16):
-    """The balance-law check on the densified rate matrix, kept as the
-    reference for the sparse ``balance_check``: same formulas, same RNG
-    order."""
+def dense_balance_reference(op, u, rates, rng=None, trials=16):
+    """The balance-law check on the densified all-cells rate matrix
+    ``rates``, kept as the reference for the sparse ``balance_check``: same
+    formulas, same RNG order."""
     rng = np.random.default_rng(rng)
-    gamma = op.values.toarray()
+    gamma = rates.toarray()
     w = op.widths
     psi = u[np.newaxis, :] * gamma.T - u[:, np.newaxis] * gamma
     scale = float(np.sum(np.abs(psi) * w[:, np.newaxis] * w[np.newaxis, :]))
@@ -151,19 +154,22 @@ def dense_balance_reference(op, u, rng=None, trials=16):
 
 @pytest.fixture(params=["analytic_64", "asymmetric_16"])
 def balance_case(request):
-    if request.param == "analytic_64":
-        op = request.getfixturevalue("analytic_op_64")
-        u = random_density(op, seed=3, domain_only=False)
-        u[op.absorbing] = 0.3
-        return op, u
-    op = make_op(asym_kernel(), h=1 / 16)
-    return op, random_density(op, seed=5)
+    """An operator, a density on its domain cells, and the reference rate
+    matrix over all of its cells."""
+    kernel, h, seed = {
+        "analytic_64": (CompoundPoissonUniform(rate=0.2, horizon=1.0), 1 / 64, 3),
+        "asymmetric_16": (asym_kernel(), 1 / 16, 5),
+    }[request.param]
+    part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
+    grid = build_grid(part, h)
+    op = assemble(kernel, grid, part)
+    return op, random_density(op, seed=seed), all_rows_reference(kernel, grid, part)["values"]
 
 
 def test_sparse_balance_check_matches_dense_reference(balance_case):
-    op, u = balance_case
+    op, u, rates = balance_case
     rep = balance_check(op, u, rng=11)
-    ref = dense_balance_reference(op, u, rng=11)
+    ref = dense_balance_reference(op, u, rates, rng=11)
     assert ref.scale > 0.0
     for name in ("self_interaction", "action_reaction", "additivity", "scale"):
         assert abs(getattr(rep, name) - getattr(ref, name)) <= 1e-15 * ref.scale, name
@@ -180,9 +186,9 @@ def test_balance_check_never_densifies(balance_case, monkeypatch):
         for name in ("toarray", "todense"):
             if name in vars(cls):
                 monkeypatch.setattr(cls, name, refuse)
-    op, u = balance_case
+    op, u, rates = balance_case
     with pytest.raises(AssertionError, match="densified"):
-        op.values.toarray()
+        rates.toarray()
     balance_check(op, u, rng=11)  # raises if it densifies
 
 
@@ -326,7 +332,7 @@ def test_domain_row_assembly_matches_all_rows_reference(case):
     grid = build_grid(part, h)
     op = assemble(kernel, grid, part)
     ref = all_rows_reference(kernel, grid, part)
-    ref["domain_rows"] = ref["values"][op.interior]
+    ref["domain_rows"] = ref.pop("values")[op.interior]
     for name, expected in ref.items():
         got = getattr(op, name)
         assert got.shape == expected.shape, name
@@ -347,12 +353,3 @@ def test_assembly_evaluates_domain_rows_only(stable_kernel_05, monkeypatch):
     op = make_op(stable_kernel_05, omega=((0.0, 1.0), (1.5, 2.5)), h=1 / 16)
     assert len(calls) == op.interior.size
     assert sorted(calls) == sorted(op.centers[op.interior])
-    # a density that vanishes on the absorbing cells needs no absorbing row
-    balance_check(op, random_density(op, seed=12), rng=13)
-    assert len(calls) == op.interior.size and "values" not in vars(op)
-    # one that does not builds the full rate matrix, once
-    u = random_density(op, seed=12, domain_only=False)
-    balance_check(op, u, rng=13)
-    assert len(calls) == op.interior.size + op.n_cells
-    assert op.values is op.values and op.values.shape == (op.n_cells, op.n_cells)
-    assert len(calls) == op.interior.size + op.n_cells

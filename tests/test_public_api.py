@@ -7,8 +7,8 @@ some code reads it as an attribute, any other name when it is read,
 imported or read as an attribute. A mention in a docstring or comment does
 not count, and ``__init__.py`` is left out: exporting a name is not using
 it. Matching is by name, so a method that shares its name with some other
-attribute in use (``Grid.indices`` and a sparse matrix's ``indices``) is
-not caught.
+attribute in use (say a ``Grid.data`` next to a sparse matrix's ``data``)
+is not caught.
 """
 
 import ast
@@ -54,7 +54,7 @@ def _public_surface() -> list[str]:
 def test_public_surface_has_callers_outside_tests():
     names, attributes = _references()
     surface = _public_surface()
-    assert "Intervals.from_pairs" in surface and "DiscreteOperator.values" in surface
+    assert "Intervals.from_pairs" in surface and "DiscreteOperator.exit_weights" in surface
     unused = [s for s in surface
               if s.rpartition(".")[2] not in (attributes if "." in s else names)]
     assert unused == []
