@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import jumpexit
@@ -227,6 +228,34 @@ def test_eigensolver_failure_exits_3_with_error_json(config_file, tmp_path, monk
     err = json.loads((tmp_path / "out" / "error.json").read_text())
     assert err["error"] == "NumericalError" and "No convergence" in err["message"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_banded_block_verifies_without_densifying(config_file, tmp_path, monkeypatch):
+    # horizon 1/16 at h = 1/256: each domain row couples about 32 of 256 cells
+    path = config_file(lambda__="0.0625", h__="0.00390625")
+    cfg = load_config(path)
+    op = operators.assemble(cfg.kernel, cfg.build_grid(), cfg.partition)
+    assert 4 * op.a_gen.nnz < op.interior.size ** 2
+    sw = np.sqrt(op.widths[op.interior])
+    c = sw[:, None] * -op.a_gen.toarray() / sw[None, :]
+    dense = float(np.linalg.eigvalsh(0.5 * (c + c.T))[0])
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a banded block was densified")
+
+    classes = {cls for kind in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.dia_matrix,
+                                sp.csr_array, sp.csc_array, sp.coo_array, sp.dia_array)
+               for cls in kind.__mro__}
+    for cls in classes:
+        for name in ("toarray", "todense"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, refuse)
+    with pytest.raises(AssertionError, match="densified"):
+        op.a_gen.toarray()
+    assert solver.coercivity_sigma(op).value == pytest.approx(dense, rel=1e-10)
+    assert main(["verify", "--config", path]) == 0
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    assert report["all_pass"]
 
 
 @pytest.mark.parametrize("key, value, match", [

@@ -109,6 +109,27 @@ def test_adjoint_identity_asymmetric_weighted_transpose():
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * norm
 
 
+@pytest.mark.parametrize("case", ["analytic_64", "asymmetric_32"])
+def test_batched_adjoint_check_matches_per_trial_loop(case, analytic_op_64):
+    op = analytic_op_64 if case == "analytic_64" else make_op(asym_kernel())
+    rng = np.random.default_rng(8)
+    w = op.widths[op.interior]
+    worst = 0.0
+    for _ in range(40):  # the per-trial loop: one draw and two mat-vecs per trial
+        u = rng.standard_normal(op.interior.size)
+        v = rng.standard_normal(op.interior.size)
+        lhs = float(np.sum(v * (op.a_star @ u) * w))
+        rhs = float(np.sum((op.a_gen @ v) * u * w))
+        nu = np.sqrt(np.sum(u * u * w))
+        nv = np.sqrt(np.sum(v * v * w))
+        worst = max(worst, abs(lhs - rhs) / (nu * nv))
+    batched_rng = np.random.default_rng(8)
+    assert adjoint_check(op, trials=40, rng=batched_rng) == worst
+    # the same draws in the same order leave the generator where the loop did
+    assert batched_rng.bit_generator.state == rng.bit_generator.state
+    assert adjoint_check(op, trials=0, rng=1) == 0.0
+
+
 def test_balance_conditions(analytic_op_64):
     rep = balance_check(analytic_op_64, random_density(analytic_op_64, seed=3), rng=4)
     assert rep.max_relative <= 1e-12

@@ -6,8 +6,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from conftest import EXIT_RATE, exp_survival, point_mass
+from jumpexit import solver
 from jumpexit.errors import ConfigurationError, NumericalError
 from jumpexit.geometry import DomainPartition, build_grid
 from jumpexit.kernels import CompoundPoissonUniform
@@ -98,6 +101,74 @@ def test_evolve_validates_inputs(analytic_op_64):
     # 1.0 / 0.03 is not whole; rounding would silently stop at t = 0.99
     with pytest.raises(ConfigurationError, match="whole number"):
         evolve(analytic_op_64, good, dt=0.03, t_end=1.0)
+
+
+def _banded_op():
+    """Horizon 1/16 at h = 1/256: each domain row couples about 32 of the
+    256 domain cells, well under the quarter that counts as dense."""
+    k = CompoundPoissonUniform(rate=0.2, horizon=1 / 16)
+    part = DomainPartition.build([(0.0, 1.0)], horizon=1 / 16, absorbing="full")
+    op = assemble(k, build_grid(part, 1 / 256), part)
+    assert 4 * op.a_star.nnz < op.interior.size ** 2
+    return op
+
+
+def _implicit_euler_reference(op, dt, n_steps, step):
+    """Survival and absorbed flux of implicit Euler, one ``step`` solve of
+    ``(I - dt A_fwd) u_new = u`` per step."""
+    u = uniform_density(op)[op.interior]
+    w = op.widths[op.interior]
+    survival, absorbed = [float(u @ w)], [0.0]
+    for _ in range(n_steps):
+        u = step(u)
+        survival.append(float(u @ w))
+        absorbed.append(absorbed[-1] + dt * float(op.exit_weights @ u))
+    return np.array(survival), np.array(absorbed)
+
+
+def test_dense_block_steps_match_sparse_lu_reference(analytic_op_64, monkeypatch):
+    op, dt = analytic_op_64, 0.1
+    assert op.a_star.nnz == op.interior.size ** 2
+    lu = splu((sp.identity(op.interior.size, format="csr") - dt * op.a_star).tocsc())
+    s_ref, f_ref = _implicit_euler_reference(op, dt, 200, lu.solve)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense block went to SuperLU")
+
+    monkeypatch.setattr(solver, "splu", refuse)
+    traj = evolve(op, uniform_density(op), dt=dt, t_end=20.0)
+    assert np.max(np.abs(traj.survival - s_ref)) <= 1e-13
+    assert np.max(np.abs(traj.absorbed_cdf - f_ref)) <= 1e-13
+
+
+def test_banded_block_steps_with_sparse_lu(monkeypatch):
+    op, dt = _banded_op(), 0.1
+    system = np.eye(op.interior.size) - dt * op.a_star.toarray()
+    s_ref, f_ref = _implicit_euler_reference(op, dt, 100,
+                                             lambda u: np.linalg.solve(system, u))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a banded block was densified for LAPACK")
+
+    monkeypatch.setattr(solver, "lu_factor", refuse)
+    traj = evolve(op, uniform_density(op), dt=dt, t_end=10.0)
+    assert np.max(np.abs(traj.survival - s_ref)) <= 1e-13
+    assert np.max(np.abs(traj.absorbed_cdf - f_ref)) <= 1e-13
+    assert np.all(np.diff(traj.survival) < 0.0)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_singular_step_system_raises_numerical_error(analytic_op_64, dense):
+    # a_star = I / dt makes I - dt * a_star exactly zero
+    op, dt = (analytic_op_64 if dense else _banded_op()), 0.1
+    n = op.interior.size
+    a_star = sp.identity(n, format="csr") / dt
+    if dense:  # the same matrix with all n^2 entries stored
+        a_star = sp.csr_matrix(np.ones((n, n)))
+        a_star.data = np.eye(n).ravel() / dt
+    singular = dataclasses.replace(op, a_star=a_star)
+    with pytest.raises(NumericalError, match="time-step factorization failed"):
+        evolve(singular, uniform_density(op), dt=dt, t_end=1.0)
 
 
 # --- moments ----------------------------------------------------------------
