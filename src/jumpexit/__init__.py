@@ -15,15 +15,14 @@ from .kernels import (CompoundPoissonUniform, JumpKernel, TabulatedKernel,
 from .montecarlo import (ExitEnsemble, SamplePath, brownian_path,
                          empirical_survival, path_rng, simulate_ensemble,
                          simulate_path, survival_z_scores)
-from .operators import (BalanceReport, DiscreteOperator, adjoint_check,
-                        assemble, balance_check, divergence_theorem_check,
-                        dump_operator)
+from .operators import (DiscreteOperator, adjoint_check, assemble,
+                        balance_check, divergence_theorem_check, dump_operator)
 from .solver import (DensityTrajectory, ExitMoments, SigmaEstimate,
                      coercivity_sigma, evolve, exit_moments, mean_exit_time,
                      uniform_density)
 
 __all__ = [
-    "BalanceReport", "CompoundPoissonUniform", "ConfigurationError",
+    "CompoundPoissonUniform", "ConfigurationError",
     "DensityTrajectory", "DiscreteOperator", "DomainPartition",
     "ExitEnsemble", "ExitMoments", "Grid", "Intervals", "JumpKernel",
     "NumericalError", "Region", "SamplePath", "SigmaEstimate",

@@ -191,8 +191,10 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
     if cfg_seed < 0:
         raise ConfigurationError("[mc] seed must be nonnegative")
 
-    d = _DEFAULTS["compare"]
-    checkpoints = _get(cp, "compare", "checkpoints", json.loads, d["checkpoints"])
+    # the defaults a shorter or coarser run cannot reach give way, down to [t_end]
+    default = [t for t in _DEFAULTS["compare"]["checkpoints"]
+               if t <= t_end and on_step_grid(t, dt)] or [t_end]
+    checkpoints = _get(cp, "compare", "checkpoints", json.loads, default)
     if not isinstance(checkpoints, list) or not checkpoints:
         raise ConfigurationError(f"[compare] checkpoints must be a nonempty list, got {checkpoints!r}")
     try:

@@ -1,6 +1,7 @@
 """Configuration loading, subcommand orchestration, artifact formats,
 exit codes, and byte-level reproducibility."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -84,6 +85,20 @@ def test_missing_compare_and_paths_sections_resolve_to_defaults(config_file):
     assert (cfg.paths_n, cfg.paths_free_space, cfg.paths_brownian, cfg.paths_n_steps) \
         == (5, True, False, 2000)
     assert cfg.config_hash == "9fc25f67034e89fd"
+
+
+def test_default_checkpoints_fit_a_short_run(config_file, tmp_path):
+    # without [compare], the defaults past t_end or off the dt grid give way
+    path = config_file(t_end__="5.0")
+    assert load_config(path).checkpoints == [1.0, 5.0]
+    assert main(["solve", "--config", path]) == 0
+    assert (tmp_path / "out" / "survival.csv").exists()
+    assert load_config(config_file(t_end__="0.5")).checkpoints == [0.5]
+    # explicit checkpoints are kept as given, and rejected past t_end
+    explicit = config_file(text=BASE_CONFIG.replace("t_end = 50.0", "t_end = 5.0")
+                           + "\n[compare]\ncheckpoints = [1.0, 10.0]\n")
+    assert main(["solve", "--config", explicit, "--out", str(tmp_path / "e")]) == 2
+    assert "[0, t_end]" in json.loads((tmp_path / "e" / "error.json").read_text())["message"]
 
 
 def test_seed_override_changes_hash(config_file):
@@ -175,6 +190,35 @@ def test_verify_passes_and_writes_report(config_file, tmp_path):
     assert sigma_lines[1].startswith("sigma = ")
     assert float(sigma_lines[1].split("=")[1]) == pytest.approx(0.1, rel=0.05)
     assert (tmp_path / "out" / "operator.csv").exists()
+
+
+def test_verify_checks_symmetry_when_only_collar_widths_differ(config_file, tmp_path):
+    # lambda = 0.3 does not fit whole cells of the domain's width h = 1/14
+    path = config_file(lambda__="0.3", h__="0.07")
+    cfg = load_config(path)
+    op = operators.assemble(cfg.kernel, cfg.build_grid(), cfg.partition)
+    assert np.ptp(op.widths) > 0.0 and np.ptp(op.widths[op.interior]) == 0.0
+    assert main(["verify", "--config", path]) == 0
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    assert report["all_pass"]
+    assert report["checks"]["symmetric_matrix"]["value"] == 0.0
+
+
+def test_verify_exits_4_on_corrupted_operator(config_file, tmp_path, monkeypatch, capsys):
+    assemble = operators.assemble
+
+    def corrupted(*args):
+        op = assemble(*args)
+        return dataclasses.replace(op, a_star=op.a_star * (1 + 1e-8))
+
+    monkeypatch.setattr(operators, "assemble", corrupted)
+    assert main(["verify", "--config", config_file()]) == 4
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    assert report["all_pass"] is False
+    assert report["checks"]["balance_laws"]["pass"] is False
+    assert report["checks"]["balance_laws"]["value"] > 1e-10
+    assert "FAIL balance_laws" in capsys.readouterr().out
+    assert (tmp_path / "out" / "sigma.txt").read_text().splitlines()[1].startswith("sigma = ")
 
 
 def test_compare_cross_validates(config_file, tmp_path):

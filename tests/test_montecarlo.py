@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXIT_RATE, exp_survival
+from conftest import EXIT_RATE, exp_survival, kernel_cases
 from jumpexit.errors import ConfigurationError
-from jumpexit.geometry import DomainPartition, Intervals, Region, interaction_domain
+from jumpexit.geometry import DomainPartition, Intervals, Region
 from jumpexit.kernels import (CompoundPoissonUniform, JumpKernel, TabulatedKernel,
                               TruncatedStable)
 from jumpexit.montecarlo import (ExitEnsemble, brownian_path, empirical_survival,
@@ -358,58 +358,10 @@ def _ensemble_arrays(ens):
 
 @st.composite
 def _walk_cases(draw):
-    """A kernel of one of the four families on a random interval-union
-    domain with a random partial absorbing set, and a run to make on it."""
-    horizon = draw(st.sampled_from([0.5, 1.0]))
-    omega, lo = [], 0.0
-    for _ in range(draw(st.integers(1, 3))):
-        lo += draw(st.floats(0.05, 2.5))
-        length = draw(st.floats(0.1, 1.5))
-        omega.append((lo, lo + length))
-        lo += length
-    absorbing = []
-    for clo, chi in interaction_domain(Intervals(tuple(omega)), horizon).bounds:
-        a, b = sorted(draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
-        kind = draw(st.sampled_from(["full", "none", "part"]))
-        if kind == "full":
-            absorbing.append((clo, chi))
-        elif kind == "part" and b - a > 0.05:
-            absorbing.append((clo + a * (chi - clo), clo + b * (chi - clo)))
-    part = DomainPartition.build(omega, horizon=horizon, absorbing=absorbing or "empty")
-
-    family = draw(st.sampled_from(["uniform", "power_half", "power_three_halves",
-                                   "translation_table", "bivariate_table"]))
-    if family == "uniform":
-        kernel = CompoundPoissonUniform(rate=draw(st.floats(0.5, 3.0)), horizon=horizon)
-        t_scale = 20.0
-    elif family == "power_half":
-        kernel = TruncatedStable(alpha=0.5, m=1.0, horizon=horizon,
-                                 epsilon=draw(st.sampled_from([1e-3, 1e-2])))
-        t_scale = 2.0
-    elif family == "power_three_halves":
-        kernel = TruncatedStable(alpha=1.5, m=100.0, horizon=horizon, epsilon=1e-2)
-        t_scale = 3.0
-    elif family == "translation_table":
-        # the table may stop short of the horizon or run past it
-        n = draw(st.integers(2, 24))
-        width = draw(st.floats(0.5, 1.5)) * horizon
-        values = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
-        kernel = TabulatedKernel(horizon=horizon,
-                                 displacements=np.linspace(-width, width, n),
-                                 values=np.array(values))
-        t_scale = 20.0
-    else:
-        # y nodes stop short of the collar on both sides
-        y_lo = omega[0][0] - draw(st.floats(0.1, 0.9)) * horizon
-        y_hi = omega[-1][1] + draw(st.floats(0.1, 0.9)) * horizon
-        x_nodes = np.linspace(omega[0][0], omega[-1][1], draw(st.integers(2, 12)))
-        y_nodes = np.linspace(y_lo, y_hi, draw(st.integers(2, 60)))
-        c = draw(st.floats(0.5, 4.0))
-        grid = 0.2 + 0.1 * np.add.outer(np.sin(c * x_nodes), np.cos(c * y_nodes)) ** 2
-        kernel = TabulatedKernel(horizon=horizon, x_nodes=x_nodes, y_nodes=y_nodes,
-                                 grid_values=grid)
-        t_scale = 20.0
-    x0 = draw(st.one_of(st.none(), st.just(0.5 * (omega[0][0] + omega[0][1]))))
+    """A kernel case from ``kernel_cases`` and a run to make on it."""
+    kernel, part, t_scale = draw(kernel_cases())
+    lo, hi = part.domain.bounds[0]
+    x0 = draw(st.one_of(st.none(), st.just(0.5 * (lo + hi))))
     run = dict(n_paths=draw(st.integers(1, 25)), seed=draw(st.integers(0, 2**16)),
                t_max=t_scale * draw(st.floats(0.05, 1.0)), x0=x0)
     return kernel, part, run

@@ -1,14 +1,19 @@
 """Assembly of the forward/backward operator pair and its structural
 identities: adjointness, balance laws, flux bookkeeping, sign structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import kernel_cases
 from jumpexit.errors import ConfigurationError
 from jumpexit.geometry import DomainPartition, Intervals, Region, build_grid
 from jumpexit.kernels import CompoundPoissonUniform, TabulatedKernel, TruncatedStable
-from jumpexit.operators import (BalanceReport, adjoint_check, assemble, balance_check,
+from jumpexit.operators import (adjoint_check, assemble, balance_check,
                                 divergence_theorem_check, dump_operator)
 
 
@@ -53,6 +58,8 @@ def test_zero_kernel_gives_zero_rows():
     assert np.all(op.a_star.toarray() == 0.0)
     assert op.flux_to_d.shape == (op.absorbing.size, op.interior.size)
     assert np.all(op.killing_rate == 0.0)
+    # both sides of every cell balance are zero: no defect, and no 0/0
+    assert balance_check(op, random_density(op, seed=1)) == 0.0
 
 
 def test_symmetric_kernel_symmetric_interior_block(analytic_op_128):
@@ -131,46 +138,12 @@ def test_batched_adjoint_check_matches_per_trial_loop(case, analytic_op_64):
 
 
 def test_balance_conditions(analytic_op_64):
-    rep = balance_check(analytic_op_64, random_density(analytic_op_64, seed=3), rng=4)
-    assert rep.max_relative <= 1e-12
+    assert balance_check(analytic_op_64, random_density(analytic_op_64, seed=3)) <= 1e-12
     # the volume constraint pins the density to zero on the absorbing cells,
     # and no rate out of them is assembled
     u = random_density(analytic_op_64, seed=3, domain_only=False)
     with pytest.raises(ConfigurationError, match="supported on the domain"):
-        balance_check(analytic_op_64, u, rng=4)
-
-
-def test_balance_conditions_asymmetric():
-    op = make_op(asym_kernel(), h=1 / 16)
-    rep = balance_check(op, random_density(op, seed=5), rng=6)
-    assert rep.max_relative <= 1e-12
-
-
-def dense_balance_reference(op, u, rates, rng=None, trials=16):
-    """The balance-law check on the densified all-cells rate matrix
-    ``rates``, kept as the reference for the sparse ``balance_check``: same
-    formulas, same RNG order."""
-    rng = np.random.default_rng(rng)
-    gamma = rates.toarray()
-    w = op.widths
-    psi = u[np.newaxis, :] * gamma.T - u[:, np.newaxis] * gamma
-    scale = float(np.sum(np.abs(psi) * w[:, np.newaxis] * w[np.newaxis, :]))
-    n = op.n_cells
-    weighted = psi * w[:, np.newaxis] * w[np.newaxis, :]
-    self_int = action = additive = 0.0
-    row_flux = weighted.sum(axis=1)
-    for _ in range(trials):
-        size = max(1, n // 3)
-        perm = rng.permutation(n)
-        s1, s2 = perm[:size], perm[size:2 * size]
-        self_int = max(self_int, abs(float(weighted[np.ix_(s1, s1)].sum())))
-        action = max(action, abs(float(weighted[np.ix_(s1, s2)].sum())
-                                 + float(weighted[np.ix_(s2, s1)].sum())))
-        both = np.concatenate([s1, s2])
-        additive = max(additive, abs(float(row_flux[both].sum())
-                                     - float(row_flux[s1].sum())
-                                     - float(row_flux[s2].sum())))
-    return BalanceReport(self_int, action, additive, scale)
+        balance_check(analytic_op_64, u)
 
 
 @pytest.fixture(params=["analytic_64", "asymmetric_16"])
@@ -187,13 +160,56 @@ def balance_case(request):
     return op, random_density(op, seed=seed), all_rows_reference(kernel, grid, part)["values"]
 
 
-def test_sparse_balance_check_matches_dense_reference(balance_case):
+def test_matrices_match_dense_two_point_flux(balance_case):
+    # A_fwd u = sum_j psi_ij w_j, with psi_ij = u_j v_ji - u_i v_ij built
+    # densely from the rates out of every cell, absorbing ones included
     op, u, rates = balance_case
-    rep = balance_check(op, u, rng=11)
-    ref = dense_balance_reference(op, u, rates, rng=11)
-    assert ref.scale > 0.0
-    for name in ("self_interaction", "action_reaction", "additivity", "scale"):
-        assert abs(getattr(rep, name) - getattr(ref, name)) <= 1e-15 * ref.scale, name
+    gamma = rates.toarray()
+    psi = u[np.newaxis, :] * gamma.T - u[:, np.newaxis] * gamma
+    want = (psi @ op.widths)[op.interior]
+    got = op.a_star @ u[op.interior]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # and its mirror, A_bwd u = sum_j v_ij w_j (u_j - u_i)
+    want = ((gamma * (u[np.newaxis, :] - u[:, np.newaxis])) @ op.widths)[op.interior]
+    got = op.a_gen @ u[op.interior]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert balance_check(op, u) <= 1e-12
+
+
+def _zero_row(op, k):
+    rows = op.domain_rows.copy()
+    rows.data[rows.indptr[k]:rows.indptr[k + 1]] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("mutation", [
+    lambda op: {"a_star": op.a_star * (1 + 1e-8)},
+    lambda op: {"a_gen": op.a_gen * (1 + 1e-8)},
+    lambda op: {"a_star": op.a_gen, "a_gen": op.a_star},
+    lambda op: {"domain_rows": _zero_row(op, op.interior.size // 3)},
+], ids=["a_star_scaled", "a_gen_scaled", "swapped", "zeroed_domain_row"])
+def test_balance_check_catches_corrupted_operator(mutation):
+    op = make_op(asym_kernel(), h=1 / 16)
+    u = random_density(op, seed=5)
+    assert balance_check(op, u) <= 1e-12
+    assert balance_check(dataclasses.replace(op, **mutation(op)), u) > 1e-10
+
+
+_PROPERTY_MAX_CELLS = 200
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=kernel_cases(), cells_per_horizon=st.sampled_from([6, 8, 12]),
+       seed=st.integers(0, 2**16))
+def test_balance_check_holds_for_every_family_and_partition(case, cells_per_horizon, seed):
+    # a cell is at most 3/2 of h wide after fitting, so h <= lambda/6 keeps
+    # every grid within lambda/4; the cap keeps each case to a few hundred rows
+    kernel, part, _ = case
+    lo, hi = part.collar.bounds[0][0], part.collar.bounds[-1][1]
+    h = max(kernel.horizon / cells_per_horizon, (hi - lo) / _PROPERTY_MAX_CELLS)
+    assert h <= kernel.horizon / 6
+    op = assemble(kernel, build_grid(part, h), part)
+    assert balance_check(op, random_density(op, seed=seed)) <= 1e-10
 
 
 def test_balance_check_never_densifies(balance_case, monkeypatch):
@@ -210,7 +226,7 @@ def test_balance_check_never_densifies(balance_case, monkeypatch):
     op, u, rates = balance_case
     with pytest.raises(AssertionError, match="densified"):
         rates.toarray()
-    balance_check(op, u, rng=11)  # raises if it densifies
+    balance_check(op, u)  # raises if it densifies
 
 
 def test_divergence_censored_case_conserves():
