@@ -40,9 +40,9 @@ def main():
                             seed=args.seed, t_max=500.0)
 
     print(f"grid h = {args.h:g}  cells = {op.n_cells}  paths = {ens.n_paths}")
-    print(f"mean exit time   solver {m1.interior_values.mean():8.4f}   "
+    print(f"mean exit time   solver {m1.values.mean():8.4f}   "
           f"mc {ens.mean_exit_time():8.4f}   exact 10")
-    print(f"second moment    solver {m2.interior_values.mean():8.3f}   exact 200")
+    print(f"second moment    solver {m2.values.mean():8.3f}   exact 200")
     print(f"coercivity sigma {sigma.value:8.5f}   exact thinned rate 0.1")
     print()
     print(f"{'t':>5} {'S solver':>10} {'S mc':>10} {'exp(-t/10)':>11} {'z(mc|solver)':>13}")

@@ -12,8 +12,9 @@ Subcommands::
     compare    deterministic vs Monte Carlo survival; write compare.csv
                with per-checkpoint z-scores, exit 4 when any |z| > 3
 
-Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-failure, 4 verification-check failure. Failures also leave a
+Exit codes: 0 success, 2 configuration/validation failure (an output
+directory that cannot be made or written included), 3 numerical failure,
+4 verification-check failure. Failures also leave a
 machine-readable ``error.json`` in the output directory when possible.
 
 Everything a run writes is deterministic for a fixed config and seed, and
@@ -96,8 +97,7 @@ def cmd_moments(cfg: RunConfig, k_max: int) -> int:
     op = _operator(cfg)
     moments = solver.exit_moments(op, k_max)
     header = ["x"] + [f"m_{m.order}" for m in moments]
-    idx = op.interior
-    rows = ([op.centers[i]] + [m.values[i] for m in moments] for i in idx)
+    rows = zip(op.centers[op.interior], *(m.values for m in moments))
     _write_csv(out / "met.csv", cfg.config_hash, header, rows)
     return EXIT_OK
 
@@ -115,7 +115,7 @@ def _default_t_max(cfg: RunConfig, op=None) -> float:
     if op is None:
         op = _operator(cfg)
     met = solver.mean_exit_time(op)
-    return 50.0 * float(np.max(met.interior_values))
+    return 50.0 * float(np.max(met.values))
 
 
 def _ensemble(cfg: RunConfig, workers: int, op=None):
@@ -176,11 +176,10 @@ def cmd_verify(cfg: RunConfig, dump_operator: bool = False) -> int:
            float(np.max(np.abs(op.a_gen @ ones + op.killing_rate))) / norm, 1e-10)
     record("adjoint_identity", operators.adjoint_check(op, trials=64, rng=rng) / norm, 1e-10)
 
-    u = np.zeros(op.n_cells)
-    u[op.interior] = rng.random(op.interior.size) + 0.5
+    u = rng.random(op.interior.size) + 0.5
     record("balance_laws", operators.balance_check(op, u), 1e-10)
     record("divergence_flux",
-           operators.divergence_theorem_check(op, u) / max(float(np.sum(np.abs(u) * op.widths)), 1e-300),
+           operators.divergence_theorem_check(op, u) / float(np.sum(u * op.widths[op.interior])),
            1e-10)
 
     u0 = solver.uniform_density(op)
@@ -298,6 +297,10 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         _report_error(cfg.out_dir, "NumericalError", exc)
         return EXIT_NUMERICAL
+    except OSError as exc:  # preparing or writing the outputs
+        print(f"output error: {exc}", file=sys.stderr)
+        _report_error(cfg.out_dir, "OSError", exc)
+        return EXIT_CONFIG
 
 
 def _report_error(out_dir, kind: str, exc: Exception) -> None:

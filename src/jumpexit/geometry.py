@@ -186,14 +186,12 @@ class Grid:
 
     Cells are built per component interval so none straddles a region
     boundary; the width is re-fitted per component (``length / round(length/h)``)
-    so each component tiles exactly. ``h`` records the largest fitted width.
+    so each component tiles exactly.
     """
 
     centers: np.ndarray
     widths: np.ndarray
     tags: np.ndarray
-    h: float
-    horizon: float
 
     @property
     def n_cells(self) -> int:
@@ -237,4 +235,4 @@ def build_grid(partition: DomainPartition, h: float) -> Grid:
     centers.setflags(write=False)
     widths.setflags(write=False)
     tags.setflags(write=False)
-    return Grid(centers=centers, widths=widths, tags=tags, h=h_max, horizon=partition.horizon)
+    return Grid(centers=centers, widths=widths, tags=tags)

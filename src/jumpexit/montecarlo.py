@@ -40,7 +40,6 @@ class ExitEnsemble:
     exit_location: np.ndarray
     jumps: np.ndarray
     censored: np.ndarray
-    seed: int
     t_max: float
 
     @property
@@ -82,20 +81,21 @@ def _inside(region: Intervals, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _walk(kernel: JumpKernel, partition: DomainPartition, start, n: int,
-          t_max: float) -> tuple[np.ndarray, ...]:
-    """Walk paths ``0 .. n-1`` in lockstep until each is absorbed or
-    censored; ``start(i)`` returns path i's start point and generator.
+def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: float,
+          first: int, stop: int) -> tuple[np.ndarray, ...]:
+    """Walk paths ``first .. stop-1`` in lockstep until each is absorbed or
+    censored. Path i draws its start uniformly over the domain from its own
+    generator ``path_rng(seed, i)``.
 
     Every step builds one batched jump law for all live positions, then
     each path draws its exponential wait and its uniform from its own
     generator, in the order a lone walk draws them. Paths therefore come
     out bit for bit as if each walked alone, whatever else is in the batch.
-    A bad start or a zero rate is a ``ConfigurationError``; when several
-    paths fail, the first one's error is raised, as a path-by-path walk
-    would raise it. Returns ``x0, exit_time, exit_location, jumps,
-    censored`` in path order.
+    A zero rate is a ``ConfigurationError``; when several paths fail, the
+    first one's error is raised, as a path-by-path walk would raise it.
+    Returns ``x0, exit_time, exit_location, jumps, censored`` in path order.
     """
+    n = stop - first
     region = partition.reachable
     x0 = np.empty(n)
     exit_time = np.full(n, t_max, dtype=float)
@@ -111,18 +111,13 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, start, n: int,
     pending = 0
     while True:
         if pending < n and len(gens) <= _BATCH // 2:
-            stop = min(n, pending + _BATCH - len(gens))
-            new_ids = []
-            for i in range(pending, stop):
-                x0_i, rng = start(i)
-                x0[i] = x0_i
-                if partition.region_of(x0_i) != Region.INTERIOR:
-                    errors[i] = ConfigurationError(f"start point {x0_i} is not inside the domain")
-                    continue
-                new_ids.append(i)
+            end = min(n, pending + _BATCH - len(gens))
+            for i in range(pending, end):
+                rng = path_rng(seed, first + i)
+                x0[i] = partition.domain.sample_uniform(rng)
                 gens.append(rng)
-            pending = stop
-            new_ids = np.array(new_ids, dtype=np.int64)
+            new_ids = np.arange(pending, end, dtype=np.int64)
+            pending = end
             ids = np.concatenate([ids, new_ids])
             x = np.concatenate([x, x0[new_ids]])
             t = np.concatenate([t, np.zeros(new_ids.size)])
@@ -161,26 +156,13 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, start, n: int,
     return x0, exit_time, exit_location, jumps, censored
 
 
-def _simulate_chunk(args):
-    kernel, partition, x0_spec, seed, t_max, first, stop = args
-
-    def start(i):
-        rng = path_rng(seed, first + i)
-        x0 = partition.domain.sample_uniform(rng) if x0_spec is None else float(x0_spec)
-        return x0, rng
-
-    return _walk(kernel, partition, start, stop - first, t_max)
-
-
 def simulate_ensemble(kernel: JumpKernel, partition: DomainPartition, n_paths: int,
-                      seed: int, t_max: float, x0: float | None = None,
-                      workers: int = 1) -> ExitEnsemble:
-    """Simulate ``n_paths`` independent exits.
+                      seed: int, t_max: float, workers: int = 1) -> ExitEnsemble:
+    """Simulate ``n_paths`` independent exits, each started uniformly over
+    the domain (from the path's own stream).
 
-    ``x0=None`` draws each start uniformly over the domain (from the path's
-    own stream); a float pins every path's start. ``workers > 1`` splits
-    the paths into one chunk per worker process; results are identical to
-    a serial run.
+    ``workers > 1`` splits the paths into one chunk per worker process;
+    results are identical to a serial run.
     """
     if n_paths < 1:
         raise ConfigurationError("n_paths must be at least 1")
@@ -188,16 +170,16 @@ def simulate_ensemble(kernel: JumpKernel, partition: DomainPartition, n_paths: i
         raise ConfigurationError("confined process needs a finite t_max")
     n_chunks = min(workers, n_paths) if workers > 1 else 1
     bounds = np.linspace(0, n_paths, n_chunks + 1).astype(int)
-    chunks = [(kernel, partition, x0, seed, t_max, int(a), int(b))
+    chunks = [(kernel, partition, seed, t_max, int(a), int(b))
               for a, b in zip(bounds[:-1], bounds[1:])]
     if len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_chunk, chunks))
+            results = list(pool.map(_walk, *zip(*chunks)))
     else:
-        results = [_simulate_chunk(chunks[0])]
+        results = [_walk(*chunks[0])]
     x0s, exit_time, exit_location, jumps, censored = (np.concatenate(a) for a in zip(*results))
     return ExitEnsemble(x0=x0s, exit_time=exit_time, exit_location=exit_location,
-                        jumps=jumps, censored=censored, seed=seed, t_max=t_max)
+                        jumps=jumps, censored=censored, t_max=t_max)
 
 
 def simulate_path(kernel: JumpKernel, x0: float, rng: np.random.Generator,
@@ -232,11 +214,11 @@ def simulate_path(kernel: JumpKernel, x0: float, rng: np.random.Generator,
 
 
 def brownian_path(x0: float, rng: np.random.Generator, t_max: float,
-                  n_steps: int = 2000, diffusion: float = 0.5) -> SamplePath:
-    """Gaussian-increment comparator path with the given diffusion
-    coefficient (mean square displacement ``2 * diffusion * t``)."""
+                  n_steps: int = 2000) -> SamplePath:
+    """Gaussian-increment comparator path with diffusion coefficient 1/2,
+    so the mean square displacement is ``t``."""
     dt = t_max / n_steps
-    steps = rng.standard_normal(n_steps) * np.sqrt(2.0 * diffusion * dt)
+    steps = rng.standard_normal(n_steps) * np.sqrt(dt)
     positions = np.concatenate([[x0], x0 + np.cumsum(steps)])
     times = np.arange(n_steps + 1) * dt
     return SamplePath(times=times, positions=positions)

@@ -6,16 +6,17 @@ plus absorbing set: the gain into cell i from cell j carries weight
 taken in the forward direction, over every target cell, absorbing ones
 included. Jumps into the unreachable part of the collar are excluded from
 both gain and loss (censoring). The volume constraint pins the density to
-zero on the absorbing cells, so those unknowns are known and the matrices
-hold only the domain block: generator rows sum to minus the killing rate
-(the rate of jumping into the absorbing set), and the flux matrix carries
-that rate to the absorbing cells, so mass bookkeeping closes exactly at
-the semi-discrete level.
+zero on the absorbing cells, so those unknowns are known: the matrices
+hold only the domain block, and every vector holds one entry per domain
+cell. Generator rows sum to minus the killing rate (the rate of jumping
+into the absorbing set), and the exit weights carry that rate out of the
+domain, so mass bookkeeping closes exactly at the semi-discrete level.
 
 Since the absorbing densities are pinned, the solver and the checks read
 only the jump rates out of domain cells: assembly evaluates the kernel rows
 of the domain cells alone, and the balance-law check rebuilds each cell's
-net two-point flux from those rows to test both matrices against it.
+net two-point flux from those rows to test both matrices against it. The
+absorbing cells enter only as the targets of those jumps.
 
 The forward matrix (density evolution) and the backward matrix (the
 process generator, acting on observables) satisfy the weighted-transpose
@@ -43,12 +44,14 @@ class DiscreteOperator:
 
     ``a_star`` evolves densities (forward) and ``a_gen`` is the generator
     (backward), both ``n_int x n_int`` over the cells listed in
-    ``interior``; ``flux_to_d`` (``n_abs x n_int``) maps a domain density to
-    the per-absorbing-cell arrival-rate density. ``domain_rows``
+    ``interior``; ``exit_weights`` (``n_int``) is the flux into the
+    absorbing set per unit density on each domain cell, so the absorbed
+    flux of a domain density ``u`` is ``exit_weights @ u``. ``domain_rows``
     (``n_int x n_cells``) keeps the raw collocation rate densities out of
     each domain cell (row k = source ``interior[k]``, column = target
-    cell), the rows all of these were built from. Full-cell vectors index
-    ``centers``; ``interior`` and ``absorbing`` pick their blocks.
+    cell), the rows all of these were built from. ``centers``, ``widths``
+    and ``tags`` cover every cell, the jump targets included; ``interior``
+    and ``absorbing`` pick their blocks.
     """
 
     centers: np.ndarray
@@ -58,7 +61,7 @@ class DiscreteOperator:
     absorbing: np.ndarray     # indices of absorbing cells
     a_star: sp.csr_matrix
     a_gen: sp.csr_matrix
-    flux_to_d: sp.csr_matrix
+    exit_weights: np.ndarray
     domain_rows: sp.csr_matrix
     horizon: float
     _gen_lu: object = field(default=None, repr=False)
@@ -68,16 +71,19 @@ class DiscreteOperator:
         return self.centers.size
 
     @property
-    def exit_weights(self) -> np.ndarray:
-        """Flux into the absorbing set per unit density on each domain cell,
-        read off the flux matrix: the absorbed flux of a domain density
-        ``u`` is ``exit_weights @ u``."""
-        return self.flux_to_d.T @ self.widths[self.absorbing]
-
-    @property
     def killing_rate(self) -> np.ndarray:
         """Jump rate from each domain cell into the absorbing set."""
         return self.exit_weights / self.widths[self.interior]
+
+    def domain_vector(self, u, name: str) -> np.ndarray:
+        """``u`` as floats, one entry per domain cell in ``interior`` order;
+        any other shape is a ``ConfigurationError``."""
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.interior.size,):
+            raise ConfigurationError(
+                f"{name} must have one entry per domain cell ({self.interior.size}), "
+                f"got shape {u.shape}")
+        return u
 
     def generator_solver(self):
         """LU factorization of the generator's domain block, built once and
@@ -138,8 +144,9 @@ def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> Disc
 
     rows = _rate_rows(kernel, x, w, interior)
     w_int = w[interior]
-    # arrival-rate density at each absorbing cell from the domain density
-    flux_to_d = _scaled_transpose(rows[:, absorbing], w_int)
+    # arrival-rate density at each absorbing cell per unit domain density,
+    # integrated over the absorbing cells
+    exit_weights = _scaled_transpose(rows[:, absorbing], w_int).T @ w[absorbing]
     # loss rate: same discrete sum as the gain weights, forward direction,
     # over every target cell
     minus_loss = sp.diags(-(rows @ w))
@@ -150,7 +157,7 @@ def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> Disc
 
     return DiscreteOperator(
         centers=x, widths=w, tags=tags, interior=interior, absorbing=absorbing,
-        a_star=a_star, a_gen=a_gen, flux_to_d=flux_to_d, domain_rows=rows,
+        a_star=a_star, a_gen=a_gen, exit_weights=exit_weights, domain_rows=rows,
         horizon=kernel.horizon,
     )
 
@@ -189,35 +196,29 @@ def balance_check(op: DiscreteOperator, u: np.ndarray) -> float:
     u_i)``. Both sides are rebuilt from ``op.domain_rows`` alone, in O(nnz)
     and without a new matrix, and compared with ``A_fwd u`` and ``A_bwd u``
     relative to each product's largest entry; the larger defect is
-    returned. ``u`` has one entry per cell and must vanish on the absorbing
-    cells, where the volume constraint pins the density.
+    returned. ``u`` is a domain vector; the volume constraint holds the
+    density at zero on the absorbing cells.
     """
-    u = np.asarray(u, dtype=float)
-    if np.any(u[op.absorbing]):
-        raise ConfigurationError("u must be supported on the domain cells")
-    rows, w = op.domain_rows, op.widths
-    u_int = u[op.interior]
-    loss = u_int * (rows @ w)                                # u_i sum_j v_ij w_j
-    gain = (rows.T @ (u_int * w[op.interior]))[op.interior]  # sum_j v_ji w_j u_j
+    u = op.domain_vector(u, "u")
+    rows = op.domain_rows
+    uw = np.zeros(op.n_cells)  # u_j w_j over every cell, zero on the absorbing ones
+    uw[op.interior] = u * op.widths[op.interior]
+    loss = u * (rows @ op.widths)                   # u_i sum_j v_ij w_j
+    gain = (rows.T @ uw[op.interior])[op.interior]  # sum_j v_ji w_j u_j
     worst = 0.0
-    for a, balance in ((op.a_star, gain - loss), (op.a_gen, rows @ (u * w) - loss)):
-        a_u = a @ u_int
+    for a, balance in ((op.a_star, gain - loss), (op.a_gen, rows @ uw - loss)):
+        a_u = a @ u
         defect = float(np.max(np.abs(a_u - balance), initial=0.0))
         worst = max(worst, defect / max(float(np.max(np.abs(a_u), initial=0.0)), 1e-300))
     return worst
 
 
 def divergence_theorem_check(op: DiscreteOperator, u: np.ndarray) -> float:
-    """Defect of (rate of mass change in the domain) + (absorbed flux) = 0.
-
-    Only the domain part of ``u`` enters: the volume constraint holds the
-    density at zero on the absorbing cells, matching the evolution
-    semantics.
-    """
-    ui = np.asarray(u, dtype=float)[op.interior]
-    interior_rate = float(np.sum((op.a_star @ ui) * op.widths[op.interior]))
-    absorbed = float(np.sum((op.flux_to_d @ ui) * op.widths[op.absorbing]))
-    return abs(interior_rate + absorbed)
+    """Defect of (rate of mass change in the domain) + (absorbed flux) = 0
+    for a domain vector ``u``."""
+    u = op.domain_vector(u, "u")
+    interior_rate = float(np.sum((op.a_star @ u) * op.widths[op.interior]))
+    return abs(interior_rate + float(op.exit_weights @ u))
 
 
 def dump_operator(op: DiscreteOperator, csv_path, meta_path) -> None:

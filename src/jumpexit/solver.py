@@ -2,9 +2,8 @@
 
 Both work on the operator's domain block: the volume constraint holds the
 density and the exit-time moments at zero on the absorbing cells, so
-those unknowns never enter a linear system. Public vectors keep one entry
-per cell; they are restricted to the domain on entry and scattered back,
-zero on the absorbing cells, on exit.
+those unknowns never enter a linear system, and every vector here holds
+one entry per domain cell, in ``op.interior`` order.
 
 Time stepping is implicit Euler: ``I - dt * A_fwd`` is an M-matrix
 (Metzler off-diagonal signs plus exact weighted column sums), so densities
@@ -40,16 +39,12 @@ class DensityTrajectory:
     """Recorded evolution of the not-yet-exited density.
 
     ``survival[k]`` is the domain mass at ``times[k]``; ``absorbed_cdf[k]``
-    the cumulative flux into the absorbing cells. Densities (one entry per
-    cell) are stored at ``density_times``: the start and the end, plus
-    every ``store_every``-th step when that is given.
+    the cumulative flux into the absorbing cells.
     """
 
     times: np.ndarray
     survival: np.ndarray
     absorbed_cdf: np.ndarray
-    density_times: np.ndarray
-    densities: np.ndarray
 
     def survival_at(self, t: float) -> float:
         k = int(round(t / (self.times[1] - self.times[0]))) if self.times.size > 1 else 0
@@ -60,17 +55,11 @@ class DensityTrajectory:
 
 @dataclass(eq=False)
 class ExitMoments:
-    """k-th exit-time moment field on the operator's cells (zero on the
-    absorbing set)."""
+    """k-th exit-time moment field on the domain cells, in ``op.interior``
+    order (the volume constraint holds it at zero on the absorbing set)."""
 
     order: int
     values: np.ndarray
-    centers: np.ndarray
-    interior: np.ndarray
-
-    @property
-    def interior_values(self) -> np.ndarray:
-        return self.values[self.interior]
 
 
 @dataclass(frozen=True)
@@ -87,21 +76,15 @@ class SigmaEstimate:
 
 def uniform_density(op: DiscreteOperator) -> np.ndarray:
     """Probability density uniform over the domain cells."""
-    u = np.zeros(op.n_cells)
     mass = float(op.widths[op.interior].sum())
-    u[op.interior] = 1.0 / mass
-    return u
+    return np.full(op.interior.size, 1.0 / mass)
 
 
 def _validate_u0(op: DiscreteOperator, u0: np.ndarray) -> np.ndarray:
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (op.n_cells,):
-        raise ConfigurationError(f"u0 must have one entry per cell ({op.n_cells})")
+    u0 = op.domain_vector(u0, "u0")
     if np.any(u0 < 0):
         raise ConfigurationError("u0 must be nonnegative")
-    if np.any(u0[op.absorbing] != 0):
-        raise ConfigurationError("u0 must be supported on the domain cells")
-    mass = float(np.sum(u0 * op.widths))
+    mass = float(np.sum(u0 * op.widths[op.interior]))
     if abs(mass - 1.0) > 1e-8:
         raise ConfigurationError(f"u0 must integrate to 1, got {mass}")
     return u0
@@ -159,8 +142,7 @@ def _step_solver(a_star: sp.csr_matrix, dt: float):
     return solve
 
 
-def evolve(op: DiscreteOperator, u0: np.ndarray, dt: float, t_end: float,
-           store_every: int | None = None) -> DensityTrajectory:
+def evolve(op: DiscreteOperator, u0: np.ndarray, dt: float, t_end: float) -> DensityTrajectory:
     """Advance the density by implicit Euler under the forward operator,
     recording survival and absorbed flux per step.
 
@@ -172,7 +154,7 @@ def evolve(op: DiscreteOperator, u0: np.ndarray, dt: float, t_end: float,
     if not on_step_grid(t_end, dt):
         raise ConfigurationError(f"t_end = {t_end} is not a whole number of steps dt = {dt}")
     n_steps = int(round(t_end / dt))
-    u = _validate_u0(op, u0)[op.interior]
+    u = _validate_u0(op, u0)
 
     times = np.arange(n_steps + 1) * dt
     step = _step_solver(op.a_star, dt)
@@ -184,25 +166,14 @@ def evolve(op: DiscreteOperator, u0: np.ndarray, dt: float, t_end: float,
     survival[0] = float(np.sum(u * w_int))
     absorbed[0] = 0.0
 
-    rec_idx = list(range(0, n_steps + 1, max(1, store_every or n_steps)))
-    if rec_idx[-1] != n_steps:
-        rec_idx.append(n_steps)
-    densities = np.zeros((len(rec_idx), op.n_cells))
-    densities[0, op.interior] = u
-    rec_pos = 1
-
     f_acc = 0.0
     for k in range(1, n_steps + 1):
         u = step(u)
         f_acc += dt * float(exit_w @ u)
         survival[k] = float(np.sum(u * w_int))
         absorbed[k] = f_acc
-        if rec_pos < len(rec_idx) and k == rec_idx[rec_pos]:
-            densities[rec_pos, op.interior] = u
-            rec_pos += 1
 
-    return DensityTrajectory(times=times, survival=survival, absorbed_cdf=absorbed,
-                             density_times=times[np.array(rec_idx)], densities=densities)
+    return DensityTrajectory(times=times, survival=survival, absorbed_cdf=absorbed)
 
 
 def exit_moments(op: DiscreteOperator, k_max: int) -> list[ExitMoments]:
@@ -224,15 +195,13 @@ def exit_moments(op: DiscreteOperator, k_max: int) -> list[ExitMoments]:
                 f"moment {k} came out negative (min {np.min(m):.3e}); "
                 "the discrete system is not an absorbed-process generator"
             )
-        values = np.zeros(op.n_cells)
-        values[op.interior] = m
-        out.append(ExitMoments(order=k, values=values, centers=op.centers, interior=op.interior))
+        out.append(ExitMoments(order=k, values=m))
     return out
 
 
 def mean_exit_time(op: DiscreteOperator) -> ExitMoments:
-    """Mean exit time field: generator solve with unit source, zero on the
-    absorbing cells."""
+    """Mean exit time field on the domain cells: generator solve with unit
+    source."""
     return exit_moments(op, 1)[0]
 
 

@@ -379,6 +379,19 @@ def test_unreadable_config_or_table_exits_2(config_file, tmp_path, case, match):
     assert match in err["message"]
 
 
+@pytest.mark.parametrize("where", ["existing_file", "under_a_file"])
+def test_unwritable_output_directory_exits_2(config_file, tmp_path, capsys, where):
+    # --out names a file, or a directory beneath one: neither can be made
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker if where == "existing_file" else blocker / "sub"
+    assert main(["solve", "--config", config_file(), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
 def _reference_fmt(x) -> str:
     """Cell rendering the CSV files have always used."""
     if isinstance(x, (bool, np.bool_)):

@@ -169,4 +169,4 @@ def test_grid_refits_width_per_component():
     grid = build_grid(part, 0.15)
     widths = np.unique(np.round(grid.widths, 12))
     assert widths.size >= 2
-    assert grid.h <= 0.25 * (1 + 1e-12)
+    assert grid.widths.max() <= 0.25 * (1 + 1e-12)

@@ -75,7 +75,7 @@ def test_censored_records_beyond_t_max():
         exit_location=np.array([1.5, 1.5, np.nan, np.nan]),
         jumps=np.array([1, 2, 9, 9]),
         censored=np.array([False, False, True, True]),
-        seed=0, t_max=5.0,
+        t_max=5.0,
     )
     s, se = empirical_survival(ens, [2.0, 4.0, 6.0])
     assert s[0] == pytest.approx(3 / 4)   # censored still counted alive
@@ -179,18 +179,12 @@ def test_brownian_comparator_msd():
     assert abs(msd - 50.0) <= 0.05 * 50.0
 
 
-def test_simulate_exit_rejects_bad_start(analytic_kernel, analytic_partition):
-    with pytest.raises(ConfigurationError, match="not inside"):
-        simulate_ensemble(analytic_kernel, analytic_partition, n_paths=1, seed=0,
-                          t_max=10.0, x0=1.5)
-
-
 def test_stuck_particle_is_a_configuration_error():
     zero = TabulatedKernel(horizon=1.0, displacements=np.linspace(-1, 1, 9),
                            values=np.zeros(9))
     part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
     with pytest.raises(ConfigurationError):
-        simulate_ensemble(zero, part, n_paths=1, seed=0, t_max=10.0, x0=0.5)
+        simulate_ensemble(zero, part, n_paths=1, seed=0, t_max=10.0)
 
 
 def test_asymmetric_kernel_moments_validate_against_mc():
@@ -205,7 +199,7 @@ def test_asymmetric_kernel_moments_validate_against_mc():
     from jumpexit.operators import assemble
     from jumpexit.solver import mean_exit_time
     op = assemble(k, build_grid(part, 1 / 128), part)
-    solver_mean = float(mean_exit_time(op).interior_values.mean())
+    solver_mean = float(mean_exit_time(op).values.mean())
     ens = simulate_ensemble(k, part, n_paths=6000, seed=8, t_max=200.0)
     se = ens.exit_time[~ens.censored].std() / np.sqrt((~ens.censored).sum())
     assert abs(ens.mean_exit_time() - solver_mean) <= 3 * se
@@ -287,7 +281,7 @@ def test_one_piece_build_per_jump(family, monkeypatch):
     seen = set()
     for i, t_max in enumerate([0.05, 0.5, 5.0, 50.0] * 4):
         sizes.clear()
-        one = simulate_ensemble(kernel, part, n_paths=1, seed=5 + i, t_max=t_max, x0=0.5)
+        one = simulate_ensemble(kernel, part, n_paths=1, seed=5 + i, t_max=t_max)
         jumps, censored = int(one.jumps[0]), bool(one.censored[0])
         # a censored walk builds one more law for the wait that overran t_max
         assert sizes == [1] * (jumps + censored)
@@ -317,7 +311,7 @@ def test_jump_law_matches_rate_and_draw(family):
 
 # --- lockstep engine against the path-by-path walk -------------------------
 
-def scalar_reference_walk(kernel, partition, n_paths, seed, t_max, x0=None):
+def scalar_reference_walk(kernel, partition, n_paths, seed, t_max):
     """The path-by-path exit walk that the lockstep engine replaced: each
     path in turn, one scalar ``jump_law`` per jump, its wait and its landing
     drawn from its own generator. Returns the ensemble's five arrays."""
@@ -325,9 +319,7 @@ def scalar_reference_walk(kernel, partition, n_paths, seed, t_max, x0=None):
     records = []
     for idx in range(n_paths):
         rng = path_rng(seed, idx)
-        start = partition.domain.sample_uniform(rng) if x0 is None else float(x0)
-        if partition.region_of(start) != Region.INTERIOR:
-            raise ConfigurationError(f"start point {start} is not inside the domain")
+        start = partition.domain.sample_uniform(rng)
         x, t, jumps = start, 0.0, 0
         while True:
             law = kernel.jump_law(x, region)
@@ -360,10 +352,8 @@ def _ensemble_arrays(ens):
 def _walk_cases(draw):
     """A kernel case from ``kernel_cases`` and a run to make on it."""
     kernel, part, t_scale = draw(kernel_cases())
-    lo, hi = part.domain.bounds[0]
-    x0 = draw(st.one_of(st.none(), st.just(0.5 * (lo + hi))))
     run = dict(n_paths=draw(st.integers(1, 25)), seed=draw(st.integers(0, 2**16)),
-               t_max=t_scale * draw(st.floats(0.05, 1.0)), x0=x0)
+               t_max=t_scale * draw(st.floats(0.05, 1.0)))
     return kernel, part, run
 
 
@@ -405,6 +395,3 @@ def test_ensemble_raises_the_first_failing_paths_error(workers):
         with pytest.raises(ConfigurationError) as got:
             simulate_ensemble(kernel, part, n_paths=12, seed=seed, t_max=10.0, workers=workers)
         assert str(got.value) == str(want.value)
-    with pytest.raises(ConfigurationError, match="not inside"):
-        simulate_ensemble(kernel, part, n_paths=12, seed=3, t_max=10.0, x0=1.5,
-                          workers=workers)

@@ -32,14 +32,11 @@ def bivariate_short_table():
     return TabulatedKernel(horizon=1.0, x_nodes=xs, y_nodes=ys, grid_values=vv)
 
 
-def random_density(op, seed=0, domain_only=True):
+def random_density(op, seed=0):
+    """A positive density on the domain cells (one draw per cell of the
+    operator, kept on the domain ones)."""
     rng = np.random.default_rng(seed)
-    u = rng.random(op.n_cells) + 0.25
-    if domain_only:
-        mask = np.ones(op.n_cells, dtype=bool)
-        mask[op.interior] = False
-        u[mask] = 0.0
-    return u
+    return (rng.random(op.n_cells) + 0.25)[op.interior]
 
 
 def asym_kernel(horizon=1.0):
@@ -56,7 +53,7 @@ def test_zero_kernel_gives_zero_rows():
     # only the domain block is stored, and it is all zero
     assert op.a_star.shape == (op.interior.size, op.interior.size)
     assert np.all(op.a_star.toarray() == 0.0)
-    assert op.flux_to_d.shape == (op.absorbing.size, op.interior.size)
+    assert op.exit_weights.shape == (op.interior.size,)
     assert np.all(op.killing_rate == 0.0)
     # both sides of every cell balance are zero: no defect, and no 0/0
     assert balance_check(op, random_density(op, seed=1)) == 0.0
@@ -87,7 +84,7 @@ def test_gain_entries_nonnegative(analytic_op_64):
 
 def test_generator_annihilates_constants(analytic_op_64, stable_kernel_05, stable_kernel_15):
     # without absorbing rows, A 1 = -kappa, with the killing rate kappa read
-    # off the flux matrix (not off A itself)
+    # off the exit weights (not off A itself)
     for op in (analytic_op_64, make_op(stable_kernel_05), make_op(stable_kernel_15)):
         ones = np.ones(op.interior.size)
         norm = abs(op.a_gen).max()
@@ -140,9 +137,12 @@ def test_batched_adjoint_check_matches_per_trial_loop(case, analytic_op_64):
 def test_balance_conditions(analytic_op_64):
     assert balance_check(analytic_op_64, random_density(analytic_op_64, seed=3)) <= 1e-12
     # the volume constraint pins the density to zero on the absorbing cells,
-    # and no rate out of them is assembled
-    u = random_density(analytic_op_64, seed=3, domain_only=False)
-    with pytest.raises(ConfigurationError, match="supported on the domain"):
+    # so a density has one entry per domain cell; a vector over every cell
+    # is rejected
+    u = np.zeros(analytic_op_64.n_cells)
+    u[analytic_op_64.interior] = random_density(analytic_op_64, seed=3)
+    n = analytic_op_64.interior.size
+    with pytest.raises(ConfigurationError, match=rf"domain cell \({n}\)"):
         balance_check(analytic_op_64, u)
 
 
@@ -165,13 +165,15 @@ def test_matrices_match_dense_two_point_flux(balance_case):
     # densely from the rates out of every cell, absorbing ones included
     op, u, rates = balance_case
     gamma = rates.toarray()
-    psi = u[np.newaxis, :] * gamma.T - u[:, np.newaxis] * gamma
+    full = np.zeros(op.n_cells)  # zero on the absorbing cells
+    full[op.interior] = u
+    psi = full[np.newaxis, :] * gamma.T - full[:, np.newaxis] * gamma
     want = (psi @ op.widths)[op.interior]
-    got = op.a_star @ u[op.interior]
+    got = op.a_star @ u
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # and its mirror, A_bwd u = sum_j v_ij w_j (u_j - u_i)
-    want = ((gamma * (u[np.newaxis, :] - u[:, np.newaxis])) @ op.widths)[op.interior]
-    got = op.a_gen @ u[op.interior]
+    want = ((gamma * (full[np.newaxis, :] - full[:, np.newaxis])) @ op.widths)[op.interior]
+    got = op.a_gen @ u
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert balance_check(op, u) <= 1e-12
 
@@ -233,23 +235,24 @@ def test_divergence_censored_case_conserves():
     k = CompoundPoissonUniform(rate=0.2, horizon=1.0)
     op = make_op(k, absorbing="empty")
     u = random_density(op, seed=7)
-    scale = float(np.sum(np.abs(u) * op.widths))
+    scale = float(np.sum(u * op.widths[op.interior]))
     assert divergence_theorem_check(op, u) <= 1e-12 * scale
 
 
 def test_divergence_uniform_density(analytic_op_64):
-    u = np.zeros(analytic_op_64.n_cells)
-    u[analytic_op_64.interior] = 1.0
+    u = np.ones(analytic_op_64.interior.size)
     assert divergence_theorem_check(analytic_op_64, u) <= 1e-12
 
 
 def test_divergence_random_density(analytic_op_64):
-    u = random_density(analytic_op_64, seed=8)
-    scale = float(np.sum(np.abs(u) * analytic_op_64.widths))
-    assert divergence_theorem_check(analytic_op_64, u) <= 1e-12 * scale
+    op = analytic_op_64
+    u = random_density(op, seed=8)
+    w_int = op.widths[op.interior]
+    scale = float(np.sum(u * w_int))
+    assert divergence_theorem_check(op, u) <= 1e-12 * scale
     # mass flowing out of the domain shows up as absorbing-cell flux
-    flux = analytic_op_64.flux_to_d @ u[analytic_op_64.interior]
-    assert float(np.sum(flux * analytic_op_64.widths[analytic_op_64.absorbing])) > 0.0
+    flux = op.domain_rows[:, op.absorbing].T @ (u * w_int)
+    assert float(np.sum(flux * op.widths[op.absorbing])) > 0.0
 
 
 def test_horizon_mismatch_rejected():
@@ -265,7 +268,7 @@ def test_stable_kernel_operator_identities(stable_kernel_05):
     norm = np.max(np.abs(op.a_gen.toarray()))
     assert adjoint_check(op, trials=50, rng=9) <= 1e-12 * norm
     u = random_density(op, seed=10)
-    scale = float(np.sum(np.abs(u) * op.widths))
+    scale = float(np.sum(u * op.widths[op.interior]))
     assert divergence_theorem_check(op, u) <= 1e-12 * scale
     blk = op.a_gen.toarray()
     assert np.max(np.abs(blk - blk.T)) <= 1e-12 * norm
@@ -307,7 +310,8 @@ def test_bivariate_table_short_of_collar_matches_pieces():
 def all_rows_reference(kernel, grid, partition):
     """Assembly from a kernel row for every cell, absorbing ones included,
     then sliced to the domain rows: kept as the reference for ``assemble``,
-    which evaluates the domain rows alone. Returns the four matrices."""
+    which evaluates the domain rows alone. Returns the three matrices and
+    the exit weights."""
     sel = np.flatnonzero(grid.tags != int(Region.COLLAR))
     x = grid.centers[sel]
     w = grid.widths[sel]
@@ -337,7 +341,8 @@ def all_rows_reference(kernel, grid, partition):
     return {
         "a_gen": (v_int.multiply(w_int[np.newaxis, :]) + minus_loss).tocsr(),
         "a_star": (v_int.T.multiply(w_int[np.newaxis, :]) + minus_loss).tocsr(),
-        "flux_to_d": from_int[:, absorbing].T.multiply(w_int[np.newaxis, :]).tocsr(),
+        "exit_weights": (from_int[:, absorbing].T.multiply(w_int[np.newaxis, :]).tocsr().T
+                         @ w[absorbing]),
         "values": values,
     }
 
@@ -370,6 +375,7 @@ def test_domain_row_assembly_matches_all_rows_reference(case):
     op = assemble(kernel, grid, part)
     ref = all_rows_reference(kernel, grid, part)
     ref["domain_rows"] = ref.pop("values")[op.interior]
+    assert op.exit_weights.tobytes() == ref.pop("exit_weights").tobytes()
     for name, expected in ref.items():
         got = getattr(op, name)
         assert got.shape == expected.shape, name

@@ -1,0 +1,38 @@
+"""The example scripts run end to end on small inputs, against the library
+in this checkout."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import jumpexit
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script: str, *args: str, cwd: Path) -> str:
+    src = str(Path(jumpexit.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_analytic_exit_case(tmp_path):
+    out = _run("analytic_exit_case.py", "--h", "0.03125", "--n-paths", "200", cwd=tmp_path)
+    line = next(line for line in out.splitlines() if line.startswith("mean exit time"))
+    solver_mean = float(line.split()[4])
+    assert abs(solver_mean - 10.0) <= 0.05 * 10.0  # O(h) grid error at h = 1/32
+
+
+def test_fluctuation_regimes(tmp_path):
+    _run("fluctuation_regimes.py", "--n-paths", "1", "--t-max", "1", "--out", "tmp",
+         cwd=tmp_path)
+    written = sorted(p.name for p in (tmp_path / "tmp").iterdir())
+    assert written == ["brownian.csv", "compound_poisson.csv",
+                       "stable_alpha05.csv", "stable_alpha15.csv"]
+    rows = (tmp_path / "tmp" / "brownian.csv").read_text().splitlines()
+    assert rows[0] == "path_id,t,x" and len(rows) == 1 + 2001

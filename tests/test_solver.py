@@ -29,21 +29,9 @@ def _censored_op(h=1 / 32):
 
 def test_censored_survival_stays_one():
     op = _censored_op()
-    traj = evolve(op, uniform_density(op), dt=0.05, t_end=20.0, store_every=100)
+    traj = evolve(op, uniform_density(op), dt=0.05, t_end=20.0)
     assert np.max(np.abs(traj.survival - 1.0)) <= 1e-12
     assert np.all(traj.absorbed_cdf == 0.0)
-    assert np.array_equal(traj.density_times, traj.times[::100])
-
-
-def test_density_storage_is_opt_in(analytic_op_64):
-    u0 = uniform_density(analytic_op_64)
-    traj = evolve(analytic_op_64, u0, dt=0.1, t_end=5.0)
-    assert np.array_equal(traj.density_times, [0.0, traj.times[-1]])
-    # stored densities keep one entry per cell, zero on the absorbing set
-    assert traj.densities.shape == (2, analytic_op_64.n_cells)
-    assert np.array_equal(traj.densities[0], u0)
-    assert np.all(traj.densities[:, analytic_op_64.absorbing] == 0.0)
-    assert np.all(traj.densities[1, analytic_op_64.interior] > 0.0)
 
 
 def test_survival_matches_exponential(analytic_op_64):
@@ -58,21 +46,26 @@ def test_conservation_every_step(analytic_op_64):
     assert np.max(np.abs(traj.survival + traj.absorbed_cdf - traj.survival[0])) <= 1e-10
 
 
-def test_absorbed_flux_comes_from_flux_matrix(analytic_op_64):
+def test_absorbed_flux_comes_from_exit_weights(analytic_op_64):
     # F is accumulated from the flux into the absorbing cells, not read off
-    # as 1 - S: recompute it from the stored densities
+    # as 1 - S: step the density alongside and recompute each step's flux
+    # cell by cell from the rates into the absorbing cells
     op = analytic_op_64
     dt = 0.1
-    traj = evolve(op, uniform_density(op), dt=dt, t_end=5.0, store_every=1)
-    w_abs = op.widths[op.absorbing]
-    per_step = [float(np.sum((op.flux_to_d @ u[op.interior]) * w_abs))
-                for u in traj.densities[1:]]
+    traj = evolve(op, uniform_density(op), dt=dt, t_end=5.0)
+    step = solver._step_solver(op.a_star, dt)
+    into_d = op.domain_rows[:, op.absorbing].T
+    w_int, w_abs = op.widths[op.interior], op.widths[op.absorbing]
+    u, per_step = uniform_density(op), []
+    for _ in range(traj.times.size - 1):
+        u = step(u)
+        per_step.append(float(np.sum((into_d @ (u * w_int)) * w_abs)))
     f = dt * np.concatenate([[0.0], np.cumsum(per_step)])
     assert np.max(np.abs(f - traj.absorbed_cdf)) <= 1e-13
     assert traj.absorbed_cdf[-1] > 0.1
     assert np.max(np.abs(traj.survival + traj.absorbed_cdf - traj.survival[0])) <= 1e-12
-    # a doubled flux matrix doubles F and leaves S alone; 1 - S would not
-    doubled = evolve(dataclasses.replace(op, flux_to_d=2 * op.flux_to_d),
+    # doubled exit weights double F and leave S alone; 1 - S would not
+    doubled = evolve(dataclasses.replace(op, exit_weights=2 * op.exit_weights),
                      uniform_density(op), dt=dt, t_end=5.0)
     assert np.array_equal(doubled.survival, traj.survival)
     assert np.max(np.abs(doubled.absorbed_cdf - 2 * traj.absorbed_cdf)) <= 1e-13
@@ -81,19 +74,25 @@ def test_absorbed_flux_comes_from_flux_matrix(analytic_op_64):
 @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0, 10.0])
 def test_implicit_euler_monotone_and_positive(analytic_op_64, dt):
     traj = evolve(analytic_op_64, uniform_density(analytic_op_64),
-                  dt=dt, t_end=20 * dt, store_every=1)
+                  dt=dt, t_end=20 * dt)
     assert np.all(np.diff(traj.survival) <= 1e-12)
-    assert traj.densities.min() >= -1e-14
+    # every step's density, stepped as evolve steps it
+    step = solver._step_solver(analytic_op_64.a_star, dt)
+    u = uniform_density(analytic_op_64)
+    for _ in range(20):
+        u = step(u)
+        assert u.min() >= -1e-14
 
 
 def test_evolve_validates_inputs(analytic_op_64):
     good = uniform_density(analytic_op_64)
     with pytest.raises(ConfigurationError, match="positive"):
         evolve(analytic_op_64, good, dt=-0.1, t_end=1.0)
-    bad = good.copy()
-    bad[analytic_op_64.absorbing[0]] = 1.0
-    with pytest.raises(ConfigurationError, match="supported"):
-        evolve(analytic_op_64, bad, dt=0.1, t_end=1.0)
+    # one entry per domain cell: a vector over every cell is rejected
+    full = np.zeros(analytic_op_64.n_cells)
+    full[analytic_op_64.interior] = good
+    with pytest.raises(ConfigurationError, match=rf"domain cell \({good.size}\)"):
+        evolve(analytic_op_64, full, dt=0.1, t_end=1.0)
     with pytest.raises(ConfigurationError, match="integrate"):
         evolve(analytic_op_64, 2 * good, dt=0.1, t_end=1.0)
     with pytest.raises(ConfigurationError, match="nonnegative"):
@@ -116,7 +115,7 @@ def _banded_op():
 def _implicit_euler_reference(op, dt, n_steps, step):
     """Survival and absorbed flux of implicit Euler, one ``step`` solve of
     ``(I - dt A_fwd) u_new = u`` per step."""
-    u = uniform_density(op)[op.interior]
+    u = uniform_density(op)
     w = op.widths[op.interior]
     survival, absorbed = [float(u @ w)], [0.0]
     for _ in range(n_steps):
@@ -175,8 +174,8 @@ def test_singular_step_system_raises_numerical_error(analytic_op_64, dense):
 
 def test_mean_exit_time_flat_field(analytic_op_256):
     met = mean_exit_time(analytic_op_256)
-    assert np.max(np.abs(met.interior_values - 10.0)) <= 0.02 * 10.0
-    assert np.all(met.values[analytic_op_256.absorbing] == 0.0)
+    assert met.values.shape == (analytic_op_256.interior.size,)
+    assert np.max(np.abs(met.values - 10.0)) <= 0.02 * 10.0
 
 
 def test_mean_exit_time_requires_absorbing():
@@ -186,8 +185,8 @@ def test_mean_exit_time_requires_absorbing():
 
 def test_second_moment_and_jensen(analytic_op_256):
     m1, m2 = exit_moments(analytic_op_256, 2)
-    assert np.max(np.abs(m2.interior_values - 200.0)) <= 0.03 * 200.0
-    assert np.all(m2.interior_values >= m1.interior_values ** 2 - 1e-9)
+    assert np.max(np.abs(m2.values - 200.0)) <= 0.03 * 200.0
+    assert np.all(m2.values >= m1.values ** 2 - 1e-9)
 
 
 def test_first_moment_identical_between_routes(analytic_op_128):
@@ -214,13 +213,13 @@ def test_mean_exit_time_equals_time_integrated_survival(analytic_op_64):
     met = mean_exit_time(analytic_op_64)
     dt = 0.01
     for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-        idx = analytic_op_64.interior[int(frac * analytic_op_64.interior.size)]
-        x = analytic_op_64.centers[idx]
+        k = int(frac * analytic_op_64.interior.size)
+        x = analytic_op_64.centers[analytic_op_64.interior[k]]
         u0 = point_mass(analytic_op_64, x)
         traj = evolve(analytic_op_64, u0, dt=dt, t_end=200.0)
         keep = traj.survival >= 1e-8
         integral = np.trapezoid(traj.survival[keep], traj.times[keep])
-        assert integral == pytest.approx(met.values[idx], rel=2e-3)
+        assert integral == pytest.approx(met.values[k], rel=2e-3)
 
 
 def test_moment_recursion_vs_trajectory_integral(analytic_op_64):
@@ -230,7 +229,7 @@ def test_moment_recursion_vs_trajectory_integral(analytic_op_64):
     keep = traj.survival >= 1e-8
     t, s = traj.times[keep], traj.survival[keep]
     m1, m2 = exit_moments(analytic_op_64, 2)
-    w = analytic_op_64.widths
+    w = analytic_op_64.widths[analytic_op_64.interior]
     for k, mom in ((1, m1), (2, m2)):
         route_a = np.trapezoid(k * t ** (k - 1) * s, t)
         route_b = float(np.sum(mom.values * u0 * w))
@@ -304,10 +303,8 @@ def test_sigma_zero_for_censored_process():
 def test_sigma_energy_bound_on_mean_exit_time(analytic_op_64):
     # Rayleigh inequality: <m, -A m>_w >= sigma <m, m>_w for the mean exit field
     est = coercivity_sigma(analytic_op_64)
-    met = mean_exit_time(analytic_op_64)
-    idx = analytic_op_64.interior
-    w = analytic_op_64.widths[idx]
-    m = met.values[idx]
+    m = mean_exit_time(analytic_op_64).values
+    w = analytic_op_64.widths[analytic_op_64.interior]
     neg_a = -analytic_op_64.a_gen.toarray()
     energy = float((m * w) @ (neg_a @ m))
     assert energy >= est.value * float(np.sum(m * m * w)) * (1 - 1e-10)
@@ -320,9 +317,7 @@ def test_sigma_positive_for_stable_kernel(stable_kernel_05):
     est = coercivity_sigma(op)
     assert est.value > 0.0
     # mean exit field obeys the energy-norm bound <m, -A m>_w >= sigma <m, m>_w
-    met = mean_exit_time(op)
-    idx = op.interior
-    w = op.widths[idx]
-    m = met.values[idx]
+    m = mean_exit_time(op).values
+    w = op.widths[op.interior]
     energy = float((m * w) @ (-op.a_gen.toarray() @ m))
     assert energy >= est.value * float(np.sum(m * m * w)) * (1 - 1e-9)
