@@ -91,17 +91,26 @@ class Intervals:
             out.extend(c for c in cuts if c[1] > c[0])
         return Intervals(tuple(out))
 
-    def sample_uniform(self, rng: np.random.Generator) -> float:
-        """Draw a point uniformly with respect to length."""
+    def uniform_points(self, uniforms: np.ndarray) -> np.ndarray:
+        """The points that uniforms in [0, 1) map to, uniformly with respect
+        to length: u times the total length, walked through the intervals
+        in order."""
         if self.empty:
             raise ValueError("cannot sample from an empty interval union")
         widths = np.array([hi - lo for lo, hi in self.bounds])
-        u = rng.random() * widths.sum()
+        u = np.asarray(uniforms, dtype=float) * widths.sum()
+        out = np.full(u.shape, self.bounds[-1][1])  # unreachable up to rounding
+        searching = np.ones(u.shape, dtype=bool)
         for (lo, hi), w in zip(self.bounds, widths):
-            if u <= w:
-                return lo + u
-            u -= w
-        return self.bounds[-1][1]  # unreachable up to rounding
+            hit = searching & (u <= w)
+            out[hit] = lo + u[hit]
+            searching &= ~hit
+            u = u - w  # only points still searching read it again
+        return out
+
+    def sample_uniform(self, rng: np.random.Generator) -> float:
+        """Draw a point uniformly with respect to length."""
+        return float(self.uniform_points(np.array([rng.random()]))[0])
 
 
 def interaction_domain(omega: Intervals, horizon: float) -> Intervals:

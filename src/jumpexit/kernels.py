@@ -121,12 +121,31 @@ class _LinearPiece:
             return self.lo
         return self.lo + 2.0 * v / denom
 
-    def value_at(self, y: float) -> float:
-        return self.v_lo + self._slope() * (y - self.lo)
 
-    def clip(self, lo: float, hi: float) -> "_LinearPiece":
-        # always rebuilt: value_at(hi) may differ from v_hi in the last bit
-        return _LinearPiece(lo, hi, self.value_at(lo), self.value_at(hi))
+@dataclass(slots=True)
+class _LinearTable:
+    """Linear pieces held as arrays over the pieces. Indexing builds the
+    one ``_LinearPiece`` a draw inverts, so a law builds no piece objects."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    v_lo: np.ndarray
+    v_hi: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lo.size
+
+    def __getitem__(self, k: int) -> _LinearPiece:
+        return _LinearPiece(self.lo[k].item(), self.hi[k].item(),
+                            self.v_lo[k].item(), self.v_hi[k].item())
+
+    def masses(self) -> list:
+        """``_LinearPiece.mass`` of every piece, in order."""
+        return (0.5 * (self.v_lo + self.v_hi) * (self.hi - self.lo)).tolist()
+
+
+def _with_masses(pieces: list) -> tuple[list, list]:
+    return pieces, [p.mass() for p in pieces]
 
 
 def _clip_pieces(pieces, region: Intervals | None):
@@ -143,6 +162,22 @@ def _clip_pieces(pieces, region: Intervals | None):
             if hi > lo:
                 out.append(p.clip(lo, hi))
     return out
+
+
+def _clip_linear(lo, hi, v_lo, v_hi, bounds):
+    """Linear pieces, held as arrays over the pieces, clipped to every
+    (rlo, rhi) of ``bounds`` with ``_clip_pieces``' tie rule and order
+    (piece by piece, each in bound order). A clipped piece's end values
+    are ``v_lo + slope * (end - lo)`` from the piece it was cut from."""
+    bounds = np.asarray(bounds, dtype=float)
+    # max(lo, rlo) and min(hi, rhi), ties going to the piece
+    clo = np.maximum(lo[:, None], bounds[:, 0])
+    chi = np.minimum(hi[:, None], bounds[:, 1])
+    keep = chi > clo
+    k = keep.nonzero()[0]  # the piece of each kept cut, in order
+    clo, chi, lo, v_lo = clo[keep], chi[keep], lo[k], v_lo[k]
+    s = (v_hi[k] - v_lo) / (hi[k] - lo)
+    return clo, chi, v_lo + s * (clo - lo), v_lo + s * (chi - lo)
 
 
 # Batched pieces: one piece of the table for many points at once. ``rows``
@@ -263,7 +298,7 @@ class JumpLaw:
     pieces, their masses in piece order, and the total rate (their sum)."""
 
     x: float
-    pieces: list
+    pieces: list | _LinearTable
     masses: list
     total: float
 
@@ -275,9 +310,9 @@ class JumpLaw:
                 "within the configured region"
             )
         u = rng.random() * self.total
-        for p, m in zip(self.pieces, self.masses):
+        for k, m in enumerate(self.masses):
             if u <= m:
-                return p.invert(u)
+                return self.pieces[k].invert(u)
             u -= m
         return self.pieces[-1].hi  # unreachable up to rounding
 
@@ -320,9 +355,9 @@ class JumpKernel:
     """Shared behavior for all kernel families.
 
     Subclasses provide ``evaluate`` (vectorized in y), ``_pieces`` (the
-    closed-form density pieces of y -> gamma(x, y)), ``_piece_columns``
-    (the same pieces for a batch of points).
-    ``jump_law`` clips the pieces to a region once; ``total_rate`` and
+    closed-form density pieces of y -> gamma(x, y), clipped to a region),
+    ``_piece_columns`` (the unclipped pieces for a batch of points).
+    ``jump_law`` takes the clipped pieces once; ``total_rate`` and
     ``sample_jump`` are its total and its draw. ``jump_laws`` is
     ``jump_law`` for a batch.
     """
@@ -337,7 +372,9 @@ class JumpKernel:
         """Rate density gamma(x, y), vectorized over ``y``."""
         raise NotImplementedError
 
-    def _pieces(self, x: float):
+    def _pieces(self, x: float, region: Intervals | None) -> tuple:
+        """The pieces of gamma(x, .) clipped to ``region`` (all space when
+        None), in order, and the list of their masses."""
         raise NotImplementedError
 
     def _piece_columns(self, xs: np.ndarray) -> list:
@@ -347,8 +384,7 @@ class JumpKernel:
     def jump_law(self, x: float, region: Intervals | None = None) -> JumpLaw:
         """Pieces of gamma(x, .) clipped to ``region`` (all space when
         None), with their masses and total, built in one pass."""
-        pieces = _clip_pieces(self._pieces(x), region)
-        masses = [p.mass() for p in pieces]
+        pieces, masses = self._pieces(x, region)
         return JumpLaw(x, pieces, masses, float(sum(masses)))
 
     def jump_laws(self, xs: np.ndarray, region: Intervals) -> JumpLaws:
@@ -404,8 +440,9 @@ class CompoundPoissonUniform(JumpKernel):
         z = np.abs(np.asarray(y, dtype=float) - x)
         return np.where(z < self.horizon, self.density, 0.0)
 
-    def _pieces(self, x: float):
-        return [_ConstPiece(x - self.horizon, x + self.horizon, self.density)]
+    def _pieces(self, x, region):
+        return _with_masses(_clip_pieces(
+            [_ConstPiece(x - self.horizon, x + self.horizon, self.density)], region))
 
     def _piece_columns(self, xs):
         rows = np.arange(xs.size)
@@ -461,14 +498,14 @@ class TruncatedStable(JumpKernel):
         tail = (self.epsilon ** -self.alpha - zc ** -self.alpha) / (self.m * self.alpha)
         return plateau_part + tail
 
-    def _pieces(self, x: float):
+    def _pieces(self, x, region):
         lam, eps = self.horizon, self.epsilon
         scale = 1.0 / self.m
-        return [
+        return _with_masses(_clip_pieces([
             _PowerPiece(x - lam, x - eps, x, scale, self.alpha),
             _ConstPiece(x - eps, x + eps, self.plateau),
             _PowerPiece(x + eps, x + lam, x, scale, self.alpha),
-        ]
+        ], region))
 
     def _piece_columns(self, xs):
         lam, eps = self.horizon, self.epsilon
@@ -529,7 +566,7 @@ class TabulatedKernel(JumpKernel):
         elif self.grid_values is not None:
             xs = np.asarray(self.x_nodes, dtype=float)
             ys = np.asarray(self.y_nodes, dtype=float)
-            vv = np.asarray(self.grid_values, dtype=float)
+            vv = np.ascontiguousarray(self.grid_values, dtype=float)
             if vv.shape != (xs.size, ys.size):
                 raise ConfigurationError("bivariate table shape must be (n_x, n_y)")
             if np.any(vv < 0):
@@ -569,17 +606,24 @@ class TabulatedKernel(JumpKernel):
         return np.where(np.abs(z) < self.horizon, vals, 0.0)
 
     def _bilinear(self, x, y):
+        """The bilinear interpolant at (x, y), broadcast, with both clamped
+        to the table."""
         xs, ys, vv = self.x_nodes, self.y_nodes, self.grid_values
-        x = np.clip(x, xs[0], xs[-1])
-        y = np.clip(y, ys[0], ys[-1])
-        i = np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2)
-        j = np.clip(np.searchsorted(ys, y) - 1, 0, ys.size - 2)
+        # np.clip's arithmetic through the bare ufuncs, at about a quarter
+        # of np.clip's per-call cost, which dominates on one jump law's nodes
+        x = np.minimum(np.maximum(x, xs[0]), xs[-1])
+        y = np.minimum(np.maximum(y, ys[0]), ys[-1])
+        i = np.minimum(np.maximum(xs.searchsorted(x) - 1, 0), xs.size - 2)
+        j = np.minimum(np.maximum(ys.searchsorted(y) - 1, 0), ys.size - 2)
         tx = (x - xs[i]) / (xs[i + 1] - xs[i])
         ty = (y - ys[j]) / (ys[j + 1] - ys[j])
-        return ((1 - tx) * (1 - ty) * vv[i, j] + tx * (1 - ty) * vv[i + 1, j]
-                + (1 - tx) * ty * vv[i, j + 1] + tx * ty * vv[i + 1, j + 1])
+        sx, sy = 1 - tx, 1 - ty
+        k = i * ys.size + j  # vv[i, j] in the flat table; vv is C-ordered
+        vv = vv.ravel()
+        return (sx * sy * vv[k] + tx * sy * vv[k + ys.size]
+                + sx * ty * vv[k + 1] + tx * ty * vv[k + ys.size + 1])
 
-    def _pieces(self, x: float):
+    def _pieces(self, x, region):
         lam = self.horizon
         nodes = x + self.displacements if self.translation_invariant else self.y_nodes
         # piece k survives the clip to the horizon ball only when
@@ -590,14 +634,13 @@ class TabulatedKernel(JumpKernel):
         if self.translation_invariant:
             vals = self.values[a:b]
         else:
-            vals = self._bilinear(np.full_like(nodes, x, dtype=float), nodes)
-        # Python floats: the piece arithmetic rounds exactly as on numpy
-        # scalars, at a fraction of the cost
-        nodes, vals = nodes.tolist(), vals.tolist()
-        pieces = []
-        for k in range(len(nodes) - 1):
-            pieces.append(_LinearPiece(nodes[k], nodes[k + 1], vals[k], vals[k + 1]))
-        return _clip_pieces(pieces, Intervals(((x - lam, x + lam),)))
+            vals = self._bilinear(x, nodes)
+        # the ball, then the region: each cut's ends from the piece it cuts
+        pieces = _clip_linear(nodes[:-1], nodes[1:], vals[:-1], vals[1:], ((x - lam, x + lam),))
+        if region is not None:
+            pieces = _clip_linear(*pieces, region.bounds)
+        table = _LinearTable(*pieces)
+        return table, table.masses()
 
     def _piece_columns(self, xs):
         lam = self.horizon

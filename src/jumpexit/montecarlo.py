@@ -11,21 +11,26 @@ it, and drops the paths that were absorbed or censored. ``simulate_path``
 keeps the scalar ``JumpLaw`` walk, one law per jump, since it records few
 long paths.
 
-Reproducibility: every path owns a generator seeded from ``(seed,
-path_index)`` and draws from it in the order a lone walk would (the wait,
-then the landing uniform), and the batched law rounds as the scalar one
-does. So a path's record does not depend on the batch it walked in, on how
-the paths are chunked across workers, or on the worker count; reductions
-sum in fixed path order.
+Reproducibility: path i draws from numpy's ``default_rng((seed, i))``
+stream (``path_rng``) in the order a lone walk would: its start, then per
+jump the wait and the landing uniform. The lockstep walk builds no
+``Generator``: ``_streams.PathStreams`` holds every live path's PCG64 state
+as arrays, and seeds, steps and draws for all of them at once with numpy's
+own integer arithmetic, so each path gets its stream's words, in order, and
+turns them into the same doubles. The rare exponential draw off numpy's
+ziggurat fast path is made by a scalar ``Generator`` set to that path's
+state, which hands the state back. The batched law rounds as the scalar
+one does. So a path's record does not depend on the batch it walked in, on
+how the paths are chunked across workers, or on the worker count;
+reductions sum in fixed path order.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
-from numpy.random import Generator
 
+from ._streams import PathStreams
 from .errors import ConfigurationError
 from .geometry import DomainPartition, Intervals, Region
 from .kernels import JumpKernel
@@ -67,9 +72,10 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
 
 
 # Live paths per lockstep batch. A chunk larger than this refills the batch
-# as paths finish, so it never holds more than this many generators (about
-# 1 kB each) at once; larger batches also raised the peak RSS of later
-# solver runs in the same process.
+# as paths finish. The streams take 32 bytes a path, so the batch's memory
+# is the jump laws' arrays; on a 2-core host, batches of 4096 and 8192 paths
+# were no faster than 2048 on either benchmark workload and left the peak
+# RSS where it was.
 _BATCH = 2048
 
 
@@ -84,13 +90,13 @@ def _inside(region: Intervals, ys: np.ndarray) -> np.ndarray:
 def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: float,
           first: int, stop: int) -> tuple[np.ndarray, ...]:
     """Walk paths ``first .. stop-1`` in lockstep until each is absorbed or
-    censored. Path i draws its start uniformly over the domain from its own
-    generator ``path_rng(seed, i)``.
+    censored. Path i draws from the stream of ``path_rng(seed, i)``: first
+    its start, uniform over the domain.
 
     Every step builds one batched jump law for all live positions, then
-    each path draws its exponential wait and its uniform from its own
-    generator, in the order a lone walk draws them. Paths therefore come
-    out bit for bit as if each walked alone, whatever else is in the batch.
+    draws every live path's exponential wait and then its uniform, in the
+    order a lone walk draws them. Paths therefore come out bit for bit as
+    if each walked alone, whatever else is in the batch.
     A zero rate is a ``ConfigurationError``; when several paths fail, the
     first one's error is raised, as a path-by-path walk would raise it.
     Returns ``x0, exit_time, exit_location, jumps, censored`` in path order.
@@ -107,22 +113,21 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: floa
     x = np.empty(0)
     t = np.empty(0)
     count = np.empty(0, dtype=np.int64)
-    gens: list[Generator] = []
+    streams = PathStreams.seeded(seed, first, first)
     pending = 0
     while True:
-        if pending < n and len(gens) <= _BATCH // 2:
-            end = min(n, pending + _BATCH - len(gens))
-            for i in range(pending, end):
-                rng = path_rng(seed, first + i)
-                x0[i] = partition.domain.sample_uniform(rng)
-                gens.append(rng)
+        if pending < n and len(streams) <= _BATCH // 2:
+            end = min(n, pending + _BATCH - len(streams))
+            new = PathStreams.seeded(seed, first + pending, first + end)
+            x0[pending:end] = partition.domain.uniform_points(new.random())
+            streams.extend(new)
             new_ids = np.arange(pending, end, dtype=np.int64)
             pending = end
             ids = np.concatenate([ids, new_ids])
             x = np.concatenate([x, x0[new_ids]])
             t = np.concatenate([t, np.zeros(new_ids.size)])
             count = np.concatenate([count, np.zeros(new_ids.size, dtype=np.int64)])
-        if not gens:
+        if not len(streams):
             break
         law = kernel.jump_laws(x, region)
         rate = law.total
@@ -134,8 +139,8 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: floa
                     "of the configured region"
                 )
             rate = np.where(stuck, np.inf, rate)  # these paths are dropped below
-        wait = np.fromiter(map(Generator.standard_exponential, gens), float, len(gens))
-        uniforms = np.fromiter(map(Generator.random, gens), float, len(gens))
+        wait = streams.standard_exponential()
+        uniforms = streams.random()
         t = t + wait / rate
         over = (t > t_max) & ~stuck
         censored[ids[over]] = True
@@ -148,7 +153,7 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: floa
         jumps[ids[out]] = count[out]
         live = ~(stuck | over | out)
         if not live.all():
-            gens = list(compress(gens, live.tolist()))
+            streams.keep(live)
             ids, t, count = ids[live], t[live], count[live]
         x = y[live]
     if errors:

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXIT_RATE, exp_survival, kernel_cases
+from jumpexit import _streams
+from jumpexit._streams import PathStreams
 from jumpexit.errors import ConfigurationError
 from jumpexit.geometry import DomainPartition, Intervals, Region
 from jumpexit.kernels import (CompoundPoissonUniform, JumpKernel, TabulatedKernel,
@@ -277,7 +279,7 @@ def test_one_piece_build_per_jump(family, monkeypatch):
 
     monkeypatch.setattr(JumpKernel, "jump_laws", counting)
     # the walk builds no scalar law: its pieces come from the batched build
-    monkeypatch.setattr(type(kernel), "_pieces", lambda self, x: pytest.fail("scalar law built"))
+    monkeypatch.setattr(type(kernel), "_pieces", lambda self, *a: pytest.fail("scalar law built"))
     seen = set()
     for i, t_max in enumerate([0.05, 0.5, 5.0, 50.0] * 4):
         sizes.clear()
@@ -348,11 +350,16 @@ def _ensemble_arrays(ens):
     return ens.x0, ens.exit_time, ens.exit_location, ens.jumps, ens.censored
 
 
+# seeds of one, two and three 32-bit words, the last two around 2**32 and 2**64
+_seeds = st.one_of(st.integers(0, 2**16), st.integers(2**32 - 2, 2**32 + 2),
+                   st.integers(2**64, 2**70))
+
+
 @st.composite
 def _walk_cases(draw):
     """A kernel case from ``kernel_cases`` and a run to make on it."""
     kernel, part, t_scale = draw(kernel_cases())
-    run = dict(n_paths=draw(st.integers(1, 25)), seed=draw(st.integers(0, 2**16)),
+    run = dict(n_paths=draw(st.integers(1, 25)), seed=draw(_seeds),
                t_max=t_scale * draw(st.floats(0.05, 1.0)))
     return kernel, part, run
 
@@ -395,3 +402,106 @@ def test_ensemble_raises_the_first_failing_paths_error(workers):
         with pytest.raises(ConfigurationError) as got:
             simulate_ensemble(kernel, part, n_paths=12, seed=seed, t_max=10.0, workers=workers)
         assert str(got.value) == str(want.value)
+
+
+# --- the batched streams against numpy's own ---------------------------------
+
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK = (1 << 128) - 1
+
+
+def _state_before(word: int, inc: int) -> int:
+    """A PCG64 state whose next output is ``word``: one step back from
+    the state (high half 0, low half ``word``) whose XSL-RR output is
+    ``word`` with no rotation."""
+    return (word - inc) * pow(_MULT, -1, 1 << 128) & _MASK
+
+
+def _generator_at(state: int, inc: int) -> np.random.Generator:
+    bit_gen = np.random.PCG64(0)
+    bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                     "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_gen)
+
+
+def _streams_at(states: list[int], incs: list[int]) -> PathStreams:
+    halves = [[v >> 64 for v in states], [v & (1 << 64) - 1 for v in states],
+              [v >> 64 for v in incs], [v & (1 << 64) - 1 for v in incs]]
+    return PathStreams(np.array(halves, dtype=np.uint64))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=_seeds, first=st.one_of(st.integers(0, 100), st.integers(2**32 - 20, 2**32 + 4)),
+       n=st.integers(0, 40))
+def test_batched_seed_words_match_seed_sequence(seed, first, n):
+    got = _streams._seed_words(seed, first, first + n)
+    want = [np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+            for i in range(first, first + n)]
+    assert got.dtype == np.uint64 and got.shape == (4, n)
+    assert got.T.tobytes() == np.array(want, dtype=np.uint64).reshape(n, 4).tobytes()
+
+
+@pytest.mark.parametrize("seed,first", [(0, 0), (7, 2**32 - 3), (2**32 + 1, 5), (2**64 + 1, 0)])
+def test_batched_draws_match_path_rng(seed, first):
+    n = 30
+    streams = PathStreams.seeded(seed, first, first + n)
+    gens = [path_rng(seed, i) for i in range(first, first + n)]
+    for _ in range(100):
+        for draw in ("standard_exponential", "random"):
+            got = getattr(streams, draw)()
+            want = np.array([getattr(g, draw)() for g in gens])
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("idx,ri", [(1, 0), (1, 12345), (0, 2**53 - 1), (7, 2**53 - 1)])
+def test_draw_off_the_ziggurat_fast_path_matches_numpy(idx, ri):
+    # idx 1 never takes the fast path (its bound is 0); ri past idx 0's
+    # bound sends the draw to the exponential tail
+    assert ri >= _streams._KE[idx]
+    incs = [2 * 12345 + 1, 2 * 999 + 1]
+    word = ((ri << 8) | idx) << 3
+    states = [_state_before(word, inc) for inc in incs]
+    streams = _streams_at(states, incs)
+    gens = [_generator_at(s, inc) for s, inc in zip(states, incs)]
+    for _ in range(5):  # the rows take their streams back from numpy
+        got = streams.standard_exponential()
+        assert got.tobytes() == np.array([g.standard_exponential() for g in gens]).tobytes()
+        got = streams.random()
+        assert got.tobytes() == np.array([g.random() for g in gens]).tobytes()
+
+
+def test_ziggurat_tables_match_installed_numpy():
+    # a word gives ri = word >> 11 and idx = (word >> 3) & 0xFF; numpy
+    # returns ri * we[idx] from that one word exactly when ri < ke[idx]
+    inc = 1
+    gen = _generator_at(0, inc)
+
+    def draw(idx, ri):
+        """The draw from the word (ri, idx), and how many words it took."""
+        word = ((ri << 8) | idx) << 3
+        gen.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": _state_before(word, inc), "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        value = gen.standard_exponential()
+        after, steps = word, 1
+        while after != gen.bit_generator.state["state"]["state"]:
+            after, steps = (after * _MULT + inc) & _MASK, steps + 1
+        return value, steps
+
+    we, ke = [], []
+    for idx in range(256):
+        lo, hi = 0, 1 << 53  # the least ri that takes more than one word
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if draw(idx, mid)[1] == 1:
+                lo = mid + 1
+            else:
+                hi = mid
+        ke.append(lo)
+        value, steps = draw(idx, 1)
+        # idx 1 has no fast path; its slow path returns ri * we[1] when the
+        # second word accepts it
+        assert steps == 1 or (idx == 1 and steps == 2)
+        we.append(value)
+    assert _streams._KE.tolist() == ke
+    assert _streams._WE.tobytes() == np.array(we).tobytes()
