@@ -118,15 +118,14 @@ def _default_t_max(cfg: RunConfig, op=None) -> float:
     return 50.0 * float(np.max(met.values))
 
 
-def _ensemble(cfg: RunConfig, workers: int, op=None):
-    t_max = _default_t_max(cfg, op)
+def _ensemble(cfg: RunConfig, workers: int, t_max: float):
     return mc.simulate_ensemble(cfg.kernel, cfg.partition, n_paths=cfg.n_paths,
-                                seed=cfg.seed, t_max=t_max, workers=workers), t_max
+                                seed=cfg.seed, t_max=t_max, workers=workers)
 
 
 def cmd_simulate(cfg: RunConfig, workers: int) -> int:
     out = _prepare_out(cfg)
-    ens, _ = _ensemble(cfg, workers)
+    ens = _ensemble(cfg, workers, _default_t_max(cfg))
     rows = (
         [i, ens.x0[i], ens.exit_time[i], ens.exit_location[i], ens.jumps[i], ens.censored[i]]
         for i in range(ens.n_paths)
@@ -224,7 +223,14 @@ def cmd_verify(cfg: RunConfig, dump_operator: bool = False) -> int:
 def cmd_compare(cfg: RunConfig, workers: int) -> int:
     out = _prepare_out(cfg)
     op, traj = _solve_survival(cfg)
-    ens, _ = _ensemble(cfg, workers, op)
+    t_max = _default_t_max(cfg, op)
+    late = [t for t in cfg.checkpoints if t > t_max]
+    if late:
+        raise ConfigurationError(
+            f"[compare] checkpoints {late} lie past the censoring time t_max = {t_max!r}, "
+            "where the Monte Carlo survival is unknown"
+        )
+    ens = _ensemble(cfg, workers, t_max)
     times = np.array(cfg.checkpoints)
     s_solver = np.array([traj.survival_at(t) for t in times])
     s_hat, _ = mc.empirical_survival(ens, times)
@@ -274,6 +280,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
+        if args.threads < 1:
+            raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "exit-time":

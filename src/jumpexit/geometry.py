@@ -55,8 +55,13 @@ class Intervals:
     def empty(self) -> bool:
         return not self.bounds
 
-    def contains(self, x: float) -> bool:
-        return any(lo <= x <= hi for lo, hi in self.bounds)
+    def contains(self, x: float | np.ndarray) -> bool | np.ndarray:
+        """Whether ``x`` lies in the union: a bool for a float, and for an
+        array a bool array, point by point."""
+        inside = np.zeros(x.shape, dtype=bool) if isinstance(x, np.ndarray) else False
+        for lo, hi in self.bounds:
+            inside |= (lo <= x) & (x <= hi)
+        return inside
 
     def dilate(self, r: float) -> "Intervals":
         if r < 0:

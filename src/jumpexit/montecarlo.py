@@ -5,11 +5,12 @@ rate integral over domain + absorbing set only, so jumps into the
 unreachable collar never occur) and lands by exact inverse-CDF sampling.
 A path ends when it lands in the absorbing set, or is censored at ``t_max``.
 
-Ensembles walk in lockstep: each step builds one batched ``JumpLaws`` for
-the positions of every live path, takes every path's wait and landing from
-it, and drops the paths that were absorbed or censored. ``simulate_path``
-keeps the scalar ``JumpLaw`` walk, one law per jump, since it records few
-long paths.
+Ensembles walk in slices of consecutive paths, each slice in lockstep:
+each step builds one batched ``JumpLaws`` for the positions of every live
+path of the slice, takes every path's wait and landing from it, and drops
+the paths that were absorbed or censored. ``simulate_path`` keeps the
+scalar ``JumpLaw`` walk, one law per jump, since it records few long
+paths.
 
 Reproducibility: path i draws from numpy's ``default_rng((seed, i))``
 stream (``path_rng``) in the order a lone walk would: its start, then per
@@ -20,19 +21,21 @@ own integer arithmetic, so each path gets its stream's words, in order, and
 turns them into the same doubles. The rare exponential draw off numpy's
 ziggurat fast path is made by a scalar ``Generator`` set to that path's
 state, which hands the state back. The batched law rounds as the scalar
-one does. So a path's record does not depend on the batch it walked in, on
-how the paths are chunked across workers, or on the worker count;
-reductions sum in fixed path order.
+one does. So a path's record does not depend on the slice it walked in,
+on the other paths of that slice, or on the worker count; reductions sum
+in fixed path order.
 """
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._streams import PathStreams
 from .errors import ConfigurationError
-from .geometry import DomainPartition, Intervals, Region
+from .geometry import DomainPartition, Region
 from .kernels import JumpKernel
 
 
@@ -71,64 +74,43 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(index)))
 
 
-# Live paths per lockstep batch. A chunk larger than this refills the batch
-# as paths finish. The streams take 32 bytes a path, so the batch's memory
-# is the jump laws' arrays; on a 2-core host, batches of 4096 and 8192 paths
-# were no faster than 2048 on either benchmark workload and left the peak
-# RSS where it was.
+# Paths per slice, the unit of Monte Carlo work: ``simulate_ensemble`` cuts
+# the paths into slices of at most this many and ``_walk`` walks one slice
+# at a time, so it also bounds the live paths, and the memory, of a process.
+# The streams take 32 bytes a path, so that memory is the jump laws' arrays.
+# On a 2-core host, 4096 and 8192 paths were no faster than 2048 on either
+# benchmark workload and left the peak RSS where it was.
 _BATCH = 2048
-
-
-def _inside(region: Intervals, ys: np.ndarray) -> np.ndarray:
-    """``region.contains`` for every point of ``ys``."""
-    out = np.zeros(ys.size, dtype=bool)
-    for lo, hi in region.bounds:
-        out |= (lo <= ys) & (ys <= hi)
-    return out
 
 
 def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: float,
           first: int, stop: int) -> tuple[np.ndarray, ...]:
-    """Walk paths ``first .. stop-1`` in lockstep until each is absorbed or
-    censored. Path i draws from the stream of ``path_rng(seed, i)``: first
-    its start, uniform over the domain.
+    """Walk the slice of paths ``first .. stop-1`` in lockstep until each is
+    absorbed or censored. Path i draws from the stream of
+    ``path_rng(seed, i)``: first its start, uniform over the domain.
 
     Every step builds one batched jump law for all live positions, then
     draws every live path's exponential wait and then its uniform, in the
     order a lone walk draws them. Paths therefore come out bit for bit as
-    if each walked alone, whatever else is in the batch.
+    if each walked alone, whatever else is in the slice. Each path's
+    elapsed time and jump count live in the output arrays, indexed by the
+    live ids; only ``ids``, ``x`` and the streams shrink as paths finish.
     A zero rate is a ``ConfigurationError``; when several paths fail, the
     first one's error is raised, as a path-by-path walk would raise it.
     Returns ``x0, exit_time, exit_location, jumps, censored`` in path order.
     """
     n = stop - first
     region = partition.reachable
-    x0 = np.empty(n)
-    exit_time = np.full(n, t_max, dtype=float)
+    streams = PathStreams.seeded(seed, first, stop)
+    x0 = partition.domain.uniform_points(streams.random())
+    exit_time = np.zeros(n)  # elapsed time until the path ends
     exit_location = np.full(n, np.nan)
     jumps = np.zeros(n, dtype=np.int64)
     censored = np.zeros(n, dtype=bool)
     errors = {}
-    ids = np.empty(0, dtype=np.int64)
-    x = np.empty(0)
-    t = np.empty(0)
-    count = np.empty(0, dtype=np.int64)
-    streams = PathStreams.seeded(seed, first, first)
-    pending = 0
-    while True:
-        if pending < n and len(streams) <= _BATCH // 2:
-            end = min(n, pending + _BATCH - len(streams))
-            new = PathStreams.seeded(seed, first + pending, first + end)
-            x0[pending:end] = partition.domain.uniform_points(new.random())
-            streams.extend(new)
-            new_ids = np.arange(pending, end, dtype=np.int64)
-            pending = end
-            ids = np.concatenate([ids, new_ids])
-            x = np.concatenate([x, x0[new_ids]])
-            t = np.concatenate([t, np.zeros(new_ids.size)])
-            count = np.concatenate([count, np.zeros(new_ids.size, dtype=np.int64)])
-        if not len(streams):
-            break
+    ids = np.arange(n)
+    x = x0
+    while ids.size:
         law = kernel.jump_laws(x, region)
         rate = law.total
         stuck = rate <= 0.0
@@ -141,21 +123,18 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: floa
             rate = np.where(stuck, np.inf, rate)  # these paths are dropped below
         wait = streams.standard_exponential()
         uniforms = streams.random()
-        t = t + wait / rate
+        t = exit_time[ids] + wait / rate
         over = (t > t_max) & ~stuck
         censored[ids[over]] = True
-        jumps[ids[over]] = count[over]
+        exit_time[ids] = np.where(over, t_max, t)
         y = law.sample(uniforms)
-        count = count + 1
-        out = ~stuck & ~over & ~_inside(partition.domain, y) & _inside(partition.absorbing, y)
-        exit_time[ids[out]] = t[out]
+        jumped = ~(stuck | over)
+        jumps[ids] += jumped
+        out = jumped & ~partition.domain.contains(y) & partition.absorbing.contains(y)
         exit_location[ids[out]] = y[out]
-        jumps[ids[out]] = count[out]
-        live = ~(stuck | over | out)
-        if not live.all():
-            streams.keep(live)
-            ids, t, count = ids[live], t[live], count[live]
-        x = y[live]
+        live = jumped & ~out
+        streams.keep(live)
+        ids, x = ids[live], y[live]
     if errors:
         raise errors[min(errors)]
     return x0, exit_time, exit_location, jumps, censored
@@ -166,22 +145,27 @@ def simulate_ensemble(kernel: JumpKernel, partition: DomainPartition, n_paths: i
     """Simulate ``n_paths`` independent exits, each started uniformly over
     the domain (from the path's own stream).
 
-    ``workers > 1`` splits the paths into one chunk per worker process;
-    results are identical to a serial run.
+    The paths are cut into consecutive slices, one per worker, or more when
+    a slice would exceed ``_BATCH`` paths. ``workers > 1`` walks them in a
+    pool of ``workers`` processes, or of ``os.cpu_count()`` when that is
+    smaller. Results are identical to a serial run.
     """
     if n_paths < 1:
         raise ConfigurationError("n_paths must be at least 1")
+    if workers < 1:
+        raise ConfigurationError(f"workers must be at least 1, got {workers}")
     if partition.absorbing.empty and not np.isfinite(t_max):
         raise ConfigurationError("confined process needs a finite t_max")
-    n_chunks = min(workers, n_paths) if workers > 1 else 1
-    bounds = np.linspace(0, n_paths, n_chunks + 1).astype(int)
-    chunks = [(kernel, partition, seed, t_max, int(a), int(b))
-              for a, b in zip(bounds[:-1], bounds[1:])]
-    if len(chunks) > 1:
+    workers = min(workers, os.cpu_count() or 1)
+    size = min(_BATCH, -(-n_paths // workers))
+    firsts = range(0, n_paths, size)
+    stops = [min(first + size, n_paths) for first in firsts]
+    walk = partial(_walk, kernel, partition, seed, t_max)
+    if workers > 1 and len(firsts) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_walk, *zip(*chunks)))
+            results = list(pool.map(walk, firsts, stops))
     else:
-        results = [_walk(*chunks[0])]
+        results = list(map(walk, firsts, stops))
     x0s, exit_time, exit_location, jumps, censored = (np.concatenate(a) for a in zip(*results))
     return ExitEnsemble(x0=x0s, exit_time=exit_time, exit_location=exit_location,
                         jumps=jumps, censored=censored, t_max=t_max)
@@ -233,23 +217,20 @@ def _survival_counts(ensemble: ExitEnsemble, times: np.ndarray) -> tuple[np.ndar
     """Empirical survival at each time and the number of paths it is
     estimated from.
 
-    Censored paths count as still-inside for ``t < t_max`` and drop out of
-    the estimate beyond the censoring time.
+    A censored path is alive at every ``t <= t_max``, and every path
+    counts. Past ``t_max`` every path has exited when none was censored
+    (S = 0); otherwise nothing is known there (S = NaN from n = 0).
     """
     if ensemble.n_paths == 0:
         raise ValueError("ensemble is empty")
     s_hat = np.empty(times.size)
-    n_obs = np.empty(times.size)
+    n_obs = np.full(times.size, ensemble.n_paths)
     for k, t in enumerate(times):
-        if t < ensemble.t_max:
-            alive = ensemble.exit_time > t
-            n = ensemble.n_paths
+        if t > ensemble.t_max and ensemble.censored.any():
+            s_hat[k], n_obs[k] = np.nan, 0
         else:
-            ok = ~ensemble.censored
-            alive = ok & (ensemble.exit_time > t)
-            n = int(ok.sum())
-        s_hat[k] = float(alive.sum()) / n if n else np.nan
-        n_obs[k] = n
+            alive = ensemble.censored | (ensemble.exit_time > t)
+            s_hat[k] = float(alive.sum()) / ensemble.n_paths
     return s_hat, n_obs
 
 

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import jumpexit
+from jumpexit import montecarlo as mc
 from jumpexit import operators, solver
 from jumpexit.cli import _write_csv, main
 from jumpexit.config import load_config
@@ -440,6 +441,45 @@ def test_compare_checkpoint_at_zero(config_file, tmp_path):
     assert (t0, s_mc, z) == (0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2_with_error_json(config_file, tmp_path, threads):
+    path = config_file(n_paths__="100")
+    assert main(["simulate", "--config", path, "--threads", threads]) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "ConfigurationError"
+    assert f"--threads must be at least 1, got {threads}" in err["message"]
+
+
+@pytest.mark.parametrize("t_max, rate, late", [
+    ("t_max = 5.0\n", "0.2", "[10.0, 25.0, 50.0]"),
+    ("", "100.0", "[5.0, 10.0, 25.0, 50.0]"),  # derived: 50 mean exit times, about 1
+], ids=["explicit", "derived"])
+def test_compare_rejects_checkpoints_past_t_max(config_file, tmp_path, monkeypatch,
+                                                t_max, rate, late):
+    # the Monte Carlo survival past the censoring time is unknown: compare
+    # stops before it walks
+    monkeypatch.setattr(mc, "simulate_ensemble",
+                        lambda *a, **k: pytest.fail("walked past a rejected checkpoint"))
+    path = config_file(text=BASE_CONFIG.replace("t_max = 500.0\n", t_max), rate__=rate)
+    assert main(["compare", "--config", path]) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "ConfigurationError"
+    assert late in err["message"] and "t_max = " in err["message"]
+
+
+def test_compare_counts_censored_paths_alive_at_t_max(config_file, tmp_path):
+    # checkpoint 50 = t_max: the censored paths are the survivors there
+    path = config_file(t_max__="50.0", n_paths__="2000")
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == 0
+    rows = (tmp_path / "sim" / "ensemble.csv").read_text().splitlines()[2:]
+    censored = sum(int(r.split(",")[5]) for r in rows)
+    assert censored > 0
+    assert main(["compare", "--config", path]) == 0
+    last = (tmp_path / "out" / "compare.csv").read_text().splitlines()[-1].split(",")
+    assert float(last[0]) == 50.0
+    assert float(last[2]) == censored / 2000
+
+
 def test_compare_assembles_one_operator(config_file, monkeypatch):
     # with t_max unset, the censoring horizon reuses the solver's operator
     calls = []
@@ -480,7 +520,8 @@ def test_verify_evaluates_domain_rows_only(config_file, monkeypatch):
 
 def test_benchmark_tracer_reads_solver_counts(config_file, tmp_path):
     # the benchmark's layer wrappers read op.a_star.nnz, the generator LU
-    # factors and the sigma iteration count; keep them readable
+    # factors, the sigma iteration count and the ensemble and sample-path
+    # counts; keep them readable
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py")
     tracer_mod = importlib.util.module_from_spec(spec)
@@ -488,8 +529,8 @@ def test_benchmark_tracer_reads_solver_counts(config_file, tmp_path):
     tracer = tracer_mod.Tracer()
     tracer_mod.install(tracer)
     try:
-        for command in ("solve", "moments", "verify"):
-            assert main([command, "--config", config_file(),
+        for command in ("solve", "moments", "verify", "simulate", "paths"):
+            assert main([command, "--config", config_file(n_paths__="500"),
                          "--out", str(tmp_path / command)]) == 0
     finally:
         tracer.uninstall()
@@ -499,6 +540,9 @@ def test_benchmark_tracer_reads_solver_counts(config_file, tmp_path):
     assert counts["nnz"] > 0
     assert counts["lu_fill"] > 0
     assert counts["sigma_iterations"] > 0
+    assert counts["paths"] == 500
+    assert counts["jumps"] > 0
+    assert counts["path_jumps"] > 0
 
 
 def test_compare_gate_fires_on_underresolved_grid(config_file, tmp_path):

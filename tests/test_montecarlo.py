@@ -6,6 +6,7 @@ Anderson-Darling gate uses the 1% critical value 3.857 for a fully
 specified null distribution.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -70,7 +71,8 @@ def test_survival_against_solver(analytic_ensemble, analytic_traj_256):
 
 
 def test_censored_records_beyond_t_max():
-    # hand-built ensemble: censored paths drop out of the estimate past t_max
+    # hand-built ensemble: censored paths are alive up to and at t_max, and
+    # past it the survival of a censored ensemble is unknown
     ens = ExitEnsemble(
         x0=np.zeros(4),
         exit_time=np.array([1.0, 3.0, 5.0, 5.0]),
@@ -79,10 +81,15 @@ def test_censored_records_beyond_t_max():
         censored=np.array([False, False, True, True]),
         t_max=5.0,
     )
-    s, se = empirical_survival(ens, [2.0, 4.0, 6.0])
+    s, se = empirical_survival(ens, [2.0, 4.0, 6.0, 5.0])
     assert s[0] == pytest.approx(3 / 4)   # censored still counted alive
     assert s[1] == pytest.approx(2 / 4)
-    assert s[2] == pytest.approx(0.0)     # only the 2 observed exits remain
+    assert np.isnan(s[2]) and np.isnan(se[2])
+    assert s[3] == pytest.approx(2 / 4)   # at t_max, over all 4 paths
+    # with no path censored, every path has exited by t_max
+    absorbed = dataclasses.replace(ens, censored=np.zeros(4, dtype=bool))
+    s, se = empirical_survival(absorbed, [4.0, 5.0, 6.0])
+    assert s.tolist() == [0.5, 0.0, 0.0]
     assert se[2] == 0.0
 
 
@@ -375,22 +382,27 @@ def test_lockstep_ensemble_matches_scalar_walk_bit_for_bit(case, workers):
         assert got.tobytes() == want.tobytes()
 
 
-def test_lockstep_ensemble_refills_its_batch(monkeypatch):
-    # more paths than one batch holds: the batch refills as paths finish
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_lockstep_ensemble_walks_in_slices(workers, monkeypatch):
+    # more paths than one slice holds: 70 paths walk in slices of 16 or fewer
     import jumpexit.montecarlo as mc
-    monkeypatch.setattr(mc, "_BATCH", 16)
     kernel, part, t_max = _family_cases()["capped_power_law"]
-    ens = simulate_ensemble(kernel, part, n_paths=70, seed=4, t_max=t_max)
+    whole = simulate_ensemble(kernel, part, n_paths=70, seed=4, t_max=t_max, workers=workers)
+    monkeypatch.setattr(mc, "_BATCH", 16)
+    sliced = simulate_ensemble(kernel, part, n_paths=70, seed=4, t_max=t_max, workers=workers)
     reference = scalar_reference_walk(kernel, part, 70, 4, t_max)
-    for got, want in zip(_ensemble_arrays(ens), reference):
-        assert got.tobytes() == want.tobytes()
+    for got, whole_arr, want in zip(_ensemble_arrays(sliced), _ensemble_arrays(whole), reference):
+        assert got.tobytes() == whole_arr.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_ensemble_raises_the_first_failing_paths_error(workers):
+def test_ensemble_raises_the_first_failing_paths_error(workers, monkeypatch):
     # rates vanish for x >= 0.7: a path that starts or lands there is stuck.
-    # A low-numbered path may get stuck many jumps after a later one does;
-    # the error raised must still be the lowest-numbered path's.
+    # A low-numbered path may get stuck many jumps after a later one does,
+    # and failing paths sit in several slices of 3; the error raised must
+    # still be the lowest-numbered path's.
+    import jumpexit.montecarlo as mc
+    monkeypatch.setattr(mc, "_BATCH", 3)
     x_nodes = np.array([0.0, 0.6, 0.7, 1.0])
     y_nodes = np.linspace(-1.0, 2.0, 13)
     grid = 0.3 * np.outer([1.0, 1.0, 0.0, 0.0], np.ones(y_nodes.size))
@@ -402,6 +414,55 @@ def test_ensemble_raises_the_first_failing_paths_error(workers):
         with pytest.raises(ConfigurationError) as got:
             simulate_ensemble(kernel, part, n_paths=12, seed=seed, t_max=10.0, workers=workers)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("workers, cpus, pool, slices", [
+    (5000, 4, 4, [(0, 3), (3, 6), (6, 9), (9, 10)]),
+    (3, 4, 3, [(0, 4), (4, 8), (8, 10)]),
+    (5000, None, None, [(0, 10)]),
+    (1, 4, None, [(0, 10)]),
+])
+def test_worker_pool_is_bounded_by_the_cpu_count(workers, cpus, pool, slices, monkeypatch):
+    import jumpexit.montecarlo as mc
+    kernel, part, t_max = _family_cases()["uniform"]
+    serial = simulate_ensemble(kernel, part, n_paths=10, seed=6, t_max=t_max)
+    pools, walked = [], []
+
+    class InlinePool:
+        """Records its size and runs the slices in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    def walk(*args):
+        walked.append(args[-2:])
+        return original(*args)
+
+    original = mc._walk
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(mc, "_walk", walk)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+    ens = simulate_ensemble(kernel, part, n_paths=10, seed=6, t_max=t_max, workers=workers)
+    assert pools == ([] if pool is None else [pool])
+    assert walked == slices
+    for got, want in zip(_ensemble_arrays(ens), _ensemble_arrays(serial)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_ensemble_needs_a_worker(workers):
+    kernel, part, t_max = _family_cases()["uniform"]
+    with pytest.raises(ConfigurationError, match="workers"):
+        simulate_ensemble(kernel, part, n_paths=10, seed=6, t_max=t_max, workers=workers)
 
 
 # --- the batched streams against numpy's own ---------------------------------
