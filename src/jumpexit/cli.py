@@ -280,7 +280,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.threads < 1:
+        if args.command in ("simulate", "compare") and args.threads < 1:
             raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "solve":
             return cmd_solve(cfg)

@@ -5,12 +5,12 @@ rate integral over domain + absorbing set only, so jumps into the
 unreachable collar never occur) and lands by exact inverse-CDF sampling.
 A path ends when it lands in the absorbing set, or is censored at ``t_max``.
 
-Ensembles walk in slices of consecutive paths, each slice in lockstep:
-each step builds one batched ``JumpLaws`` for the positions of every live
-path of the slice, takes every path's wait and landing from it, and drops
-the paths that were absorbed or censored. ``simulate_path`` keeps the
-scalar ``JumpLaw`` walk, one law per jump, since it records few long
-paths.
+Ensembles walk in lockstep, one chunk of paths per worker: each step
+builds one batched ``JumpLaws`` for the positions of every live path of
+the batch, takes every path's wait and landing from it, and drops the
+paths that were absorbed or censored; a half-empty batch takes in the
+chunk's next paths. ``simulate_path`` keeps the scalar ``JumpLaw`` walk,
+one law per jump, since it records few long paths.
 
 Reproducibility: path i draws from numpy's ``default_rng((seed, i))``
 stream (``path_rng``) in the order a lone walk would: its start, then per
@@ -21,8 +21,8 @@ own integer arithmetic, so each path gets its stream's words, in order, and
 turns them into the same doubles. The rare exponential draw off numpy's
 ziggurat fast path is made by a scalar ``Generator`` set to that path's
 state, which hands the state back. The batched law rounds as the scalar
-one does. So a path's record does not depend on the slice it walked in,
-on the other paths of that slice, or on the worker count; reductions sum
+one does. So a path's record does not depend on the batch it walked in,
+on the other paths of that batch, or on the worker count; reductions sum
 in fixed path order.
 """
 
@@ -74,43 +74,51 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(index)))
 
 
-# Paths per slice, the unit of Monte Carlo work: ``simulate_ensemble`` cuts
-# the paths into slices of at most this many and ``_walk`` walks one slice
-# at a time, so it also bounds the live paths, and the memory, of a process.
-# The streams take 32 bytes a path, so that memory is the jump laws' arrays.
-# On a 2-core host, 4096 and 8192 paths were no faster than 2048 on either
-# benchmark workload and left the peak RSS where it was.
+# Live paths per lockstep batch, the bound on a process's walk memory (the
+# streams take 32 bytes a path; the rest is the jump laws' arrays). On a
+# 2-core host, 4096 and 8192 were no faster than 2048 on either benchmark
+# workload and left the peak RSS where it was. Refilling leaves one tail of
+# short steps per chunk; walking 2048-path slices to their ends took 5373
+# steps for 1293 on configs/stable_alpha05.ini, and about 1.7 times as long.
 _BATCH = 2048
 
 
 def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: float,
           first: int, stop: int) -> tuple[np.ndarray, ...]:
-    """Walk the slice of paths ``first .. stop-1`` in lockstep until each is
-    absorbed or censored. Path i draws from the stream of
-    ``path_rng(seed, i)``: first its start, uniform over the domain.
+    """Walk paths ``first .. stop-1`` in lockstep until each is absorbed or
+    censored. Path i draws from the stream of ``path_rng(seed, i)``: first
+    its start, uniform over the domain, as it joins the batch.
 
     Every step builds one batched jump law for all live positions, then
     draws every live path's exponential wait and then its uniform, in the
     order a lone walk draws them. Paths therefore come out bit for bit as
-    if each walked alone, whatever else is in the slice. Each path's
+    if each walked alone, whatever else is in the batch. Each path's
     elapsed time and jump count live in the output arrays, indexed by the
-    live ids; only ``ids``, ``x`` and the streams shrink as paths finish.
+    live ids; ``ids``, ``x`` and the streams hold the batch.
     A zero rate is a ``ConfigurationError``; when several paths fail, the
     first one's error is raised, as a path-by-path walk would raise it.
     Returns ``x0, exit_time, exit_location, jumps, censored`` in path order.
     """
     n = stop - first
     region = partition.reachable
-    streams = PathStreams.seeded(seed, first, stop)
-    x0 = partition.domain.uniform_points(streams.random())
+    x0 = np.empty(n)
     exit_time = np.zeros(n)  # elapsed time until the path ends
     exit_location = np.full(n, np.nan)
     jumps = np.zeros(n, dtype=np.int64)
     censored = np.zeros(n, dtype=bool)
     errors = {}
-    ids = np.arange(n)
-    x = x0
-    while ids.size:
+    ids = np.empty(0, dtype=np.int64)
+    x = np.empty(0)
+    streams = PathStreams.seeded(seed, first, first)
+    joined = 0  # paths 0 .. joined-1 have entered the batch
+    while ids.size or joined < n:
+        if joined < n and ids.size <= _BATCH // 2:
+            new = np.arange(joined, min(n, joined + _BATCH - ids.size))
+            fresh = PathStreams.seeded(seed, first + joined, first + joined + new.size)
+            x0[new] = partition.domain.uniform_points(fresh.random())
+            streams.extend(fresh)
+            ids, x = np.concatenate([ids, new]), np.concatenate([x, x0[new]])
+            joined += new.size
         law = kernel.jump_laws(x, region)
         rate = law.total
         stuck = rate <= 0.0
@@ -145,10 +153,10 @@ def simulate_ensemble(kernel: JumpKernel, partition: DomainPartition, n_paths: i
     """Simulate ``n_paths`` independent exits, each started uniformly over
     the domain (from the path's own stream).
 
-    The paths are cut into consecutive slices, one per worker, or more when
-    a slice would exceed ``_BATCH`` paths. ``workers > 1`` walks them in a
-    pool of ``workers`` processes, or of ``os.cpu_count()`` when that is
-    smaller. Results are identical to a serial run.
+    ``workers > 1`` cuts the paths into one chunk of consecutive paths per
+    worker and walks them in a pool of ``workers`` processes, or of
+    ``os.cpu_count()`` when that is smaller. Results are identical to a
+    serial run.
     """
     if n_paths < 1:
         raise ConfigurationError("n_paths must be at least 1")
@@ -157,11 +165,11 @@ def simulate_ensemble(kernel: JumpKernel, partition: DomainPartition, n_paths: i
     if partition.absorbing.empty and not np.isfinite(t_max):
         raise ConfigurationError("confined process needs a finite t_max")
     workers = min(workers, os.cpu_count() or 1)
-    size = min(_BATCH, -(-n_paths // workers))
+    size = -(-n_paths // workers)
     firsts = range(0, n_paths, size)
     stops = [min(first + size, n_paths) for first in firsts]
     walk = partial(_walk, kernel, partition, seed, t_max)
-    if workers > 1 and len(firsts) > 1:
+    if len(firsts) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(walk, firsts, stops))
     else:

@@ -442,12 +442,18 @@ def test_compare_checkpoint_at_zero(config_file, tmp_path):
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
-def test_threads_below_one_exit_2_with_error_json(config_file, tmp_path, threads):
+def test_threads_below_one_exit_2_with_error_json(config_file, tmp_path, monkeypatch, threads):
+    # only the Monte Carlo subcommands use the flag; compare stops before
+    # it solves
     path = config_file(n_paths__="100")
-    assert main(["simulate", "--config", path, "--threads", threads]) == 2
-    err = json.loads((tmp_path / "out" / "error.json").read_text())
-    assert err["error"] == "ConfigurationError"
-    assert f"--threads must be at least 1, got {threads}" in err["message"]
+    assert main(["solve", "--config", path, "--threads", threads]) == 0
+    monkeypatch.setattr(solver, "evolve", lambda *a, **k: pytest.fail("solved with no workers"))
+    for command in ("simulate", "compare"):
+        assert main([command, "--config", path, "--threads", threads]) == 2
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert err["error"] == "ConfigurationError"
+        assert f"--threads must be at least 1, got {threads}" in err["message"]
+        (tmp_path / "out" / "error.json").unlink()
 
 
 @pytest.mark.parametrize("t_max, rate, late", [

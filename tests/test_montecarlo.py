@@ -382,25 +382,29 @@ def test_lockstep_ensemble_matches_scalar_walk_bit_for_bit(case, workers):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_lockstep_ensemble_walks_in_slices(workers, monkeypatch):
-    # more paths than one slice holds: 70 paths walk in slices of 16 or fewer
+def test_lockstep_ensemble_refills_its_batch(monkeypatch):
+    # more paths than one batch holds: at every worker count, each chunk's
+    # batch of 16 refills as paths finish, and the records do not move
     import jumpexit.montecarlo as mc
     kernel, part, t_max = _family_cases()["capped_power_law"]
-    whole = simulate_ensemble(kernel, part, n_paths=70, seed=4, t_max=t_max, workers=workers)
-    monkeypatch.setattr(mc, "_BATCH", 16)
-    sliced = simulate_ensemble(kernel, part, n_paths=70, seed=4, t_max=t_max, workers=workers)
     reference = scalar_reference_walk(kernel, part, 70, 4, t_max)
-    for got, whole_arr, want in zip(_ensemble_arrays(sliced), _ensemble_arrays(whole), reference):
-        assert got.tobytes() == whole_arr.tobytes() == want.tobytes()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(mc, "_BATCH", 2048)
+        whole = simulate_ensemble(kernel, part, n_paths=70, seed=4, t_max=t_max, workers=workers)
+        monkeypatch.setattr(mc, "_BATCH", 16)
+        refilled = simulate_ensemble(kernel, part, n_paths=70, seed=4, t_max=t_max,
+                                     workers=workers)
+        for got, one_batch, want in zip(_ensemble_arrays(refilled), _ensemble_arrays(whole),
+                                        reference):
+            assert got.tobytes() == one_batch.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ensemble_raises_the_first_failing_paths_error(workers, monkeypatch):
     # rates vanish for x >= 0.7: a path that starts or lands there is stuck.
     # A low-numbered path may get stuck many jumps after a later one does,
-    # and failing paths sit in several slices of 3; the error raised must
-    # still be the lowest-numbered path's.
+    # and failing paths join a batch of 3 in several refills; the error
+    # raised must still be the lowest-numbered path's.
     import jumpexit.montecarlo as mc
     monkeypatch.setattr(mc, "_BATCH", 3)
     x_nodes = np.array([0.0, 0.6, 0.7, 1.0])
@@ -416,20 +420,20 @@ def test_ensemble_raises_the_first_failing_paths_error(workers, monkeypatch):
         assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("workers, cpus, pool, slices", [
+@pytest.mark.parametrize("workers, cpus, pool, chunks", [
     (5000, 4, 4, [(0, 3), (3, 6), (6, 9), (9, 10)]),
     (3, 4, 3, [(0, 4), (4, 8), (8, 10)]),
     (5000, None, None, [(0, 10)]),
     (1, 4, None, [(0, 10)]),
 ])
-def test_worker_pool_is_bounded_by_the_cpu_count(workers, cpus, pool, slices, monkeypatch):
+def test_worker_pool_is_bounded_by_the_cpu_count(workers, cpus, pool, chunks, monkeypatch):
     import jumpexit.montecarlo as mc
     kernel, part, t_max = _family_cases()["uniform"]
     serial = simulate_ensemble(kernel, part, n_paths=10, seed=6, t_max=t_max)
     pools, walked = [], []
 
     class InlinePool:
-        """Records its size and runs the slices in this process."""
+        """Records its size and runs the chunks in this process."""
 
         def __init__(self, max_workers):
             pools.append(max_workers)
@@ -453,7 +457,7 @@ def test_worker_pool_is_bounded_by_the_cpu_count(workers, cpus, pool, slices, mo
     monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
     ens = simulate_ensemble(kernel, part, n_paths=10, seed=6, t_max=t_max, workers=workers)
     assert pools == ([] if pool is None else [pool])
-    assert walked == slices
+    assert walked == chunks
     for got, want in zip(_ensemble_arrays(ens), _ensemble_arrays(serial)):
         assert got.tobytes() == want.tobytes()
 
