@@ -136,6 +136,11 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> int:
     s_hat, stderr = mc.empirical_survival(ens, times)
     _write_csv(out / "mc_survival.csv", cfg.config_hash, ["t", "S_hat", "stderr"],
                zip(times, s_hat, stderr))
+    unknown = int(np.isnan(s_hat).sum())
+    if unknown:
+        print(f"warning: {unknown} of {times.size} rows of mc_survival.csv are NaN: they lie "
+              f"past t_max = {ens.t_max!r}, where {int(ens.censored.sum())} censored paths "
+              "leave the survival unknown", file=sys.stderr)
     return EXIT_OK
 
 

@@ -9,8 +9,12 @@ Ensembles walk in lockstep, one chunk of paths per worker: each step
 builds one batched ``JumpLaws`` for the positions of every live path of
 the batch, takes every path's wait and landing from it, and drops the
 paths that were absorbed or censored; a half-empty batch takes in the
-chunk's next paths. ``simulate_path`` keeps the scalar ``JumpLaw`` walk,
-one law per jump, since it records few long paths.
+chunk's next paths. Jump counts have a long tail, so most steps would
+carry a few live paths and still pay the whole step's numpy overhead
+(about 0.3 ms, against about 10 us for one scalar law): once every path
+of the chunk has joined and at most ``_TAIL`` (32) are live, each of
+those finishes alone on the scalar ``JumpLaw`` walk, ``_walk_path``.
+``simulate_path`` records its few long paths on the same walk.
 
 Reproducibility: path i draws from numpy's ``default_rng((seed, i))``
 stream (``path_rng``) in the order a lone walk would: its start, then per
@@ -20,10 +24,12 @@ as arrays, and seeds, steps and draws for all of them at once with numpy's
 own integer arithmetic, so each path gets its stream's words, in order, and
 turns them into the same doubles. The rare exponential draw off numpy's
 ziggurat fast path is made by a scalar ``Generator`` set to that path's
-state, which hands the state back. The batched law rounds as the scalar
-one does. So a path's record does not depend on the batch it walked in,
-on the other paths of that batch, or on the worker count; reductions sum
-in fixed path order.
+state, which hands the state back; a tail path walks on with that
+``Generator``, set to its stream where the lockstep walk left it. The
+batched law rounds as the scalar one does. So a path's record does not
+depend on the batch it walked in, on the other paths of that batch, on
+when it left the lockstep walk, or on the worker count; reductions sum in
+fixed path order.
 """
 
 import os
@@ -82,19 +88,68 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
 # steps for 1293 on configs/stable_alpha05.ini, and about 1.7 times as long.
 _BATCH = 2048
 
+# Once every path has joined, the lockstep walk hands its last live paths to
+# the scalar walk when at most this many are left. A lockstep step costs
+# about 0.3 ms of numpy calls whatever its size, a scalar law about 10 us.
+# On a 2-core host, stable-mc's 1000-path ensemble on two workers (seed 14)
+# took 0.26 s at 0 (864 steps), 0.21 s at 8, 0.18-0.19 s at 16, 32 and 64
+# (355 steps at 32), and 0.21 s at 128; the 4000-path fine-grid ensemble
+# took 9.5-12 ms at every value from 0 to 128.
+_TAIL = 32
+
+
+def _stuck(x: float) -> ConfigurationError:
+    """The error of a walk whose jump rate at ``x`` is zero."""
+    return ConfigurationError(
+        f"zero jump rate at x={x}: the point cannot reach the rest of the configured region"
+    )
+
+
+def _walk_path(kernel: JumpKernel, partition: DomainPartition | None, x: float, t: float,
+               t_max: float, rng: np.random.Generator, times: list | None = None,
+               positions: list | None = None) -> tuple[float, float, int, bool]:
+    """Walk one path on from ``x`` at elapsed time ``t``, one scalar jump
+    law per jump: a wait from ``rng``, censoring at ``t_max``, then a
+    landing uniform from ``rng``. The path ends when it lands in the
+    partition's absorbing set; with no partition it walks free space and
+    ends only at ``t_max``. ``times`` and ``positions``, when given,
+    collect each jump's time and landing. Returns the end time, the last
+    position, the jumps made and whether the path was censored. A zero
+    rate is a ``ConfigurationError``.
+    """
+    region = None if partition is None else partition.reachable
+    jumps = 0
+    while True:
+        law = kernel.jump_law(x, region)
+        rate = law.total
+        if rate <= 0.0:
+            raise _stuck(x)
+        t += rng.standard_exponential() / rate
+        if t > t_max:
+            return t_max, x, jumps, True
+        x = law.sample(rng)
+        jumps += 1
+        if times is not None:
+            times.append(t)
+            positions.append(x)
+        if partition is not None and partition.region_of(x) == Region.ABSORBING:
+            return t, x, jumps, False
+
 
 def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: float,
           first: int, stop: int) -> tuple[np.ndarray, ...]:
-    """Walk paths ``first .. stop-1`` in lockstep until each is absorbed or
-    censored. Path i draws from the stream of ``path_rng(seed, i)``: first
-    its start, uniform over the domain, as it joins the batch.
+    """Walk paths ``first .. stop-1`` until each is absorbed or censored.
+    Path i draws from the stream of ``path_rng(seed, i)``: first its start,
+    uniform over the domain, as it joins the batch.
 
-    Every step builds one batched jump law for all live positions, then
-    draws every live path's exponential wait and then its uniform, in the
-    order a lone walk draws them. Paths therefore come out bit for bit as
-    if each walked alone, whatever else is in the batch. Each path's
+    Every lockstep step builds one batched jump law for all live positions,
+    then draws every live path's exponential wait and then its uniform, in
+    the order a lone walk draws them. Paths therefore come out bit for bit
+    as if each walked alone, whatever else is in the batch. Each path's
     elapsed time and jump count live in the output arrays, indexed by the
-    live ids; ``ids``, ``x`` and the streams hold the batch.
+    live ids; ``ids``, ``x`` and the streams hold the batch. Once every
+    path has joined and at most ``_TAIL`` are live, each of those walks on
+    alone by ``_walk_path`` from its stream's state.
     A zero rate is a ``ConfigurationError``; when several paths fail, the
     first one's error is raised, as a path-by-path walk would raise it.
     Returns ``x0, exit_time, exit_location, jumps, censored`` in path order.
@@ -111,7 +166,7 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: floa
     x = np.empty(0)
     streams = PathStreams.seeded(seed, first, first)
     joined = 0  # paths 0 .. joined-1 have entered the batch
-    while ids.size or joined < n:
+    while joined < n or ids.size > _TAIL:
         if joined < n and ids.size <= _BATCH // 2:
             new = np.arange(joined, min(n, joined + _BATCH - ids.size))
             fresh = PathStreams.seeded(seed, first + joined, first + joined + new.size)
@@ -124,10 +179,7 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: floa
         stuck = rate <= 0.0
         if stuck.any():
             for k in np.flatnonzero(stuck):
-                errors[int(ids[k])] = ConfigurationError(
-                    f"zero jump rate at x={float(x[k])}: the point cannot reach the rest "
-                    "of the configured region"
-                )
+                errors[int(ids[k])] = _stuck(float(x[k]))
             rate = np.where(stuck, np.inf, rate)  # these paths are dropped below
         wait = streams.standard_exponential()
         uniforms = streams.random()
@@ -143,6 +195,17 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: floa
         live = jumped & ~out
         streams.keep(live)
         ids, x = ids[live], y[live]
+    for k, i in enumerate(ids):
+        try:
+            t_end, y_end, more, over = _walk_path(kernel, partition, float(x[k]),
+                                                  float(exit_time[i]), t_max, streams.generator(k))
+        except ConfigurationError as exc:
+            errors[int(i)] = exc
+            continue
+        exit_time[i], censored[i] = t_end, over
+        jumps[i] += more
+        if not over:
+            exit_location[i] = y_end
     if errors:
         raise errors[min(errors)]
     return x0, exit_time, exit_location, jumps, censored
@@ -186,27 +249,12 @@ def simulate_path(kernel: JumpKernel, x0: float, rng: np.random.Generator,
     censored/absorbed walk over the partition (stops on absorption)."""
     if not free_space and partition is None:
         raise ConfigurationError("confined paths need a domain partition")
-    region = None if free_space else partition.reachable
-    times = [0.0]
-    positions = [float(x0)]
-    x = float(x0)
-    t = 0.0
-    while True:
-        law = kernel.jump_law(x, region)
-        rate = law.total
-        if rate <= 0.0:
-            raise ConfigurationError(f"zero jump rate at x={x}")
-        t += rng.standard_exponential() / rate
-        if t > t_max:
-            times.append(t_max)
-            positions.append(x)
-            break
-        y = law.sample(rng)
-        times.append(t)
-        positions.append(y)
-        if not free_space and partition.region_of(y) == Region.ABSORBING:
-            break
-        x = y
+    times, positions = [0.0], [float(x0)]
+    _, x, _, over = _walk_path(kernel, None if free_space else partition, float(x0), 0.0,
+                               t_max, rng, times, positions)
+    if over:
+        times.append(t_max)
+        positions.append(x)
     return SamplePath(times=np.array(times), positions=np.array(positions))
 
 

@@ -158,17 +158,26 @@ def test_moments_and_exit_time(config_file, tmp_path):
     assert np.max(np.abs(m1 - 10.0)) <= 0.2
 
 
+POWER_LAW = (BASE_CONFIG
+             .replace("family = compound_poisson_uniform", "family = truncated_stable")
+             .replace("rate = 0.2", "alpha = 0.5\nm = 1.0\nepsilon = 0.001")
+             .replace("t_max = 500.0", "t_max = 20.0"))
+
+
 def test_simulate_outputs_and_threads_identical(config_file, tmp_path):
-    path = config_file(n_paths__="800")
-    assert main(["simulate", "--config", path, "--out", str(tmp_path / "a")]) == 0
-    assert main(["simulate", "--config", path, "--out", str(tmp_path / "b"),
-                 "--threads", "4"]) == 0
-    a = (tmp_path / "a" / "ensemble.csv").read_bytes()
-    b = (tmp_path / "b" / "ensemble.csv").read_bytes()
-    assert a == b
-    header = (tmp_path / "a" / "ensemble.csv").read_text().splitlines()[1]
-    assert header == "path_id,x0,T,y_exit,N,censored"
-    assert (tmp_path / "a" / "mc_survival.csv").exists()
+    # the power-law walks take about 60 jumps each, so every worker's
+    # chunk of at least 75 paths leaves more than mc._TAIL live after its
+    # first steps and hands the last ones to the scalar walk
+    for text, n_paths in ((BASE_CONFIG, 800), (POWER_LAW, 300)):
+        path = config_file(text=text, n_paths__=str(n_paths))
+        runs = [tmp_path / f"{n_paths}-{threads}" for threads in (1, 2, 3, 4)]
+        for threads, out in enumerate(runs, start=1):
+            assert main(["simulate", "--config", path, "--out", str(out),
+                         "--threads", str(threads)]) == 0
+            for name in ("ensemble.csv", "mc_survival.csv"):
+                assert (out / name).read_bytes() == (runs[0] / name).read_bytes()
+        header = (runs[0] / "ensemble.csv").read_text().splitlines()[1]
+        assert header == "path_id,x0,T,y_exit,N,censored"
 
 
 def test_rerun_is_byte_identical(config_file, tmp_path):
@@ -484,6 +493,24 @@ def test_compare_counts_censored_paths_alive_at_t_max(config_file, tmp_path):
     last = (tmp_path / "out" / "compare.csv").read_text().splitlines()[-1].split(",")
     assert float(last[0]) == 50.0
     assert float(last[2]) == censored / 2000
+
+
+def test_simulate_says_how_many_survival_rows_are_unknown(config_file, tmp_path, capsys):
+    # t_max = 5 < t_end = 50: the paths censored at t_max leave S unknown
+    # past it, and those rows of mc_survival.csv read NaN
+    path = config_file(t_max__="5.0", n_paths__="200")
+    assert main(["simulate", "--config", path]) == 0
+    rows = (tmp_path / "out" / "mc_survival.csv").read_text().splitlines()[2:]
+    nan = sum(r.split(",")[1] == "nan" for r in rows)
+    censored = sum(int(r.split(",")[5]) for r in
+                   (tmp_path / "out" / "ensemble.csv").read_text().splitlines()[2:])
+    assert nan == 180 and censored > 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"warning: {nan} of 201 rows of mc_survival.csv are NaN: they lie past "
+                   f"t_max = 5.0, where {censored} censored paths leave the survival unknown"]
+    # no line when no path was censored
+    assert main(["simulate", "--config", config_file(n_paths__="200")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_compare_assembles_one_operator(config_file, monkeypatch):

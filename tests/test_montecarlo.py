@@ -8,6 +8,8 @@ specified null distribution.
 
 import dataclasses
 import hashlib
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import EXIT_RATE, exp_survival, kernel_cases
 from jumpexit import _streams
+from jumpexit import montecarlo as mc
 from jumpexit._streams import PathStreams
 from jumpexit.errors import ConfigurationError
 from jumpexit.geometry import DomainPartition, Intervals, Region
@@ -274,34 +277,79 @@ def test_ensemble_streams_are_pinned(family):
     assert digest.hexdigest() == STREAM_PINS[family]
 
 
+def _check_one_law_per_jump(events, laws, n, tail):
+    """``events`` of one serial walk of ``n`` paths, in order: ("join", k)
+    as k paths join, ("batch", k) for a k-row lockstep law, ("scalar", 1)
+    for a scalar law and ("tail", 1) as a path leaves the lockstep walk.
+    ``laws`` is each path's jumps plus one for a censoring wait."""
+    kinds = [kind for kind, _ in events]
+    batched = [size for kind, size in events if kind == "batch"]
+    assert sum(batched) + kinds.count("scalar") == laws.sum()
+    if "scalar" not in kinds:
+        return
+    first = kinds.index("scalar")
+    # scalar builds start once nothing is left to join and at most `tail`
+    # paths are live; then the lockstep walk is over
+    assert sum(size for kind, size in events[:first] if kind == "join") == n
+    assert {"join", "batch"}.isdisjoint(kinds[first:])
+    assert 0 < kinds.count("tail") <= tail
+    # and no sooner could they start: the last lockstep step held more than
+    # `tail` paths or took in new ones
+    last = len(kinds) - 1 - kinds[::-1].index("batch")
+    assert batched[-1] > tail or kinds[last - 1] == "join"
+
+
 @pytest.mark.parametrize("family", sorted(STREAM_PINS))
 def test_one_piece_build_per_jump(family, monkeypatch):
     kernel, part, _ = _family_cases()[family]
-    original = JumpKernel.jump_laws
-    sizes = []
+    events = []
+    jump_laws, pieces, walk_path = JumpKernel.jump_laws, type(kernel)._pieces, mc._walk_path
+    seeded = PathStreams.seeded.__func__
 
-    def counting(self, xs, region):
-        sizes.append(len(xs))
-        return original(self, xs, region)
+    def counting_laws(self, xs, region):
+        events.append(("batch", len(xs)))
+        return jump_laws(self, xs, region)
 
-    monkeypatch.setattr(JumpKernel, "jump_laws", counting)
-    # the walk builds no scalar law: its pieces come from the batched build
-    monkeypatch.setattr(type(kernel), "_pieces", lambda self, *a: pytest.fail("scalar law built"))
-    seen = set()
-    for i, t_max in enumerate([0.05, 0.5, 5.0, 50.0] * 4):
-        sizes.clear()
-        one = simulate_ensemble(kernel, part, n_paths=1, seed=5 + i, t_max=t_max)
-        jumps, censored = int(one.jumps[0]), bool(one.censored[0])
-        # a censored walk builds one more law for the wait that overran t_max
-        assert sizes == [1] * (jumps + censored)
-        seen.add(censored)
-    assert seen == {True, False}
+    def counting_pieces(self, x, region):
+        events.append(("scalar", 1))
+        return pieces(self, x, region)
 
-    sizes.clear()
-    ens = simulate_ensemble(kernel, part, n_paths=200, seed=7, t_max=5.0)
-    laws = ens.jumps + ens.censored  # laws each path built
-    # one build per lockstep step, holding exactly the paths still live
-    assert sizes == [int((laws > step).sum()) for step in range(laws.max())]
+    def counting_seeded(cls, seed, first, stop):
+        events.append(("join", stop - first))
+        return seeded(cls, seed, first, stop)
+
+    def counting_walk_path(*args):
+        events.append(("tail", 1))
+        return walk_path(*args)
+
+    monkeypatch.setattr(JumpKernel, "jump_laws", counting_laws)
+    monkeypatch.setattr(type(kernel), "_pieces", counting_pieces)
+    monkeypatch.setattr(PathStreams, "seeded", classmethod(counting_seeded))
+    monkeypatch.setattr(mc, "_walk_path", counting_walk_path)
+    for tail in (0, mc._TAIL):
+        monkeypatch.setattr(mc, "_TAIL", tail)
+        seen = set()
+        for i, t_max in enumerate([0.05, 0.5, 5.0, 50.0] * 4):
+            events.clear()
+            one = simulate_ensemble(kernel, part, n_paths=1, seed=5 + i, t_max=t_max)
+            laws = one.jumps + one.censored
+            _check_one_law_per_jump(events, laws, 1, tail)
+            # a lone path leaves the lockstep walk after its first step
+            batched = [size for kind, size in events if kind == "batch"]
+            assert batched == ([1] * int(laws[0]) if tail == 0 else [1])
+            seen.add(bool(one.censored[0]))
+        assert seen == {True, False}
+
+        events.clear()
+        ens = simulate_ensemble(kernel, part, n_paths=200, seed=7, t_max=5.0)
+        laws = ens.jumps + ens.censored
+        _check_one_law_per_jump(events, laws, 200, tail)
+        batched = [size for kind, size in events if kind == "batch"]
+        if tail == 0:
+            # one build per lockstep step, holding exactly the paths still live
+            assert batched == [int((laws > step).sum()) for step in range(laws.max())]
+        else:
+            assert ("tail", 1) in events
 
 
 @pytest.mark.parametrize("family", sorted(STREAM_PINS))
@@ -374,21 +422,26 @@ def _walk_cases(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=_walk_cases(), workers=st.sampled_from([1, 2, 3]))
 def test_lockstep_ensemble_matches_scalar_walk_bit_for_bit(case, workers):
+    # at _TAIL = 0 the paths walk in lockstep to their ends; at the default,
+    # at most 25 paths leave the lockstep walk after its first step
     kernel, part, run = case
-    ens = simulate_ensemble(kernel, part, workers=workers, **run)
     reference = scalar_reference_walk(kernel, part, **run)
-    for got, want in zip(_ensemble_arrays(ens), reference):
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+    for tail in (0, mc._TAIL):
+        with mock.patch.object(mc, "_TAIL", tail):
+            ens = simulate_ensemble(kernel, part, workers=workers, **run)
+        for got, want in zip(_ensemble_arrays(ens), reference):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_lockstep_ensemble_refills_its_batch(monkeypatch):
     # more paths than one batch holds: at every worker count, each chunk's
-    # batch of 16 refills as paths finish, and the records do not move
-    import jumpexit.montecarlo as mc
+    # batch of 16 refills as paths finish, and the records do not move,
+    # whether the last paths walk in lockstep or alone
     kernel, part, t_max = _family_cases()["capped_power_law"]
     reference = scalar_reference_walk(kernel, part, 70, 4, t_max)
-    for workers in (1, 2, 3):
+    for tail, workers in itertools.product((0, mc._TAIL), (1, 2, 3)):
+        monkeypatch.setattr(mc, "_TAIL", tail)
         monkeypatch.setattr(mc, "_BATCH", 2048)
         whole = simulate_ensemble(kernel, part, n_paths=70, seed=4, t_max=t_max, workers=workers)
         monkeypatch.setattr(mc, "_BATCH", 16)
@@ -399,25 +452,49 @@ def test_lockstep_ensemble_refills_its_batch(monkeypatch):
             assert got.tobytes() == one_batch.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_ensemble_raises_the_first_failing_paths_error(workers, monkeypatch):
-    # rates vanish for x >= 0.7: a path that starts or lands there is stuck.
-    # A low-numbered path may get stuck many jumps after a later one does,
-    # and failing paths join a batch of 3 in several refills; the error
-    # raised must still be the lowest-numbered path's.
-    import jumpexit.montecarlo as mc
-    monkeypatch.setattr(mc, "_BATCH", 3)
+def _stuck_table():
+    """A bivariate table whose rates vanish for x >= 0.7, on the unit
+    interval with full absorption."""
     x_nodes = np.array([0.0, 0.6, 0.7, 1.0])
     y_nodes = np.linspace(-1.0, 2.0, 13)
     grid = 0.3 * np.outer([1.0, 1.0, 0.0, 0.0], np.ones(y_nodes.size))
     kernel = TabulatedKernel(horizon=1.0, x_nodes=x_nodes, y_nodes=y_nodes, grid_values=grid)
-    part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
+    return kernel, DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_raises_the_first_failing_paths_error(workers, monkeypatch):
+    # a path that starts or lands at x >= 0.7 is stuck. A low-numbered path
+    # may get stuck many jumps after a later one does, and failing paths
+    # join a batch of 3 in several refills; the error raised must still be
+    # the lowest-numbered path's, whether paths get stuck in the lockstep
+    # walk or after they leave it
+    monkeypatch.setattr(mc, "_BATCH", 3)
+    kernel, part = _stuck_table()
     for seed in range(6):
         with pytest.raises(ConfigurationError) as want:
             scalar_reference_walk(kernel, part, 12, seed, 10.0)
+        for tail in (0, mc._TAIL):
+            monkeypatch.setattr(mc, "_TAIL", tail)
+            with pytest.raises(ConfigurationError) as got:
+                simulate_ensemble(kernel, part, n_paths=12, seed=seed, t_max=10.0,
+                                  workers=workers)
+            assert str(got.value) == str(want.value)
+
+
+def test_zero_rate_error_reads_the_same_on_every_walk():
+    kernel, part = _stuck_table()
+    message = ("zero jump rate at x=0.8: the point cannot reach the rest of the "
+               "configured region")
+    for free_space in (True, False):
         with pytest.raises(ConfigurationError) as got:
-            simulate_ensemble(kernel, part, n_paths=12, seed=seed, t_max=10.0, workers=workers)
-        assert str(got.value) == str(want.value)
+            simulate_path(kernel, 0.8, path_rng(0, 0), t_max=10.0, free_space=free_space,
+                          partition=part)
+        assert str(got.value) == message
+    with pytest.raises(ConfigurationError) as got:
+        simulate_ensemble(kernel, part, n_paths=12, seed=0, t_max=10.0)
+    x = float(str(got.value).split("x=")[1].split(":")[0])
+    assert x >= 0.7 and str(got.value) == message.replace("0.8", repr(x))
 
 
 @pytest.mark.parametrize("workers, cpus, pool, chunks", [
