@@ -1,4 +1,4 @@
-"""Finite-range jump-rate kernels: evaluation, integration, and sampling.
+"""Finite-range jump-rate kernels: integration and sampling.
 
 A kernel gives the rate density gamma(x, y) for jumps from x to y, zero
 whenever |x - y| >= horizon. Three families are provided:
@@ -13,7 +13,11 @@ whenever |x - y| >= horizon. Three families are provided:
   has infinite activity, with finite variation exactly when ``alpha < 1``.
 * ``TabulatedKernel`` -- values interpolated from a table, either a
   translation-invariant profile over signed displacements or a full
-  bivariate (x, y) grid. Integration is trapezoidal on the interpolant.
+  bivariate (x, y) grid. Integration is exact on the interpolant.
+
+The solver reads a kernel through ``JumpKernel.quadrature_values``, the
+exact average of gamma(x, .) over each cell from a per-family closed-form
+CDF, so a cell that the horizon covers in part counts with that part.
 
 Rate integrals over interval unions use exact piecewise antiderivatives
 (power-law, constant, and linear pieces), and jump destinations are drawn
@@ -169,7 +173,7 @@ def _clip_linear(lo, hi, v_lo, v_hi, bounds):
     (rlo, rhi) of ``bounds`` with ``_clip_pieces``' tie rule and order
     (piece by piece, each in bound order). A clipped piece's end values
     are ``v_lo + slope * (end - lo)`` from the piece it was cut from."""
-    bounds = np.asarray(bounds, dtype=float)
+    bounds = np.asarray(bounds, dtype=float).reshape(-1, 2)  # () for an empty region
     # max(lo, rlo) and min(hi, rhi), ties going to the piece
     clo = np.maximum(lo[:, None], bounds[:, 0])
     chi = np.minimum(hi[:, None], bounds[:, 1])
@@ -354,8 +358,9 @@ class JumpLaws:
 class JumpKernel:
     """Shared behavior for all kernel families.
 
-    Subclasses provide ``evaluate`` (vectorized in y), ``_pieces`` (the
-    closed-form density pieces of y -> gamma(x, y), clipped to a region),
+    Subclasses provide ``_cdf`` (the closed-form CDF of the displacement,
+    which gives the solver its cell averages), ``_pieces`` (the closed-form
+    density pieces of y -> gamma(x, y), clipped to a region) and
     ``_piece_columns`` (the unclipped pieces for a batch of points).
     ``jump_law`` takes the clipped pieces once; ``total_rate`` and
     ``sample_jump`` are its total and its draw. ``jump_laws`` is
@@ -366,10 +371,12 @@ class JumpKernel:
 
     @property
     def symmetric(self) -> bool:
+        """gamma(x, y) depends on |x - y| alone."""
         raise NotImplementedError
 
-    def evaluate(self, x, y):
-        """Rate density gamma(x, y), vectorized over ``y``."""
+    def _cdf(self, x: float, d: np.ndarray) -> np.ndarray:
+        """An antiderivative of d -> gamma(x, x + d), vectorized over the
+        displacements ``d``; constant for |d| >= horizon."""
         raise NotImplementedError
 
     def _pieces(self, x: float, region: Intervals | None) -> tuple:
@@ -408,13 +415,16 @@ class JumpKernel:
         return self.jump_law(x, region).sample(rng)
 
     def quadrature_values(self, x: float, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
-        """Per-cell effective rate densities for collocation rows.
+        """The average of gamma(x, .) over each cell, ``(F(d + w/2) -
+        F(d - w/2)) / w`` for the CDF F of the displacement d = c - x.
 
-        Default is midpoint evaluation; singular families override near
-        their plateau where the midpoint rule would be dominated by the
-        kink error.
+        A symmetric kernel reads the distance |c - x|, so the rates between
+        two cells of one width agree bit for bit in both directions.
         """
-        return np.asarray(self.evaluate(x, centers), dtype=float)
+        d = np.asarray(centers, dtype=float) - x
+        d = np.abs(d) if self.symmetric else d
+        f = self._cdf(x, d + np.multiply.outer((-0.5, 0.5), widths))  # both cell ends
+        return (f[1] - f[0]) / widths
 
 
 @dataclass(frozen=True)
@@ -436,9 +446,9 @@ class CompoundPoissonUniform(JumpKernel):
     def density(self) -> float:
         return self.rate / (2.0 * self.horizon)
 
-    def evaluate(self, x, y):
-        z = np.abs(np.asarray(y, dtype=float) - x)
-        return np.where(z < self.horizon, self.density, 0.0)
+    def _cdf(self, x, d):
+        # np.clip through the bare ufuncs, whose call cost counts per row
+        return self.density * np.minimum(np.maximum(d, -self.horizon), self.horizon)
 
     def _pieces(self, x, region):
         return _with_masses(_clip_pieces(
@@ -484,19 +494,12 @@ class TruncatedStable(JumpKernel):
     def plateau(self) -> float:
         return self.epsilon ** -(1.0 + self.alpha) / self.m
 
-    def evaluate(self, x, y):
-        z = np.abs(np.asarray(y, dtype=float) - x)
-        power = np.maximum(z, self.epsilon) ** -(1.0 + self.alpha) / self.m
-        vals = np.where(z <= self.epsilon, self.plateau, power)
-        return np.where(z < self.horizon, vals, 0.0)
-
-    def one_sided_cumulative(self, z):
-        """Integral of the density over displacements (0, z), vectorized."""
-        z = np.clip(np.asarray(z, dtype=float), 0.0, self.horizon)
-        plateau_part = self.plateau * np.minimum(z, self.epsilon)
-        zc = np.clip(z, self.epsilon, self.horizon)
-        tail = (self.epsilon ** -self.alpha - zc ** -self.alpha) / (self.m * self.alpha)
-        return plateau_part + tail
+    def _cdf(self, x, d):
+        # the integral over displacements (0, |d|), extended as an odd function
+        eps, a = self.epsilon, self.alpha
+        z = np.minimum(np.abs(d), self.horizon)
+        tail = (eps ** -a - np.maximum(z, eps) ** -a) / (self.m * a)
+        return np.copysign(self.plateau * np.minimum(z, eps) + tail, d)
 
     def _pieces(self, x, region):
         lam, eps = self.horizon, self.epsilon
@@ -517,18 +520,17 @@ class TruncatedStable(JumpKernel):
             _PowerColumn(rows, xs + eps, xs + lam, xs, scale, self.alpha),
         ]
 
-    def quadrature_values(self, x, centers, widths):
-        vals = np.asarray(self.evaluate(x, centers), dtype=float)
-        d = np.abs(np.asarray(centers, dtype=float) - x)
-        near = d <= self.epsilon + 1.5 * widths
-        if np.any(near):
-            # exact cell averages where the cell touches the plateau or its
-            # kink; distances keep the rule symmetric between cell pairs
-            za = d[near] - 0.5 * widths[near]
-            zb = d[near] + 0.5 * widths[near]
-            mass = self.one_sided_cumulative(zb) - self.one_sided_cumulative(za)
-            vals[near] = mass / widths[near]
-        return vals
+
+def _linear_integral(nodes: np.ndarray, values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Integral from ``nodes[0]`` to each of ``q`` of the linear interpolant
+    of ``values`` over ``nodes``, taken as zero outside the nodes."""
+    q = np.minimum(np.maximum(q, nodes[0]), nodes[-1])
+    dz = np.diff(nodes)
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (values[:-1] + values[1:]) * dz)))
+    k = np.minimum(nodes.searchsorted(q, side="right") - 1, nodes.size - 2)
+    t = q - nodes[k]
+    slope = (values[k + 1] - values[k]) / dz[k]
+    return cum[k] + t * (values[k] + 0.5 * slope * t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -583,27 +585,22 @@ class TabulatedKernel(JumpKernel):
 
     @property
     def symmetric(self) -> bool:
-        if self.translation_invariant:
-            z, v = self.displacements, self.values
-            mirrored = np.interp(-z, z, v, left=0.0, right=0.0)
-            scale = max(float(v.max()), 1e-300)
-            return bool(np.max(np.abs(v - mirrored)) <= 1e-12 * scale)
-        vv = self.grid_values
-        if self.x_nodes.size != self.y_nodes.size or np.any(self.x_nodes != self.y_nodes):
+        # gamma(x, y) = gamma(y, x) does not make one row's cell averages
+        # another's, so only an even profile over |x - y| qualifies
+        if not self.translation_invariant:
             return False
-        scale = max(float(vv.max()), 1e-300)
-        return bool(np.max(np.abs(vv - vv.T)) <= 1e-12 * scale)
+        z, v = self.displacements, self.values
+        mirrored = np.interp(-z, z, v, left=0.0, right=0.0)
+        scale = max(float(v.max()), 1e-300)
+        return bool(np.max(np.abs(v - mirrored)) <= 1e-12 * scale)
 
-    def evaluate(self, x, y):
-        y = np.asarray(y, dtype=float)
-        z = y - x
+    def _cdf(self, x, d):
+        d = np.minimum(np.maximum(d, -self.horizon), self.horizon)
         if self.translation_invariant:
-            vals = np.interp(z, self.displacements, self.values, left=0.0, right=0.0)
-        else:
-            vals = self._bilinear(np.full_like(y, x, dtype=float), y)
-            # the sampling pieces stop at the table's y range; so does gamma
-            vals = np.where((y >= self.y_nodes[0]) & (y <= self.y_nodes[-1]), vals, 0.0)
-        return np.where(np.abs(z) < self.horizon, vals, 0.0)
+            return _linear_integral(self.displacements, self.values, d)
+        # the interpolant in y at fixed x, zero beyond the table's y range
+        # as the sampling pieces are
+        return _linear_integral(self.y_nodes, self._bilinear(x, self.y_nodes), x + d)
 
     def _bilinear(self, x, y):
         """The bilinear interpolant at (x, y), broadcast, with both clamped

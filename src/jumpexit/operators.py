@@ -1,12 +1,13 @@
 """Discrete forward/backward jump operators on the cell grid.
 
-Midpoint collocation of the master equation on the cells of the domain
-plus absorbing set: the gain into cell i from cell j carries weight
-``gamma(x_j, x_i) * w_j`` and the loss at cell i is the same discrete sum
-taken in the forward direction, over every target cell, absorbing ones
-included. Jumps into the unreachable part of the collar are excluded from
-both gain and loss (censoring). The volume constraint pins the density to
-zero on the absorbing cells, so those unknowns are known: the matrices
+Collocation of the master equation at the cell centres of the domain plus
+absorbing set, the rate ``v_ij`` from cell i into cell j being the exact
+average of gamma(x_i, .) over cell j: the gain into cell i from cell j
+carries weight ``v_ji * w_j`` and the loss at cell i is the same discrete
+sum taken in the forward direction, over every target cell, absorbing
+ones included. Jumps into the unreachable part of the collar are excluded
+from both gain and loss (censoring). The volume constraint pins the density
+to zero on the absorbing cells, so those unknowns are known: the matrices
 hold only the domain block, and every vector holds one entry per domain
 cell. Generator rows sum to minus the killing rate (the rate of jumping
 into the absorbing set), and the exit weights carry that rate out of the
@@ -21,8 +22,8 @@ absorbing cells enter only as the targets of those jumps.
 The forward matrix (density evolution) and the backward matrix (the
 process generator, acting on observables) satisfy the weighted-transpose
 duality ``W A_fwd = A_bwd^T W`` with ``W = diag(cell widths)``; for a
-symmetric kernel whose domain cells share one width the two matrices
-coincide entry for entry.
+symmetric kernel (gamma a function of |x - y| alone) whose domain cells
+share one width the two matrices coincide entry for entry.
 """
 
 import json
@@ -47,7 +48,7 @@ class DiscreteOperator:
     ``interior``; ``exit_weights`` (``n_int``) is the flux into the
     absorbing set per unit density on each domain cell, so the absorbed
     flux of a domain density ``u`` is ``exit_weights @ u``. ``domain_rows``
-    (``n_int x n_cells``) keeps the raw collocation rate densities out of
+    (``n_int x n_cells``) keeps the cell-average rate densities out of
     each domain cell (row k = source ``interior[k]``, column = target
     cell), the rows all of these were built from. ``centers``, ``widths``
     and ``tags`` cover every cell, the jump targets included; ``interior``
@@ -99,12 +100,13 @@ class DiscreteOperator:
 def _rate_rows(kernel: JumpKernel, x: np.ndarray, w: np.ndarray,
                sources: np.ndarray) -> sp.csr_matrix:
     """Collocation rate densities out of each cell in ``sources`` (row k =
-    source ``sources[k]``) into every cell of ``x`` within the horizon, as
-    CSR with sorted columns and no stored zeros."""
+    source ``sources[k]``) into every cell of ``x`` the horizon reaches, in
+    part or whole, as CSR with sorted columns and no stored zeros."""
     counts = np.zeros(sources.size, dtype=np.int64)
     cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    reach = kernel.horizon + 0.5 * w  # a cell counts while part of it is in range
     for k, i in enumerate(sources):
-        mask = np.abs(x - x[i]) < kernel.horizon
+        mask = np.abs(x - x[i]) < reach
         mask[i] = False  # self-jumps cancel exactly between gain and loss
         j = np.flatnonzero(mask)
         if j.size == 0:

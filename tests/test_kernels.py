@@ -22,34 +22,45 @@ PLATEAU_PROB_05 = 0.34051195566956066    # (2 / sqrt(1e-3)) / TOTAL_RATE_05
 KS_CRIT_1PCT = 1.628  # one-sample asymptotic critical value at the 1% level
 
 
-# --- evaluate -------------------------------------------------------------
+# --- cell averages ----------------------------------------------------------
+
+def _cell_average(kernel, x, lo, hi):
+    return float(kernel.quadrature_values(x, np.array([0.5 * (lo + hi)]), np.array([hi - lo]))[0])
+
 
 def test_stable_plateau_and_cutoff_values(stable_kernel_05):
     k = stable_kernel_05
-    assert k.evaluate(0.0, 0.0005) == pytest.approx(PLATEAU_05, rel=1e-14)
-    assert k.evaluate(0.0, 2.0) == 0.0
-    assert k.evaluate(0.3, 0.3 + 0.01) == pytest.approx(0.01 ** -1.5, rel=1e-12)
+    assert _cell_average(k, 0.0, 0.00025, 0.00075) == pytest.approx(PLATEAU_05, rel=1e-14)
+    assert _cell_average(k, 0.0, 1.95, 2.05) == 0.0
+    # (a^-1/2 - b^-1/2) / (1/2) over the cell (a, b) = (0.01, 0.02)
+    want = 2 * (0.01 ** -0.5 - 0.02 ** -0.5) / 0.01
+    assert _cell_average(k, 0.3, 0.31, 0.32) == pytest.approx(want, rel=1e-12)
+    assert _cell_average(k, 0.3, 0.28, 0.29) == pytest.approx(want, rel=1e-12)
     # plateau applies on the closed set |dy| <= epsilon
-    assert k.evaluate(0.0, 1e-3) == pytest.approx(PLATEAU_05, rel=1e-14)
+    assert _cell_average(k, 0.0, 0.0, 1e-3) == pytest.approx(PLATEAU_05, rel=1e-14)
 
 
 def test_compound_poisson_density():
     k = CompoundPoissonUniform(rate=0.2, horizon=1.0)
-    assert k.evaluate(0.0, 0.3) == pytest.approx(0.1)
-    assert k.evaluate(0.0, 1.0) == 0.0
-    # normalization: density integrates to the total rate (trapezoid on the
-    # discontinuous indicator loses O(dy) at the range edges)
-    z = np.linspace(-1.5, 1.5, 30_001)
-    assert np.trapezoid(k.evaluate(0.0, z), z) == pytest.approx(0.2, rel=1e-4)
+    assert _cell_average(k, 0.0, 0.25, 0.35) == pytest.approx(0.1)
+    # a cell the horizon covers in part counts with that part
+    assert _cell_average(k, 0.0, 0.95, 1.05) == pytest.approx(0.05)
+    assert _cell_average(k, 0.0, 1.0, 1.1) == 0.0
+    # normalization: the cell masses of a tiling add up to the total rate
+    edges = np.linspace(-1.5, 1.5, 3001)
+    w = np.diff(edges)
+    total = float(np.sum(k.quadrature_values(0.0, edges[:-1] + 0.5 * w, w) * w))
+    assert total == pytest.approx(0.2, rel=1e-12)
 
 
 @given(x=st.floats(-5, 5), dy=st.floats(-10, 10))
 def test_finite_range_and_nonnegative(x, dy):
+    w = 1e-3
     for k in (CompoundPoissonUniform(rate=0.7, horizon=1.3),
               TruncatedStable(alpha=0.8, m=2.0, horizon=1.3, epsilon=1e-2)):
-        v = float(k.evaluate(x, x + dy))
+        v = _cell_average(k, x, x + dy - 0.5 * w, x + dy + 0.5 * w)
         assert v >= 0.0
-        if abs(dy) >= k.horizon:
+        if abs(dy) >= k.horizon + w:
             assert v == 0.0
 
 
@@ -67,12 +78,16 @@ def test_compound_total_rate():
 
 
 def test_total_rate_against_quadrature(stable_kernel_05):
+    # the pieces' rate integral against the cell masses of a tiling of the
+    # region, which come from the closed-form CDF by another route
     region = Intervals.from_pairs([(-0.8, -0.4), (0.002, 0.6)])
     got = stable_kernel_05.total_rate(0.1, region)
-    ys = np.concatenate([np.linspace(lo, hi, 400_001) for lo, hi in region.bounds])
-    ref = sum(np.trapezoid(stable_kernel_05.evaluate(0.1, np.linspace(lo, hi, 400_001)),
-                           np.linspace(lo, hi, 400_001)) for lo, hi in region.bounds)
-    assert got == pytest.approx(ref, rel=1e-6)
+    ref = 0.0
+    for lo, hi in region.bounds:
+        edges = np.linspace(lo, hi, 4001)
+        w = np.diff(edges)
+        ref += float(np.sum(stable_kernel_05.quadrature_values(0.1, edges[:-1] + 0.5 * w, w) * w))
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 @settings(max_examples=40)
@@ -87,6 +102,17 @@ def test_total_rate_additive_over_disjoint_regions(x, cut, alpha):
     whole = Intervals(((lo, hi),))
     total = k.total_rate(x, whole)
     assert k.total_rate(x, a) + k.total_rate(x, b) == pytest.approx(total, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [
+    CompoundPoissonUniform(rate=0.2, horizon=1.0),
+    TruncatedStable(alpha=0.5, m=1.0, horizon=1.0),
+    TabulatedKernel(horizon=1.0, displacements=np.array([-1.0, 1.0]), values=np.ones(2)),
+    TabulatedKernel(horizon=1.0, x_nodes=np.array([0.0, 1.0]), y_nodes=np.array([-1.0, 2.0]),
+                    grid_values=np.ones((2, 2))),
+], ids=["compound", "stable", "translation_table", "bivariate_table"])
+def test_total_rate_over_empty_region_is_zero(kernel):
+    assert kernel.total_rate(0.5, Intervals()) == 0.0
 
 
 def test_unregularized_stable_rejected():
@@ -116,14 +142,11 @@ def _ks_statistic(samples, cdf):
     return max(up, down)
 
 
-def _quadrature_cdf(kernel, x, lo, hi, n=200_001):
-    """Reference CDF by quadrature of evaluate, independent of the sampler's
-    antiderivative route."""
-    ys = np.linspace(lo, hi, n)
-    dens = np.asarray(kernel.evaluate(x, ys), dtype=float)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(ys))])
-    cum /= cum[-1]
-    return lambda s: np.interp(s, ys, cum)
+def _closed_form_cdf(kernel, x, lo, hi):
+    """Reference CDF of the jump from x restricted to (lo, hi), from the
+    kernel's closed-form CDF, independent of the sampler's pieces."""
+    f_lo, f_hi = kernel._cdf(x, np.array([lo - x, hi - x]))
+    return lambda s: (kernel._cdf(x, s - x) - f_lo) / (f_hi - f_lo)
 
 
 @pytest.mark.parametrize("kernel_name", ["compound", "stable"])
@@ -134,7 +157,7 @@ def test_sample_jump_matches_quadrature_cdf(kernel_name, stable_kernel_05):
     rng = np.random.default_rng(77)
     n = 100_000
     samples = np.array([kernel.sample_jump(x, None, rng) for _ in range(n)])
-    cdf = _quadrature_cdf(kernel, x, x - kernel.horizon, x + kernel.horizon)
+    cdf = _closed_form_cdf(kernel, x, x - kernel.horizon, x + kernel.horizon)
     assert _ks_statistic(samples, cdf) <= KS_CRIT_1PCT / np.sqrt(n)
 
 
@@ -176,16 +199,22 @@ def test_stable_parameter_validation(kwargs):
 
 # --- tabulated bivariate ----------------------------------------------------
 
-def test_bivariate_table_evaluate_and_sample():
+def test_bivariate_table_cell_averages_and_sample():
     nodes = np.linspace(-2.0, 2.0, 81)
     vv = 0.2 + 0.05 * np.add.outer(np.sin(nodes), np.cos(nodes)) ** 2
     k = TabulatedKernel(horizon=1.0, x_nodes=nodes, y_nodes=nodes, grid_values=vv)
-    assert float(k.evaluate(0.0, 1.2)) == 0.0  # horizon clips the table
-    assert float(k.evaluate(0.0, 0.5)) > 0.0
+    assert _cell_average(k, 0.0, 1.1, 1.3) == 0.0  # horizon clips the table
+    assert _cell_average(k, 0.0, 0.4, 0.6) > 0.0
+    # the cell averages of a table stop where its y nodes do
+    short = TabulatedKernel(horizon=1.0, x_nodes=nodes, y_nodes=nodes[30:51],
+                            grid_values=vv[:, 30:51])  # y in [-0.5, 0.5]
+    assert _cell_average(short, 0.0, -0.7, -0.5) == 0.0
+    assert _cell_average(short, 0.0, -0.6, -0.4) == pytest.approx(
+        0.5 * _cell_average(k, 0.0, -0.5, -0.4), rel=1e-12)
     rng = np.random.default_rng(3)
     region = Intervals(((-0.5, 0.5),))
     n = 50_000
     samples = np.array([k.sample_jump(0.0, region, rng) for _ in range(n)])
     assert np.all(np.abs(samples) <= 0.5)
-    cdf = _quadrature_cdf(k, 0.0, -0.5, 0.5)
+    cdf = _closed_form_cdf(k, 0.0, -0.5, 0.5)
     assert _ks_statistic(samples, cdf) <= KS_CRIT_1PCT / np.sqrt(n)

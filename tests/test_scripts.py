@@ -25,7 +25,7 @@ def test_analytic_exit_case(tmp_path):
     out = _run("analytic_exit_case.py", "--h", "0.03125", "--n-paths", "200", cwd=tmp_path)
     line = next(line for line in out.splitlines() if line.startswith("mean exit time"))
     solver_mean = float(line.split()[4])
-    assert abs(solver_mean - 10.0) <= 0.05 * 10.0  # O(h) grid error at h = 1/32
+    assert abs(solver_mean - 10.0) <= 1e-4  # exact at any h, to the printed digits
 
 
 def test_fluctuation_regimes(tmp_path):

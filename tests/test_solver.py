@@ -189,6 +189,24 @@ def test_second_moment_and_jensen(analytic_op_256):
     assert np.all(m2.values >= m1.values ** 2 - 1e-9)
 
 
+@pytest.mark.parametrize("h", [64, 256])
+def test_analytic_moments_are_exact_on_the_grid(h, request):
+    # every cell average of the uniform kernel is exact and the exit rate is
+    # 0.1 from every point, so only rounding separates the discrete moments
+    # from 10 and 200
+    m1, m2 = exit_moments(request.getfixturevalue(f"analytic_op_{h}"), 2)
+    assert np.max(np.abs(m1.values / 10.0 - 1.0)) <= 1e-12
+    assert np.max(np.abs(m2.values / 200.0 - 1.0)) <= 1e-12
+
+
+def test_analytic_survival_is_implicit_euler_exactly(analytic_traj_256):
+    # the uniform density is an eigenvector of A_fwd with eigenvalue -0.1,
+    # so the only error left in S is implicit Euler's, (1 + 0.1 dt)^-k
+    traj = analytic_traj_256
+    steps = np.arange(traj.times.size)
+    assert np.max(np.abs(traj.survival - (1.0 + EXIT_RATE * 0.01) ** -steps)) <= 1e-12
+
+
 def test_first_moment_identical_between_routes(analytic_op_128):
     met = mean_exit_time(analytic_op_128)
     m1 = exit_moments(analytic_op_128, 2)[0]
