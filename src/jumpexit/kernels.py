@@ -38,6 +38,7 @@ lives entirely in the caller-supplied generator.
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -583,7 +584,7 @@ class TabulatedKernel(JumpKernel):
     def translation_invariant(self) -> bool:
         return self.displacements is not None
 
-    @property
+    @cached_property  # quadrature_values reads it once per assembled row
     def symmetric(self) -> bool:
         # gamma(x, y) = gamma(y, x) does not make one row's cell averages
         # another's, so only an even profile over |x - y| qualifies

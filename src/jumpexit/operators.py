@@ -28,9 +28,11 @@ share one width the two matrices coincide entry for entry.
 
 import json
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericalError
@@ -87,14 +89,55 @@ class DiscreteOperator:
         return u
 
     def generator_solver(self):
-        """LU factorization of the generator's domain block, built once and
-        reused across moment solves."""
+        """The generator's LU factors (``_factor``), built once per operator."""
         if self._gen_lu is None:
-            try:
-                self._gen_lu = splu(self.a_gen.tocsc())
-            except RuntimeError as exc:
-                raise NumericalError(f"generator factorization failed: {exc}") from exc
+            self._gen_lu = _factor(self.a_gen, "generator")
         return self._gen_lu
+
+
+def _is_dense(block: sp.spmatrix) -> bool:
+    """Whether a square block stores at least a quarter of its entries.
+
+    Past that, LAPACK on the densified block solves faster than SuperLU,
+    whose fill tracks the block's nnz, and n^2 floats cost no more memory
+    than the sparse storage already holds; below it the block stays
+    sparse, so a grid whose n x n array would not fit still runs. The
+    diagonal counts as stored, so a block of up to four cells is dense.
+    """
+    n = block.shape[0]
+    return 4 * max(block.nnz, n) >= n * n
+
+
+def _factor(block: sp.csr_matrix, name: str, dt: float | None = None):
+    """LU factors of a square ``block``, or of ``I - dt * block`` when
+    ``dt`` is given, with SuperLU's ``solve(b)``, ``L.nnz`` and ``U.nnz``.
+
+    A dense block (``_is_dense``) is factored in place by LAPACK ``getrf``
+    and each solve is one raw ``getrs`` call: ``lu_solve`` re-checks its
+    arguments on every call, which costs twice the solve itself on a
+    128-cell block. Its fill counts the stored triangles, L with its unit
+    diagonal, as SuperLU counts a dense block's. A banded block goes to
+    SuperLU. A singular system raises ``NumericalError``.
+    """
+    n = block.shape[0]
+    if not _is_dense(block):
+        system = block if dt is None else sp.identity(n, format="csr") - dt * block
+        try:
+            return splu(system.tocsc())
+        except RuntimeError as exc:
+            raise NumericalError(f"{name} factorization failed: {exc}") from exc
+    # Fortran order for getrf; CSR's toarray(order="F") takes three times as long
+    system = np.asfortranarray(block.toarray())
+    if dt is not None:
+        system *= -dt
+        system[np.diag_indices(n)] += 1.0  # I - dt * block, entry for entry as the sparse sum
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (system,))
+    lu, piv, info = getrf(system, overwrite_a=True)
+    if info > 0:
+        raise NumericalError(f"{name} factorization failed: pivot {info - 1} is exactly zero")
+    triangle = SimpleNamespace(nnz=n * (n + 1) // 2)
+    # getrs's info flags only malformed arguments, which f2py rejects first
+    return SimpleNamespace(solve=lambda b: getrs(lu, piv, b)[0], L=triangle, U=triangle)
 
 
 def _rate_rows(kernel: JumpKernel, x: np.ndarray, w: np.ndarray,

@@ -10,16 +10,16 @@ Time stepping is implicit Euler: ``I - dt * A_fwd`` is an M-matrix
 stay nonnegative and the survival probability is monotone for any step
 size. Absorbed mass is accumulated from the same new-step density, which
 closes the survival + absorbed budget to solver roundoff rather than
-O(dt). The step system is factored once, by dense LAPACK when the domain
-block stores at least a quarter of its entries (a horizon that spans most
-of the domain) and by SuperLU when it is banded.
+O(dt). Exit-time moments solve the generator recursion
+``A m_k = -k m_{k-1}`` with ``m_0 = 1``.
 
-Exit-time moments solve the generator recursion ``A m_k = -k m_{k-1}``
-with ``m_0 = 1``, reusing one sparse LU factorization. The coercivity
-constant is the smallest eigenvalue of the (symmetrized, width-weighted)
-negative generator, from one shift-invert call to ARPACK's implicitly
-restarted Lanczos method, on the dense block or, when it is banded, on
-the sparse one.
+The step system and the generator are each factored once, by dense
+LAPACK when the domain block stores at least a quarter of its entries (a
+horizon that spans most of the domain) and by SuperLU when it is banded
+(``operators._factor``). The coercivity constant is the smallest
+eigenvalue of the (symmetrized, width-weighted) negative generator, from
+one shift-invert call to ARPACK's implicitly restarted Lanczos method, on
+the dense block or, when it is banded, on the sparse one.
 """
 
 import warnings
@@ -27,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
-from scipy.sparse.linalg import ArpackError, eigsh, splu
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import ConfigurationError, NumericalError
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, _factor, _is_dense
 
 
 @dataclass(eq=False)
@@ -95,59 +94,16 @@ def on_step_grid(t: float, dt: float) -> bool:
     return abs(round(t / dt) * dt - t) <= 1e-9 * t
 
 
-def _is_dense(block: sp.spmatrix) -> bool:
-    """Whether a square block stores at least a quarter of its entries.
-
-    Past that, LAPACK on the densified block solves faster than SuperLU,
-    whose fill tracks the block's nnz, and n^2 floats cost no more memory
-    than the sparse storage already holds; below it the block stays
-    sparse, so a grid whose n x n array would not fit still runs. The
-    diagonal counts as stored, so a block of up to four cells is dense.
-    """
-    n = block.shape[0]
-    return 4 * max(block.nnz, n) >= n * n
-
-
 def _step_solver(a_star: sp.csr_matrix, dt: float):
-    """``b -> (I - dt A_fwd)^{-1} b``, factored once for every step.
-
-    A dense block is factored in place by LAPACK ``getrf`` and each step
-    is one raw ``getrs`` call: ``lu_solve`` re-checks its arguments on
-    every call, which costs twice the solve itself on a 128-cell block. A
-    banded block goes to SuperLU.
-    """
-    n = a_star.shape[0]
-    if not _is_dense(a_star):
-        try:
-            return splu((sp.identity(n, format="csr") - dt * a_star).tocsc()).solve
-        except RuntimeError as exc:
-            raise NumericalError(f"time-step factorization failed: {exc}") from exc
-    system = a_star.toarray(order="F")  # Fortran order: getrf works in place
-    system *= -dt
-    system[np.diag_indices(n)] += 1.0  # I - dt A_fwd, entry for entry as the sparse sum
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)  # a zero pivot is raised below
-        lu, piv = lu_factor(system, overwrite_a=True, check_finite=False)
-    zero = np.flatnonzero(np.diagonal(lu) == 0.0)
-    if zero.size:
-        raise NumericalError(f"time-step factorization failed: pivot {zero[0]} is exactly zero")
-    getrs, = get_lapack_funcs(("getrs",), (lu,))
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        x, info = getrs(lu, piv, b)
-        if info:
-            raise NumericalError(f"time-step factorization failed: getrs info {info}")
-        return x
-
-    return solve
+    """``b -> (I - dt A_fwd)^{-1} b``, factored once for every step."""
+    return _factor(a_star, "time-step", dt).solve
 
 
 def evolve(op: DiscreteOperator, u0: np.ndarray, dt: float, t_end: float) -> DensityTrajectory:
     """Advance the density by implicit Euler under the forward operator,
     recording survival and absorbed flux per step.
 
-    ``I - dt A_fwd`` is factored once, by LAPACK for a dense domain block
-    and by SuperLU for a banded one (``_step_solver``); a singular step
+    ``I - dt A_fwd`` is factored once (``_step_solver``); a singular step
     system raises ``NumericalError``."""
     if dt <= 0 or t_end <= 0:
         raise ConfigurationError("dt and t_end must be positive")

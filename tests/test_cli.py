@@ -561,10 +561,10 @@ def test_benchmark_tracer_reads_solver_counts(config_file, tmp_path):
     spec.loader.exec_module(tracer_mod)
     tracer = tracer_mod.Tracer()
     tracer_mod.install(tracer)
+    path = config_file(n_paths__="500")
     try:
         for command in ("solve", "moments", "verify", "simulate", "paths"):
-            assert main([command, "--config", config_file(n_paths__="500"),
-                         "--out", str(tmp_path / command)]) == 0
+            assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
     finally:
         tracer.uninstall()
     counts = {}
@@ -572,6 +572,11 @@ def test_benchmark_tracer_reads_solver_counts(config_file, tmp_path):
         counts.update(span["counts"])
     assert counts["nnz"] > 0
     assert counts["lu_fill"] > 0
+    cfg = load_config(path)
+    a_gen = operators.assemble(cfg.kernel, cfg.build_grid(), cfg.partition).a_gen
+    n_int = a_gen.shape[0]
+    assert operators._is_dense(a_gen)
+    assert counts["lu_fill"] == n_int * (n_int + 1)  # LAPACK's triangles, L with its unit diagonal
     assert counts["sigma_iterations"] > 0
     assert counts["paths"] == 500
     assert counts["jumps"] > 0

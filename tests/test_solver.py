@@ -3,14 +3,15 @@ validated against the analytic exponential exit law and against each other
 (moment solves vs time-integrated survival)."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from conftest import EXIT_RATE, exp_survival, point_mass
-from jumpexit import solver
+from jumpexit import operators, solver
 from jumpexit.errors import ConfigurationError, NumericalError
 from jumpexit.geometry import DomainPartition, build_grid
 from jumpexit.kernels import CompoundPoissonUniform
@@ -134,7 +135,7 @@ def test_dense_block_steps_match_sparse_lu_reference(analytic_op_64, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("a dense block went to SuperLU")
 
-    monkeypatch.setattr(solver, "splu", refuse)
+    monkeypatch.setattr(operators, "splu", refuse)
     traj = evolve(op, uniform_density(op), dt=dt, t_end=20.0)
     assert np.max(np.abs(traj.survival - s_ref)) <= 1e-13
     assert np.max(np.abs(traj.absorbed_cdf - f_ref)) <= 1e-13
@@ -149,7 +150,7 @@ def test_banded_block_steps_with_sparse_lu(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a banded block was densified for LAPACK")
 
-    monkeypatch.setattr(solver, "lu_factor", refuse)
+    monkeypatch.setattr(operators, "get_lapack_funcs", refuse)
     traj = evolve(op, uniform_density(op), dt=dt, t_end=10.0)
     assert np.max(np.abs(traj.survival - s_ref)) <= 1e-13
     assert np.max(np.abs(traj.absorbed_cdf - f_ref)) <= 1e-13
@@ -171,6 +172,43 @@ def test_singular_step_system_raises_numerical_error(analytic_op_64, dense):
 
 
 # --- moments ----------------------------------------------------------------
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_generator_factor_route_matches_a_direct_solve(analytic_op_64, monkeypatch, dense):
+    # a dense block goes to LAPACK and a banded one to SuperLU, each
+    # checked against a solve of the same a_gen by the other route
+    op = dataclasses.replace(analytic_op_64 if dense else _banded_op(), _gen_lu=None)
+    n = op.interior.size
+    assert (op.a_gen.nnz == n * n) == dense
+    reference = (splu(op.a_gen.tocsc()).solve if dense
+                 else functools.partial(np.linalg.solve, op.a_gen.toarray()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generator took the other factorization route")
+
+    monkeypatch.setattr(operators, "splu" if dense else "get_lapack_funcs", refuse)
+    m = np.ones(n)
+    for moment in exit_moments(op, 4):
+        m = reference(-moment.order * m)
+        assert np.max(np.abs(moment.values / m - 1.0)) <= 1e-12
+    lu = op.generator_solver()
+    assert isinstance(lu, SuperLU) != dense
+    if dense:  # the stored triangles, L with its unit diagonal, as SuperLU counts them
+        assert lu.L.nnz + lu.U.nnz == n * (n + 1)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_singular_generator_raises_numerical_error(analytic_op_64, dense):
+    op = analytic_op_64 if dense else _banded_op()
+    n = op.interior.size
+    a_gen = sp.csr_matrix((n, n))
+    if dense:  # the zero matrix with all n^2 entries stored
+        a_gen = sp.csr_matrix(np.ones((n, n)))
+        a_gen.data[:] = 0.0
+    singular = dataclasses.replace(op, a_gen=a_gen, _gen_lu=None)
+    with pytest.raises(NumericalError, match="generator factorization failed"):
+        exit_moments(singular, 2)
+
 
 def test_mean_exit_time_flat_field(analytic_op_256):
     met = mean_exit_time(analytic_op_256)
