@@ -149,16 +149,15 @@ def cmd_paths(cfg: RunConfig) -> int:
     if not np.isfinite(t_max):
         raise ConfigurationError(f"[mc] t_max must be finite to record sample paths, got {t_max}")
     out = _prepare_out(cfg)
+    partition = None if cfg.paths_free_space else cfg.partition  # None: free space
     rows = []
     for i in range(cfg.paths_n):
         rng = mc.path_rng(cfg.seed, i)
         if cfg.paths_brownian:
             path = mc.brownian_path(0.0, rng, t_max, n_steps=cfg.paths_n_steps)
         else:
-            x0 = 0.0 if cfg.paths_free_space else cfg.partition.domain.sample_uniform(rng)
-            path = mc.simulate_path(cfg.kernel, x0, rng, t_max,
-                                    free_space=cfg.paths_free_space,
-                                    partition=None if cfg.paths_free_space else cfg.partition)
+            x0 = 0.0 if partition is None else partition.domain.sample_uniform(rng)
+            path = mc.simulate_path(cfg.kernel, x0, rng, t_max, partition=partition)
         rows.extend([i, t, x] for t, x in zip(path.times, path.positions))
     _write_csv(out / "paths.csv", cfg.config_hash, ["path_id", "t", "x"], rows)
     return EXIT_OK

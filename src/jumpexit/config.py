@@ -10,6 +10,7 @@ hash so artifacts are traceable to the exact run that made them.
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +66,14 @@ def _get(cp, section, key, cast, default=...):
         raise ConfigurationError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from exc
 
 
+def _float(raw: str) -> float:
+    """A float key's value; every such key but ``[mc] t_max`` must be finite."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _bool(raw: str) -> bool:
     val = raw.strip().lower()
     if val in ("1", "true", "yes", "on"):
@@ -76,16 +85,16 @@ def _bool(raw: str) -> bool:
 
 def _build_kernel(cp) -> tuple[JumpKernel, dict]:
     family = _get(cp, "kernel", "family", str).strip()
-    horizon = _get(cp, "kernel", "lambda", float)
+    horizon = _get(cp, "kernel", "lambda", _float)
     resolved = {"family": family, "lambda": horizon}
     if family == "compound_poisson_uniform":
-        rate = _get(cp, "kernel", "rate", float)
+        rate = _get(cp, "kernel", "rate", _float)
         resolved["rate"] = rate
         return CompoundPoissonUniform(rate=rate, horizon=horizon), resolved
     if family == "truncated_stable":
-        alpha = _get(cp, "kernel", "alpha", float)
-        m = _get(cp, "kernel", "m", float)
-        epsilon = _get(cp, "kernel", "epsilon", float, 1e-3)
+        alpha = _get(cp, "kernel", "alpha", _float)
+        m = _get(cp, "kernel", "m", _float)
+        epsilon = _get(cp, "kernel", "epsilon", _float, 1e-3)
         resolved.update(alpha=alpha, m=m, epsilon=epsilon)
         return TruncatedStable(alpha=alpha, m=m, horizon=horizon, epsilon=epsilon), resolved
     if family == "custom_tabulated":
@@ -155,7 +164,7 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
 
     kernel, kres = _build_kernel(cp)
     partition, dres = _build_partition(cp, kernel.horizon)
-    h = _get(cp, "grid", "h", float)
+    h = _get(cp, "grid", "h", _float)
     if h <= 0:
         raise ConfigurationError("[grid] h must be positive")
     if h > kernel.horizon / 4 * (1 + 1e-12):
@@ -166,8 +175,8 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
 
     d = _DEFAULTS["solver"]
     scheme = _get(cp, "solver", "scheme", str, d["scheme"]).strip()
-    dt = _get(cp, "solver", "dt", float, d["dt"])
-    t_end = _get(cp, "solver", "t_end", float, d["t_end"])
+    dt = _get(cp, "solver", "dt", _float, d["dt"])
+    t_end = _get(cp, "solver", "t_end", _float, d["t_end"])
     k_max = _get(cp, "solver", "k_max", int, d["k_max"])
     if scheme != "implicit_euler":
         raise ConfigurationError(
@@ -201,7 +210,7 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
         checkpoints = [float(t) for t in checkpoints]
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"[compare] checkpoints must be numbers: {exc}") from exc
-    if any(t < 0 or t > t_end for t in checkpoints):
+    if not all(0 <= t <= t_end for t in checkpoints):
         raise ConfigurationError(f"[compare] checkpoints must lie in [0, t_end], got {checkpoints}")
     off_grid = [t for t in checkpoints if not on_step_grid(t, dt)]
     if off_grid:

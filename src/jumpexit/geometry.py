@@ -25,11 +25,14 @@ class Region(IntEnum):
 
 def _merge_pairs(pairs):
     """Sort (lo, hi) pairs and merge overlapping or touching ones."""
-    items = sorted((float(lo), float(hi)) for lo, hi in pairs)
+    try:
+        items = sorted((float(lo), float(hi)) for lo, hi in pairs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"interval endpoints must be numbers: {exc}") from exc
     merged: list[list[float]] = []
     for lo, hi in items:
-        if hi <= lo:
-            raise ConfigurationError(f"degenerate interval ({lo}, {hi})")
+        if not -np.inf < lo < hi < np.inf:  # NaN fails too
+            raise ConfigurationError(f"interval ({lo}, {hi}) is degenerate or not finite")
         if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
@@ -125,8 +128,8 @@ def interaction_domain(omega: Intervals, horizon: float) -> Intervals:
     itself. Components of ``omega`` closer than twice the horizon produce
     a single merged collar piece between them.
     """
-    if horizon <= 0:
-        raise ConfigurationError("horizon must be positive")
+    if not 0 < horizon < np.inf:
+        raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
     return omega.dilate(horizon).difference(omega)
 
 
@@ -182,17 +185,6 @@ class DomainPartition:
         """Domain plus absorbing set: where the censored process can land."""
         return self.domain.union(self.absorbing)
 
-    def region_of(self, x: float) -> Region | None:
-        """Which region a point belongs to; ties at shared endpoints go to
-        the domain, then the absorbing set. None when outside everything."""
-        if self.domain.contains(x):
-            return Region.INTERIOR
-        if self.absorbing.contains(x):
-            return Region.ABSORBING
-        if self.collar.contains(x):
-            return Region.COLLAR
-        return None
-
 
 @dataclass(frozen=True, eq=False)
 class Grid:
@@ -219,8 +211,8 @@ def build_grid(partition: DomainPartition, h: float) -> Grid:
     grids cannot resolve the jump range and the collocation sums would be
     meaningless.
     """
-    if h <= 0:
-        raise ConfigurationError("cell width h must be positive")
+    if not 0 < h < np.inf:
+        raise ConfigurationError(f"cell width h must be positive and finite, got {h}")
     pieces = []
     for region, ivs in (
         (Region.INTERIOR, partition.domain),

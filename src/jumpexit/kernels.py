@@ -137,9 +137,6 @@ class _LinearTable:
     v_lo: np.ndarray
     v_hi: np.ndarray
 
-    def __len__(self) -> int:
-        return self.lo.size
-
     def __getitem__(self, k: int) -> _LinearPiece:
         return _LinearPiece(self.lo[k].item(), self.hi[k].item(),
                             self.v_lo[k].item(), self.v_hi[k].item())
@@ -436,8 +433,8 @@ class CompoundPoissonUniform(JumpKernel):
     horizon: float
 
     def __post_init__(self):
-        if self.rate <= 0 or self.horizon <= 0:
-            raise ConfigurationError("rate and horizon must be positive")
+        if not (0 < self.rate < math.inf and 0 < self.horizon < math.inf):
+            raise ConfigurationError("rate and horizon must be positive and finite")
 
     @property
     def symmetric(self) -> bool:
@@ -477,15 +474,15 @@ class TruncatedStable(JumpKernel):
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise ConfigurationError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.m <= 0:
-            raise ConfigurationError("m must be positive")
-        if self.epsilon <= 0:
+        if not 0 < self.m < math.inf:
+            raise ConfigurationError("m must be positive and finite")
+        if not self.epsilon > 0:
             raise ConfigurationError(
                 "epsilon must be positive: the unregularized power-law kernel has "
                 "divergent total rate and cannot be integrated or sampled"
             )
-        if self.epsilon >= self.horizon:
-            raise ConfigurationError("epsilon must be smaller than the horizon")
+        if not self.epsilon < self.horizon < math.inf:
+            raise ConfigurationError("epsilon must be smaller than the horizon, and both finite")
 
     @property
     def symmetric(self) -> bool:
@@ -553,8 +550,8 @@ class TabulatedKernel(JumpKernel):
     grid_values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigurationError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigurationError("horizon must be positive and finite")
         if self.displacements is not None:
             z = np.asarray(self.displacements, dtype=float)
             v = np.asarray(self.values, dtype=float)
@@ -562,23 +559,25 @@ class TabulatedKernel(JumpKernel):
                 raise ConfigurationError("displacement table needs matching 1-D arrays")
             if np.any(np.diff(z) <= 0):
                 raise ConfigurationError("displacement nodes must be strictly increasing")
-            if np.any(v < 0):
-                raise ConfigurationError("tabulated rates must be nonnegative")
             object.__setattr__(self, "displacements", z)
             object.__setattr__(self, "values", v)
+            tables = (z, v)
         elif self.grid_values is not None:
             xs = np.asarray(self.x_nodes, dtype=float)
             ys = np.asarray(self.y_nodes, dtype=float)
             vv = np.ascontiguousarray(self.grid_values, dtype=float)
             if vv.shape != (xs.size, ys.size):
                 raise ConfigurationError("bivariate table shape must be (n_x, n_y)")
-            if np.any(vv < 0):
-                raise ConfigurationError("tabulated rates must be nonnegative")
             object.__setattr__(self, "x_nodes", xs)
             object.__setattr__(self, "y_nodes", ys)
             object.__setattr__(self, "grid_values", vv)
+            tables = (xs, ys, vv)
         else:
             raise ConfigurationError("tabulated kernel needs a displacement or bivariate table")
+        if not all(np.isfinite(a).all() for a in tables):
+            raise ConfigurationError("tabulated nodes and rates must be finite")
+        if np.any(tables[-1] < 0):
+            raise ConfigurationError("tabulated rates must be nonnegative")
 
     @property
     def translation_invariant(self) -> bool:

@@ -41,7 +41,7 @@ import numpy as np
 
 from ._streams import PathStreams
 from .errors import ConfigurationError
-from .geometry import DomainPartition, Region
+from .geometry import DomainPartition
 from .kernels import JumpKernel
 
 
@@ -105,17 +105,24 @@ def _stuck(x: float) -> ConfigurationError:
     )
 
 
+def _check_ends(partition: DomainPartition | None, t_max: float) -> None:
+    """Raise unless a walk ends, by absorption or at a finite ``t_max``."""
+    if (partition is None or partition.absorbing.empty) and not np.isfinite(t_max):
+        raise ConfigurationError(
+            f"a walk that nothing absorbs needs a finite t_max, got {t_max}")
+
+
 def _walk_path(kernel: JumpKernel, partition: DomainPartition | None, x: float, t: float,
                t_max: float, rng: np.random.Generator, times: list | None = None,
                positions: list | None = None) -> tuple[float, float, int, bool]:
     """Walk one path on from ``x`` at elapsed time ``t``, one scalar jump
     law per jump: a wait from ``rng``, censoring at ``t_max``, then a
-    landing uniform from ``rng``. The path ends when it lands in the
-    partition's absorbing set; with no partition it walks free space and
-    ends only at ``t_max``. ``times`` and ``positions``, when given,
-    collect each jump's time and landing. Returns the end time, the last
-    position, the jumps made and whether the path was censored. A zero
-    rate is a ``ConfigurationError``.
+    landing uniform from ``rng``. The path ends when it lands outside the
+    domain and inside the absorbing set, as in the lockstep walk; with no
+    partition it walks free space and ends only at ``t_max``. ``times`` and
+    ``positions``, when given, collect each jump's time and landing. Returns
+    the end time, the last position, the jumps made and whether the path was
+    censored. A zero rate is a ``ConfigurationError``.
     """
     region = None if partition is None else partition.reachable
     jumps = 0
@@ -132,7 +139,8 @@ def _walk_path(kernel: JumpKernel, partition: DomainPartition | None, x: float, 
         if times is not None:
             times.append(t)
             positions.append(x)
-        if partition is not None and partition.region_of(x) == Region.ABSORBING:
+        if partition is not None and not partition.domain.contains(x) \
+                and partition.absorbing.contains(x):
             return t, x, jumps, False
 
 
@@ -225,8 +233,7 @@ def simulate_ensemble(kernel: JumpKernel, partition: DomainPartition, n_paths: i
         raise ConfigurationError("n_paths must be at least 1")
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
-    if partition.absorbing.empty and not np.isfinite(t_max):
-        raise ConfigurationError("confined process needs a finite t_max")
+    _check_ends(partition, t_max)
     workers = min(workers, os.cpu_count() or 1)
     size = -(-n_paths // workers)
     firsts = range(0, n_paths, size)
@@ -243,15 +250,14 @@ def simulate_ensemble(kernel: JumpKernel, partition: DomainPartition, n_paths: i
 
 
 def simulate_path(kernel: JumpKernel, x0: float, rng: np.random.Generator,
-                  t_max: float, free_space: bool = True,
-                  partition: DomainPartition | None = None) -> SamplePath:
-    """Record a sample path: unconfined when ``free_space``, otherwise the
-    censored/absorbed walk over the partition (stops on absorption)."""
-    if not free_space and partition is None:
-        raise ConfigurationError("confined paths need a domain partition")
+                  t_max: float, partition: DomainPartition | None = None) -> SamplePath:
+    """Record a sample path from ``x0``, censored at ``t_max``: the free
+    jump process when ``partition`` is None, otherwise the walk confined to
+    the partition, which stops when it is absorbed. A walk that nothing
+    absorbs needs a finite ``t_max``."""
+    _check_ends(partition, t_max)
     times, positions = [0.0], [float(x0)]
-    _, x, _, over = _walk_path(kernel, None if free_space else partition, float(x0), 0.0,
-                               t_max, rng, times, positions)
+    _, x, _, over = _walk_path(kernel, partition, float(x0), 0.0, t_max, rng, times, positions)
     if over:
         times.append(t_max)
         positions.append(x)

@@ -94,26 +94,21 @@ def on_step_grid(t: float, dt: float) -> bool:
     return abs(round(t / dt) * dt - t) <= 1e-9 * t
 
 
-def _step_solver(a_star: sp.csr_matrix, dt: float):
-    """``b -> (I - dt A_fwd)^{-1} b``, factored once for every step."""
-    return _factor(a_star, "time-step", dt).solve
-
-
 def evolve(op: DiscreteOperator, u0: np.ndarray, dt: float, t_end: float) -> DensityTrajectory:
     """Advance the density by implicit Euler under the forward operator,
     recording survival and absorbed flux per step.
 
-    ``I - dt A_fwd`` is factored once (``_step_solver``); a singular step
-    system raises ``NumericalError``."""
-    if dt <= 0 or t_end <= 0:
-        raise ConfigurationError("dt and t_end must be positive")
+    ``I - dt A_fwd`` is factored once; a singular step system raises
+    ``NumericalError``."""
+    if not (0 < dt < np.inf and 0 < t_end < np.inf):
+        raise ConfigurationError("dt and t_end must be positive and finite")
     if not on_step_grid(t_end, dt):
         raise ConfigurationError(f"t_end = {t_end} is not a whole number of steps dt = {dt}")
     n_steps = int(round(t_end / dt))
     u = _validate_u0(op, u0)
 
     times = np.arange(n_steps + 1) * dt
-    step = _step_solver(op.a_star, dt)
+    step = _factor(op.a_star, "time-step", dt).solve
 
     w_int = op.widths[op.interior]
     exit_w = op.exit_weights  # each step's absorbed flux is one dot product

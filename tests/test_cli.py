@@ -352,6 +352,56 @@ def test_rejected_run_input_exits_2_with_error_json(config_file, tmp_path, comma
     assert match in err["message"]
 
 
+@pytest.mark.parametrize("command, stable, key, value", [
+    ("solve", False, "rate", "nan"),
+    ("moments", False, "rate", "nan"),
+    ("simulate", False, "rate", "nan"),
+    ("verify", False, "rate", "nan"),
+    ("paths", False, "rate", "nan"),
+    ("paths", True, "m", "nan"),
+    ("verify", True, "epsilon", "nan"),
+    ("solve", False, "h", "nan"),
+    ("solve", False, "t_end", "inf"),
+    ("solve", False, "lambda", "inf"),
+    ("compare", False, "dt", "-inf"),
+])
+def test_non_finite_number_exits_2_naming_its_key(config_file, tmp_path, command, stable,
+                                                  key, value):
+    # each of these once ran to a traceback, wrote NaN with exit 0, or
+    # walked forever; load_config must reject it before any command runs
+    path = config_file(text=STABLE_CONFIG if stable else None, **{f"{key}__": value})
+    with pytest.raises(ConfigurationError, match=rf"\] {key}: '{value}' \(not a finite"):
+        load_config(path)
+    assert main([command, "--config", path, "--out", str(tmp_path / "e")]) == 2
+    err = json.loads((tmp_path / "e" / "error.json").read_text())
+    assert err["error"] == "ConfigurationError" and f"] {key}:" in err["message"]
+
+
+@pytest.mark.parametrize("omega, match", [
+    ("[[0.0, Infinity]]", "not finite"),
+    ("[[0.0, NaN]]", "not finite"),
+    ("[[-Infinity, 1.0]]", "not finite"),
+    ('[["a", 1.0]]', "must be numbers"),
+])
+def test_non_finite_domain_endpoint_exits_2(config_file, tmp_path, omega, match):
+    path = config_file(omega__=omega)
+    with pytest.raises(ConfigurationError, match=match):
+        load_config(path)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "e")]) == 2
+    assert match in json.loads((tmp_path / "e" / "error.json").read_text())["message"]
+
+
+@pytest.mark.parametrize("command", ["verify", "paths"])
+def test_non_finite_table_value_exits_2(config_file, tmp_path, command):
+    table = tmp_path / "nan.csv"
+    table.write_text("-1.0,0.1\n0.0,nan\n1.0,0.1\n")
+    path = _tabulated_config(config_file, tmp_path, table)
+    with pytest.raises(ConfigurationError, match="finite"):
+        load_config(path)
+    assert main([command, "--config", path, "--out", str(tmp_path / "e")]) == 2
+    assert "finite" in json.loads((tmp_path / "e" / "error.json").read_text())["message"]
+
+
 def test_infinite_t_max_simulates_on_absorbing_domain(config_file, tmp_path):
     # every walk is absorbed, so no censoring horizon is needed
     path = config_file(t_max__="inf", n_paths__="200")

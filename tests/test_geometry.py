@@ -116,14 +116,15 @@ def test_partition_rejects_overlapping_domain():
         DomainPartition.build([(0.0, 1.0), (0.5, 2.0)], horizon=1.0)
 
 
-def test_region_of_ties_toward_domain():
-    part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
-    assert part.region_of(1.0) == Region.INTERIOR  # shared endpoint
-    assert part.region_of(1.5) == Region.ABSORBING
-    assert part.region_of(0.5) == Region.INTERIOR
-    assert part.region_of(5.0) is None
-    empty = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="empty")
-    assert empty.region_of(1.5) == Region.COLLAR
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_geometry_rejects_non_finite_numbers(bad):
+    with pytest.raises(ConfigurationError, match="not finite"):
+        Intervals.from_pairs([(0.0, 1.0), (2.0, bad)])
+    with pytest.raises(ConfigurationError, match="horizon must be positive and finite"):
+        DomainPartition.build([(0.0, 1.0)], horizon=bad)
+    part = DomainPartition.build([(0.0, 1.0)], horizon=1.0)
+    with pytest.raises(ConfigurationError, match="h must be positive and finite"):
+        build_grid(part, bad)
 
 
 def test_grid_cell_counts_and_tags():
@@ -150,9 +151,12 @@ def test_grid_tiles_domain_plus_collar():
     grid = build_grid(part, 0.11)
     total = measure(part.domain) + measure(part.collar)
     assert float(grid.widths.sum()) == pytest.approx(total, rel=1e-12)
-    # no cell straddles a region boundary: each center's region matches its tag
+    # no cell straddles a region boundary: each center lies in its tag's
+    # region and in no other
+    regions = {Region.INTERIOR: part.domain, Region.ABSORBING: part.absorbing,
+               Region.COLLAR: part.collar.difference(part.absorbing)}
     for c, tag in zip(grid.centers, grid.tags):
-        assert part.region_of(float(c)) == Region(tag)
+        assert [tag_ for tag_, r in regions.items() if r.contains(float(c))] == [tag]
 
 
 def test_grid_rejects_underresolved_horizon():

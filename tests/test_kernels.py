@@ -120,6 +120,35 @@ def test_unregularized_stable_rejected():
         TruncatedStable(alpha=0.5, m=1.0, horizon=1.0, epsilon=0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: CompoundPoissonUniform(rate=v, horizon=1.0),
+    lambda v: CompoundPoissonUniform(rate=0.2, horizon=v),
+    lambda v: TruncatedStable(alpha=0.5, m=v, horizon=1.0),
+    lambda v: TruncatedStable(alpha=0.5, m=1.0, horizon=v),
+    lambda v: TruncatedStable(alpha=0.5, m=1.0, horizon=1.0, epsilon=v),
+    lambda v: TabulatedKernel(horizon=v, displacements=np.array([-1.0, 1.0]),
+                              values=np.ones(2)),
+], ids=["rate", "uniform_horizon", "m", "stable_horizon", "epsilon", "table_horizon"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_kernel_parameters_must_be_finite(make, value):
+    with pytest.raises(ConfigurationError):
+        make(value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["displacement", "value", "x_node", "y_node", "grid_value"])
+def test_tables_must_be_finite(where, bad):
+    z, v = np.array([-1.0, 0.0, 1.0]), np.array([0.1, 0.2, 0.1])
+    xs, ys, vv = np.array([0.0, 1.0]), np.array([-1.0, 0.5, 2.0]), np.ones((2, 3))
+    tables = {"displacement": z, "value": v, "x_node": xs, "y_node": ys, "grid_value": vv}
+    tables[where].flat[-1] = bad  # the last entry of that array, in place
+    with pytest.raises(ConfigurationError, match="finite"):
+        if where in ("displacement", "value"):
+            TabulatedKernel(horizon=1.0, displacements=z, values=v)
+        else:
+            TabulatedKernel(horizon=1.0, x_nodes=xs, y_nodes=ys, grid_values=vv)
+
+
 # --- sampling -------------------------------------------------------------
 
 def test_sample_plateau_probability(stable_kernel_05):

@@ -21,9 +21,9 @@ from jumpexit import _streams
 from jumpexit import montecarlo as mc
 from jumpexit._streams import PathStreams
 from jumpexit.errors import ConfigurationError
-from jumpexit.geometry import DomainPartition, Intervals, Region
-from jumpexit.kernels import (CompoundPoissonUniform, JumpKernel, TabulatedKernel,
-                              TruncatedStable)
+from jumpexit.geometry import DomainPartition, Intervals
+from jumpexit.kernels import (CompoundPoissonUniform, JumpKernel, JumpLaw, JumpLaws,
+                              TabulatedKernel, TruncatedStable)
 from jumpexit.montecarlo import (ExitEnsemble, brownian_path, empirical_survival,
                                  path_rng, simulate_ensemble, simulate_path,
                                  survival_z_scores)
@@ -101,9 +101,74 @@ def test_censored_process_never_exits():
     part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="empty")
     ens = simulate_ensemble(k, part, n_paths=50, seed=3, t_max=30.0)
     assert np.all(ens.censored)
-    path = simulate_path(k, 0.5, path_rng(3, 0), t_max=100.0,
-                         free_space=False, partition=part)
+    path = simulate_path(k, 0.5, path_rng(3, 0), t_max=100.0, partition=part)
     assert np.all((path.positions > 0.0) & (path.positions < 1.0))
+
+
+def test_a_partition_confines_the_sample_path():
+    # the partition alone confines the walk: every landing stays in the
+    # domain until one lands in the absorbing set and ends the path; with
+    # no partition the same streams walk free space and leave the domain
+    k = CompoundPoissonUniform(rate=0.2, horizon=1.0)
+    part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing=[(1.0, 2.0)])
+    left = 0
+    for i in range(50):
+        path = simulate_path(k, 0.5, path_rng(12, i), 200.0, partition=part)
+        inside = part.domain.contains(path.positions)
+        assert np.all(inside[:-1])
+        assert inside[-1] or (path.positions[-1] > 1.0 and path.times[-1] < 200.0)
+        left += np.any(simulate_path(k, 0.5, path_rng(12, i), 200.0).positions < 0.0)
+    assert left > 0
+
+
+def test_a_walk_nothing_absorbs_needs_a_finite_t_max():
+    k = CompoundPoissonUniform(rate=0.2, horizon=1.0)
+    full = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
+    empty = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="empty")
+    for t_max in (np.inf, np.nan):
+        for partition in (None, empty):
+            with pytest.raises(ConfigurationError, match="nothing absorbs needs a finite t_max"):
+                simulate_path(k, 0.5, path_rng(0, 0), t_max, partition=partition)
+        with pytest.raises(ConfigurationError, match="nothing absorbs needs a finite t_max"):
+            simulate_ensemble(k, empty, n_paths=4, seed=0, t_max=t_max)
+    # absorption ends the walk whatever t_max is
+    assert simulate_path(k, 0.5, path_rng(0, 0), np.inf, partition=full).times[-1] < np.inf
+
+
+def _land_first_at(monkeypatch, law_class, y0):
+    """Make the first ``law_class.sample`` call land every point it draws
+    for at ``y0``, after drawing as the walk would."""
+    sample, calls = law_class.sample, []
+
+    def first_at(law, u):
+        y = sample(law, u)
+        if calls:
+            return y
+        calls.append(y)
+        return np.full_like(y, y0) if isinstance(y, np.ndarray) else y0
+    monkeypatch.setattr(law_class, "sample", first_at)
+
+
+@pytest.mark.parametrize("walk", ["simulate_path", "simulate_ensemble"])
+def test_a_landing_on_the_shared_endpoint_stays_in_the_domain(walk, monkeypatch):
+    # x = 1.0 ends the domain (0, 1) and starts the absorbing set (1, 2):
+    # the scalar walk and the lockstep walk both keep a landing there in
+    # the domain and jump on from it
+    k = CompoundPoissonUniform(rate=0.2, horizon=1.0)
+    part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
+    _land_first_at(monkeypatch, JumpLaw, 1.0)
+    if walk == "simulate_path":
+        path = simulate_path(k, 0.5, path_rng(5, 0), 1e4, partition=part)
+        assert path.positions[1] == 1.0 and path.positions.size > 2
+        assert not part.domain.contains(path.positions[-1])
+        return
+    # every path lands at 1.0 in the first lockstep step; the first path
+    # that the scalar tail walk takes on lands there again
+    _land_first_at(monkeypatch, JumpLaws, 1.0)
+    ens = simulate_ensemble(k, part, n_paths=8, seed=5, t_max=1e4)
+    assert not ens.censored.any() and np.all(ens.jumps >= 2)
+    assert not part.domain.contains(ens.exit_location).any()
+    assert ens.jumps[0] >= 3
 
 
 def test_strict_absorbing_subset_censors_the_rest():
@@ -116,8 +181,7 @@ def test_strict_absorbing_subset_censors_the_rest():
     assert np.all(ens.exit_location[ok] >= 1.0)
     left = Intervals(((-1.0, 0.0),))
     for i in range(200):
-        path = simulate_path(k, 0.5, path_rng(11, i), t_max=50.0,
-                             free_space=False, partition=part)
+        path = simulate_path(k, 0.5, path_rng(11, i), t_max=50.0, partition=part)
         assert not any(left.contains(p) for p in path.positions)
         assert np.max(np.abs(np.diff(path.positions))) < 1.0  # range invariant
 
@@ -151,10 +215,10 @@ def test_standardized_waits_are_unit_exponential():
     pooled = []
     for i in range(400):
         rng = path_rng(21, i)
-        path = simulate_path(k, 0.5, rng, t_max=300.0, free_space=False, partition=part)
+        path = simulate_path(k, 0.5, rng, t_max=300.0, partition=part)
         waits = np.diff(path.times)
         xs = path.positions[:-1]
-        censored_tail = part.region_of(path.positions[-1]) != 1 and path.times[-1] == 300.0
+        censored_tail = part.domain.contains(path.positions[-1]) and path.times[-1] == 300.0
         if censored_tail:
             waits, xs = waits[:-1], xs[:-1]
         pooled.extend(w * k.total_rate(x, region) for w, x in zip(waits, xs))
@@ -391,7 +455,7 @@ def scalar_reference_walk(kernel, partition, n_paths, seed, t_max):
                 break
             y = law.sample(rng)
             jumps += 1
-            if partition.region_of(y) == Region.ABSORBING:
+            if not partition.domain.contains(y) and partition.absorbing.contains(y):
                 records.append((start, t, y, jumps, False))
                 break
             x = y
@@ -486,10 +550,9 @@ def test_zero_rate_error_reads_the_same_on_every_walk():
     kernel, part = _stuck_table()
     message = ("zero jump rate at x=0.8: the point cannot reach the rest of the "
                "configured region")
-    for free_space in (True, False):
+    for partition in (None, part):
         with pytest.raises(ConfigurationError) as got:
-            simulate_path(kernel, 0.8, path_rng(0, 0), t_max=10.0, free_space=free_space,
-                          partition=part)
+            simulate_path(kernel, 0.8, path_rng(0, 0), t_max=10.0, partition=partition)
         assert str(got.value) == message
     with pytest.raises(ConfigurationError) as got:
         simulate_ensemble(kernel, part, n_paths=12, seed=0, t_max=10.0)

@@ -36,3 +36,48 @@ def test_fluctuation_regimes(tmp_path):
                        "stable_alpha05.csv", "stable_alpha15.csv"]
     rows = (tmp_path / "tmp" / "brownian.csv").read_text().splitlines()
     assert rows[0] == "path_id,t,x" and len(rows) == 1 + 2001
+
+
+SMALL_CONFIG = """\
+[kernel]
+family = compound_poisson_uniform
+lambda = 1.0
+rate = 0.2
+
+[domain]
+omega = [[0.0, 1.0]]
+
+[grid]
+h = 0.0625
+
+[solver]
+dt = 0.05
+t_end = 5.0
+k_max = 2
+
+[mc]
+n_paths = 300
+t_max = 100.0
+
+[compare]
+checkpoints = [1.0, 5.0]
+"""
+
+
+def test_output_digests_repeat_and_do_not_depend_on_threads(tmp_path):
+    (tmp_path / "small.ini").write_text(SMALL_CONFIG)
+    args = ("small.ini", "--seeds", "0", "3", "--threads", "1", "2")
+    first = _run("output_digests.py", *args, cwd=tmp_path)
+    assert _run("output_digests.py", *args, cwd=tmp_path) == first
+    by_threads = {}
+    for line in first.splitlines():
+        config, command, seed, threads, code, name, digest = line.split()
+        assert (config, code) == ("small.ini", "0") and len(digest) == 64
+        by_threads.setdefault(threads, {})[command, seed, name] = digest
+    one, two = by_threads["1"], by_threads["2"]
+    assert one.keys() == two.keys()
+    assert {name for command, _, name in one if command == "simulate"} == {
+        "ensemble.csv", "mc_survival.csv", "resolved.ini"}
+    for key in one:
+        if key[0] in ("simulate", "compare"):
+            assert one[key] == two[key], key

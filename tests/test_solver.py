@@ -11,11 +11,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
 from conftest import EXIT_RATE, exp_survival, point_mass
-from jumpexit import operators, solver
+from jumpexit import operators
 from jumpexit.errors import ConfigurationError, NumericalError
 from jumpexit.geometry import DomainPartition, build_grid
 from jumpexit.kernels import CompoundPoissonUniform
-from jumpexit.operators import assemble
+from jumpexit.operators import _factor, assemble
 from jumpexit.solver import (coercivity_sigma, evolve, exit_moments,
                              mean_exit_time, uniform_density)
 
@@ -54,7 +54,7 @@ def test_absorbed_flux_comes_from_exit_weights(analytic_op_64):
     op = analytic_op_64
     dt = 0.1
     traj = evolve(op, uniform_density(op), dt=dt, t_end=5.0)
-    step = solver._step_solver(op.a_star, dt)
+    step = _factor(op.a_star, "time-step", dt).solve
     into_d = op.domain_rows[:, op.absorbing].T
     w_int, w_abs = op.widths[op.interior], op.widths[op.absorbing]
     u, per_step = uniform_density(op), []
@@ -78,11 +78,18 @@ def test_implicit_euler_monotone_and_positive(analytic_op_64, dt):
                   dt=dt, t_end=20 * dt)
     assert np.all(np.diff(traj.survival) <= 1e-12)
     # every step's density, stepped as evolve steps it
-    step = solver._step_solver(analytic_op_64.a_star, dt)
+    step = _factor(analytic_op_64.a_star, "time-step", dt).solve
     u = uniform_density(analytic_op_64)
     for _ in range(20):
         u = step(u)
         assert u.min() >= -1e-14
+
+
+@pytest.mark.parametrize("dt, t_end", [(np.nan, 1.0), (np.inf, 1.0), (0.1, np.inf),
+                                       (0.1, np.nan)])
+def test_evolve_rejects_non_finite_steps(analytic_op_64, dt, t_end):
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        evolve(analytic_op_64, uniform_density(analytic_op_64), dt=dt, t_end=t_end)
 
 
 def test_evolve_validates_inputs(analytic_op_64):
