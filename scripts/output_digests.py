@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Digest every output file of a sweep of CLI runs, to compare two checkouts.
 
-Runs ``jumpexit.cli.main`` once for each config, subcommand, seed and
-thread count given, each run into a directory of its own, and prints one
-line per output file, sorted::
+Runs every subcommand of ``jumpexit.cli.main`` once for each config,
+seed and thread count given, each run into a directory of its own, and
+prints one line per output file, sorted::
 
     config subcommand seed threads exit_code file sha256
 
@@ -32,10 +32,10 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def sweep(configs, commands, seeds, threads, work: Path) -> list[str]:
+def sweep(configs, seeds, threads, work: Path) -> list[str]:
     """The sorted digest lines of every run of the sweep, made under ``work``."""
     lines = []
-    runs = ((c, cmd, s, n) for c in configs for cmd in commands for s in seeds for n in threads)
+    runs = ((c, cmd, s, n) for c in configs for cmd in COMMANDS for s in seeds for n in threads)
     for k, (config, command, seed, n) in enumerate(runs):
         out = work / str(k)
         argv = [command, "--config", config, "--out", str(out),
@@ -51,16 +51,11 @@ def sweep(configs, commands, seeds, threads, work: Path) -> list[str]:
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("configs", nargs="+", help="run configuration files")
-    ap.add_argument("--commands", nargs="+", default=COMMANDS, choices=COMMANDS)
     ap.add_argument("--seeds", nargs="+", type=int, default=[0])
     ap.add_argument("--threads", nargs="+", type=int, default=[1])
-    ap.add_argument("--work", default=None,
-                    help="keep the run directories here (default: a temporary directory)")
     args = ap.parse_args()
-    with contextlib.ExitStack() as stack:
-        work = Path(args.work) if args.work else Path(stack.enter_context(
-            tempfile.TemporaryDirectory()))
-        for line in sweep(args.configs, args.commands, args.seeds, args.threads, work):
+    with tempfile.TemporaryDirectory() as work:
+        for line in sweep(args.configs, args.seeds, args.threads, Path(work)):
             print(line)
 
 
