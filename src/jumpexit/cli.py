@@ -88,11 +88,6 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_moments(cfg: RunConfig, k_max: int) -> int:
-    if cfg.partition.absorbing.empty:
-        raise ConfigurationError(
-            "exit-time moments need omega_d nonempty; this configuration is "
-            "purely confined"
-        )
     out = _prepare_out(cfg)
     op = _operator(cfg)
     moments = solver.exit_moments(op, k_max)
@@ -108,13 +103,12 @@ def _default_t_max(cfg: RunConfig, op=None) -> float:
     when the caller has already assembled the operator."""
     if cfg.t_max is not None:
         return cfg.t_max
-    if cfg.partition.absorbing.empty:
-        raise ConfigurationError(
-            "[mc] t_max is required when omega_d is empty (the walk never exits)"
-        )
     if op is None:
         op = _operator(cfg)
-    met = solver.mean_exit_time(op)
+    try:
+        met = solver.mean_exit_time(op)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[mc] t_max must be set: {exc}") from exc
     return 50.0 * float(np.max(met.values))
 
 

@@ -26,10 +26,11 @@ cost per jump is deterministic even when the admissible region is tiny.
 ``JumpKernel.jump_law`` builds the clipped pieces and their masses once;
 the walk takes both its waiting rate and its landing draw from that one
 table, so each jump makes a single pass over the pieces.
-``JumpKernel.jump_laws`` builds the same table for a whole batch of points,
-each piece held as arrays over the points it reaches. It repeats the scalar
-arithmetic operation for operation, and takes power-law powers through
-Python floats, so every point's law is bit for bit the scalar one.
+``JumpKernel.jump_laws`` builds the same table for a whole batch of points
+from the same piece classes, each piece's fields held as arrays over the
+points it reaches in place of floats. The arithmetic is the scalar law's,
+and power-law powers go through Python floats, so every point's law is bit
+for bit the scalar one.
 
 Kernels are immutable and safe to share across workers; sampling state
 lives entirely in the caller-supplied generator.
@@ -50,104 +51,109 @@ from .geometry import Intervals
 # density pieces: closed-form mass and inverse CDF per piece
 
 
+# A piece's fields are floats for one point's law, or arrays over the points
+# of a batch (one piece of each point's law, same shape), and both run the
+# same arithmetic, so a batched point rounds exactly as its scalar law does.
 # Pieces are built per jump, so they are plain slotted dataclasses (cheap to
 # construct); nothing mutates one after it is built.
 
 
+def _pow(base, exponent: float):
+    """``base ** exponent`` for a float, or elementwise for an array, each
+    rounded as Python floats round it.
+
+    numpy's vectorized power is not the C library's: it differs in the last
+    bit on a few percent of inputs, which would move the walks' streams.
+    """
+    if isinstance(base, np.ndarray):
+        return np.fromiter(map(pow, base.tolist(), repeat(exponent)), float, base.size)
+    return base ** exponent
+
+
+def _take(piece, rows):
+    """``piece`` with every array field cut to ``rows`` (an index array or a
+    mask), or to the one row ``rows`` as floats (an int); scalar fields are
+    shared."""
+    take = np.ndarray.item if isinstance(rows, int) else np.ndarray.__getitem__
+    return type(piece)(*[take(f, rows) if isinstance(f, np.ndarray) else f
+                         for f in map(piece.__getattribute__, piece.__slots__)])
+
+
 @dataclass(slots=True)
 class _ConstPiece:
-    lo: float
-    hi: float
+    lo: float | np.ndarray
+    hi: float | np.ndarray
     value: float
 
-    def mass(self) -> float:
+    def mass(self):
         return self.value * (self.hi - self.lo)
 
-    def invert(self, v: float) -> float:
+    def invert(self, v):
         return self.lo + v / self.value
 
-    def clip(self, lo: float, hi: float) -> "_ConstPiece":
-        if lo == self.lo and hi == self.hi:
-            return self
+    def clip(self, lo, hi) -> "_ConstPiece":
         return _ConstPiece(lo, hi, self.value)
 
 
 @dataclass(slots=True)
 class _PowerPiece:
-    """Density scale * |y - center|**-(1 + alpha) on one side of center."""
+    """Density scale * |y - center|**-(1 + alpha) on one side of center:
+    the right side (lo >= center) when ``right``, else the left."""
 
-    lo: float
-    hi: float
-    center: float
+    lo: float | np.ndarray
+    hi: float | np.ndarray
+    center: float | np.ndarray
     scale: float
     alpha: float
+    right: bool
 
-    def mass(self) -> float:
-        za = abs(self.lo - self.center)
-        zb = abs(self.hi - self.center)
-        za, zb = min(za, zb), max(za, zb)
-        return self.scale * (za ** -self.alpha - zb ** -self.alpha) / self.alpha
+    def mass(self):
+        a, c = self.alpha, self.center
+        near, far = (self.lo - c, self.hi - c) if self.right else (c - self.hi, c - self.lo)
+        return self.scale * (_pow(near, -a) - _pow(far, -a)) / a
 
-    def invert(self, v: float) -> float:
-        a = self.alpha
-        if self.lo >= self.center:  # right side: distance grows with y
-            za = self.lo - self.center
-            z = (za ** -a - v * a / self.scale) ** (-1.0 / a)
-            return self.center + z
-        # left side: distance shrinks as y sweeps from lo toward center
-        z_far = self.center - self.lo
-        z = (v * a / self.scale + z_far ** -a) ** (-1.0 / a)
-        return self.center - z
+    def invert(self, v):
+        a, c = self.alpha, self.center
+        if self.right:  # distance grows with y
+            return c + _pow(_pow(self.lo - c, -a) - v * a / self.scale, -1.0 / a)
+        # distance shrinks as y sweeps from lo toward center
+        return c - _pow(v * a / self.scale + _pow(c - self.lo, -a), -1.0 / a)
 
-    def clip(self, lo: float, hi: float) -> "_PowerPiece":
-        if lo == self.lo and hi == self.hi:
-            return self
-        return _PowerPiece(lo, hi, self.center, self.scale, self.alpha)
+    def clip(self, lo, hi) -> "_PowerPiece":
+        return _PowerPiece(lo, hi, self.center, self.scale, self.alpha, self.right)
 
 
 @dataclass(slots=True)
 class _LinearPiece:
-    lo: float
-    hi: float
-    v_lo: float
-    v_hi: float
+    """Density linear from ``v_lo`` at lo to ``v_hi`` at hi. A scalar law
+    holds a table's pieces as one piece of arrays over the pieces, and
+    indexing builds the one piece (of floats) that a draw inverts."""
 
-    def _slope(self) -> float:
-        return (self.v_hi - self.v_lo) / (self.hi - self.lo)
+    lo: float | np.ndarray
+    hi: float | np.ndarray
+    v_lo: float | np.ndarray
+    v_hi: float | np.ndarray
 
-    def mass(self) -> float:
+    __getitem__ = _take
+
+    def mass(self):
         return 0.5 * (self.v_lo + self.v_hi) * (self.hi - self.lo)
 
-    def invert(self, v: float) -> float:
-        s = self._slope()
-        disc = self.v_lo * self.v_lo + 2.0 * s * v
-        denom = self.v_lo + math.sqrt(max(disc, 0.0))
-        if denom <= 0.0:
-            return self.lo
-        return self.lo + 2.0 * v / denom
+    def invert(self, v):
+        lo, v_lo = self.lo, self.v_lo
+        s = (self.v_hi - v_lo) / (self.hi - lo)
+        disc = v_lo * v_lo + 2.0 * s * v
+        if isinstance(v, np.ndarray):
+            denom = v_lo + np.sqrt(np.where(0.0 > disc, 0.0, disc))  # max(disc, 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(denom <= 0.0, lo, lo + 2.0 * v / denom)
+        denom = v_lo + math.sqrt(max(disc, 0.0))
+        return lo if denom <= 0.0 else lo + 2.0 * v / denom
 
-
-@dataclass(slots=True)
-class _LinearTable:
-    """Linear pieces held as arrays over the pieces. Indexing builds the
-    one ``_LinearPiece`` a draw inverts, so a law builds no piece objects."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    v_lo: np.ndarray
-    v_hi: np.ndarray
-
-    def __getitem__(self, k: int) -> _LinearPiece:
-        return _LinearPiece(self.lo[k].item(), self.hi[k].item(),
-                            self.v_lo[k].item(), self.v_hi[k].item())
-
-    def masses(self) -> list:
-        """``_LinearPiece.mass`` of every piece, in order."""
-        return (0.5 * (self.v_lo + self.v_hi) * (self.hi - self.lo)).tolist()
-
-
-def _with_masses(pieces: list) -> tuple[list, list]:
-    return pieces, [p.mass() for p in pieces]
+    def clip(self, lo, hi) -> "_LinearPiece":
+        # each end's value from this piece's slope
+        s = (self.v_hi - self.v_lo) / (self.hi - self.lo)
+        return _LinearPiece(lo, hi, self.v_lo + s * (lo - self.lo), self.v_lo + s * (hi - self.lo))
 
 
 def _clip_pieces(pieces, region: Intervals | None):
@@ -162,136 +168,34 @@ def _clip_pieces(pieces, region: Intervals | None):
             lo = rlo if rlo > plo else plo
             hi = rhi if rhi < phi else phi
             if hi > lo:
-                out.append(p.clip(lo, hi))
+                out.append(p if lo == plo and hi == phi else p.clip(lo, hi))
     return out
 
 
-def _clip_linear(lo, hi, v_lo, v_hi, bounds):
-    """Linear pieces, held as arrays over the pieces, clipped to every
-    (rlo, rhi) of ``bounds`` with ``_clip_pieces``' tie rule and order
-    (piece by piece, each in bound order). A clipped piece's end values
-    are ``v_lo + slope * (end - lo)`` from the piece it was cut from."""
+def _clip_linear(p: _LinearPiece, bounds) -> _LinearPiece:
+    """Linear pieces, held as one piece of arrays over the pieces, clipped
+    to every (rlo, rhi) of ``bounds`` with ``_clip_pieces``' tie rule and
+    order (piece by piece, each in bound order)."""
     bounds = np.asarray(bounds, dtype=float).reshape(-1, 2)  # () for an empty region
     # max(lo, rlo) and min(hi, rhi), ties going to the piece
-    clo = np.maximum(lo[:, None], bounds[:, 0])
-    chi = np.minimum(hi[:, None], bounds[:, 1])
-    keep = chi > clo
-    k = keep.nonzero()[0]  # the piece of each kept cut, in order
-    clo, chi, lo, v_lo = clo[keep], chi[keep], lo[k], v_lo[k]
-    s = (v_hi[k] - v_lo) / (hi[k] - lo)
-    return clo, chi, v_lo + s * (clo - lo), v_lo + s * (chi - lo)
-
-
-# Batched pieces: one piece of the table for many points at once. ``rows``
-# index the points of the batch that the piece reaches; every other field is
-# an array over those rows (or a scalar shared by them). The arithmetic
-# repeats the scalar piece's, operation for operation, so each row rounds
-# exactly as the scalar piece would.
-
-
-def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
-    """``base ** exponent`` elementwise, rounded as Python floats round it.
-
-    numpy's vectorized power is not the C library's: it differs in the last
-    bit on a few percent of inputs, which would move the walks' streams.
-    """
-    return np.fromiter(map(pow, base.tolist(), repeat(exponent)), float, base.size)
-
-
-@dataclass(slots=True)
-class _ConstColumn:
-    rows: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    value: float
-
-    def mass(self) -> np.ndarray:
-        return self.value * (self.hi - self.lo)
-
-    def invert(self, sel: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.lo[sel] + v / self.value
-
-    def clip(self, keep, lo, hi) -> "_ConstColumn":
-        return _ConstColumn(self.rows[keep], lo, hi, self.value)
-
-
-@dataclass(slots=True)
-class _PowerColumn:
-    rows: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    center: np.ndarray
-    scale: float
-    alpha: float
-
-    def mass(self) -> np.ndarray:
-        za = np.abs(self.lo - self.center)
-        zb = np.abs(self.hi - self.center)
-        # min(za, zb) and max(za, zb), ties going to za
-        near = np.where(zb < za, zb, za)
-        far = np.where(zb > za, zb, za)
-        return self.scale * (_pow(near, -self.alpha) - _pow(far, -self.alpha)) / self.alpha
-
-    def invert(self, sel: np.ndarray, v: np.ndarray) -> np.ndarray:
-        a = self.alpha
-        lo, c = self.lo[sel], self.center[sel]
-        y = np.empty(lo.size)
-        right = lo >= c
-        left = ~right
-        z = _pow(_pow(lo[right] - c[right], -a) - v[right] * a / self.scale, -1.0 / a)
-        y[right] = c[right] + z
-        z = _pow(v[left] * a / self.scale + _pow(c[left] - lo[left], -a), -1.0 / a)
-        y[left] = c[left] - z
-        return y
-
-    def clip(self, keep, lo, hi) -> "_PowerColumn":
-        return _PowerColumn(self.rows[keep], lo, hi, self.center[keep], self.scale, self.alpha)
-
-
-@dataclass(slots=True)
-class _LinearColumn:
-    rows: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    v_lo: np.ndarray
-    v_hi: np.ndarray
-
-    def _slope(self) -> np.ndarray:
-        return (self.v_hi - self.v_lo) / (self.hi - self.lo)
-
-    def mass(self) -> np.ndarray:
-        return 0.5 * (self.v_lo + self.v_hi) * (self.hi - self.lo)
-
-    def invert(self, sel: np.ndarray, v: np.ndarray) -> np.ndarray:
-        lo, v_lo = self.lo[sel], self.v_lo[sel]
-        s = (self.v_hi[sel] - v_lo) / (self.hi[sel] - lo)
-        disc = v_lo * v_lo + 2.0 * s * v
-        denom = v_lo + np.sqrt(np.where(0.0 > disc, 0.0, disc))  # max(disc, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(denom <= 0.0, lo, lo + 2.0 * v / denom)
-
-    def clip(self, keep, lo, hi) -> "_LinearColumn":
-        # value_at on each end, from the unclipped piece's slope
-        s, base, v = self._slope()[keep], self.lo[keep], self.v_lo[keep]
-        return _LinearColumn(self.rows[keep], lo, hi, v + s * (lo - base), v + s * (hi - base))
-
-
-def _clip_column(c, rlo, rhi):
-    """``c`` clipped to [rlo, rhi] with ``_clip_pieces``' tie rule, keeping
-    the rows where something is left; None when no row keeps any."""
-    lo = np.where(rlo > c.lo, rlo, c.lo)
-    hi = np.where(rhi < c.hi, rhi, c.hi)
+    lo = np.maximum(p.lo[:, None], bounds[:, 0])
+    hi = np.minimum(p.hi[:, None], bounds[:, 1])
     keep = hi > lo
-    if keep.all():
-        return c.clip(slice(None), lo, hi)
+    k = keep.nonzero()[0]  # the piece of each kept cut, in order
+    return _take(p, k).clip(lo[keep], hi[keep])
+
+
+def _clip_column(rows, p, rlo, rhi):
+    """The column ``(rows, p)`` of a batch clipped to [rlo, rhi] with
+    ``_clip_pieces``' tie rule, keeping the rows where something is left;
+    None when no row keeps any."""
+    lo = np.where(rlo > p.lo, rlo, p.lo)
+    hi = np.where(rhi < p.hi, rhi, p.hi)
+    keep = hi > lo
     if not keep.any():
         return None
-    return c.clip(keep, lo[keep], hi[keep])
-
-
-def _clip_columns(columns, region: Intervals):
-    clipped = (_clip_column(c, rlo, rhi) for c in columns for rlo, rhi in region.bounds)
-    return [c for c in clipped if c is not None]
+    p = p.clip(lo, hi)
+    return (rows, p) if keep.all() else (rows[keep], _take(p, keep))
 
 
 @dataclass(slots=True)
@@ -300,7 +204,7 @@ class JumpLaw:
     pieces, their masses in piece order, and the total rate (their sum)."""
 
     x: float
-    pieces: list | _LinearTable
+    pieces: list | _LinearPiece
     masses: list
     total: float
 
@@ -322,8 +226,10 @@ class JumpLaw:
 @dataclass(slots=True)
 class JumpLaws:
     """``JumpLaw`` for every point of a batch at once, bit for bit: the same
-    clipped pieces in the same order (as batched columns), their masses,
-    and per-point totals summed left to right in piece order."""
+    clipped pieces in the same order, their masses, and per-point totals
+    summed left to right in piece order. Each column is ``(rows, piece)``:
+    one piece of the laws of the points ``rows``, its fields arrays over
+    those rows."""
 
     x: np.ndarray
     columns: list
@@ -337,19 +243,18 @@ class JumpLaws:
         u = uniforms * self.total
         y = np.full(self.x.size, np.nan)
         searching = np.ones(self.x.size, dtype=bool)
-        for c, m in zip(self.columns, self.masses):
-            rows = c.rows
+        for (rows, p), m in zip(self.columns, self.masses):
             ur = u[rows]
             hit = searching[rows] & (ur <= m)
             if hit.any():
                 found = rows[hit]
-                y[found] = c.invert(hit, ur[hit])
+                y[found] = _take(p, hit).invert(ur[hit])
                 searching[found] = False
             u[rows] = ur - m  # only rows still searching read it again
         if searching.any():  # unreachable up to rounding: the last piece's hi
-            for c in self.columns:
-                left = searching[c.rows]
-                y[c.rows[left]] = c.hi[left]
+            for rows, p in self.columns:
+                left = searching[rows]
+                y[rows[left]] = p.hi[left]
         return y
 
 
@@ -357,12 +262,12 @@ class JumpKernel:
     """Shared behavior for all kernel families.
 
     Subclasses provide ``_cdf`` (the closed-form CDF of the displacement,
-    which gives the solver its cell averages), ``_pieces`` (the closed-form
-    density pieces of y -> gamma(x, y), clipped to a region) and
-    ``_piece_columns`` (the unclipped pieces for a batch of points).
-    ``jump_law`` takes the clipped pieces once; ``total_rate`` and
-    ``sample_jump`` are its total and its draw. ``jump_laws`` is
-    ``jump_law`` for a batch.
+    which gives the solver its cell averages) and ``_unclipped`` (the
+    closed-form density pieces of y -> gamma(x, y) over the horizon ball,
+    for one point or a batch), or else both law builders, ``_pieces`` and
+    ``_piece_columns``. ``jump_law`` takes the clipped pieces once;
+    ``total_rate`` and ``sample_jump`` are its total and its draw.
+    ``jump_laws`` is ``jump_law`` for a batch.
     """
 
     horizon: float
@@ -377,14 +282,22 @@ class JumpKernel:
         displacements ``d``; constant for |d| >= horizon."""
         raise NotImplementedError
 
+    def _unclipped(self, x) -> list:
+        """The pieces of gamma(x, .), in order, for a float ``x``, or for
+        every point of an array ``x`` with array fields over the points."""
+        raise NotImplementedError
+
     def _pieces(self, x: float, region: Intervals | None) -> tuple:
         """The pieces of gamma(x, .) clipped to ``region`` (all space when
         None), in order, and the list of their masses."""
-        raise NotImplementedError
+        pieces = _clip_pieces(self._unclipped(x), region)
+        return pieces, [p.mass() for p in pieces]
 
     def _piece_columns(self, xs: np.ndarray) -> list:
-        """``_pieces`` for every point of ``xs``, as batched columns."""
-        raise NotImplementedError
+        """The unclipped pieces for every point of ``xs``, as ``(rows,
+        piece)`` columns."""
+        rows = np.arange(xs.size)
+        return [(rows, p) for p in self._unclipped(xs)]
 
     def jump_law(self, x: float, region: Intervals | None = None) -> JumpLaw:
         """Pieces of gamma(x, .) clipped to ``region`` (all space when
@@ -396,11 +309,13 @@ class JumpKernel:
         """``jump_law(x, region)`` for every point x of ``xs``, in one pass
         over the pieces."""
         xs = np.asarray(xs, dtype=float)
-        columns = _clip_columns(self._piece_columns(xs), region)
-        masses = [c.mass() for c in columns]
+        clipped = (_clip_column(rows, p, rlo, rhi)
+                   for rows, p in self._piece_columns(xs) for rlo, rhi in region.bounds)
+        columns = [c for c in clipped if c is not None]
+        masses = [p.mass() for _, p in columns]
         total = np.zeros(xs.size)
-        for c, m in zip(columns, masses):
-            total[c.rows] += m  # rows are distinct within a column
+        for (rows, _), m in zip(columns, masses):
+            total[rows] += m  # rows are distinct within a column
         return JumpLaws(xs, columns, masses, total)
 
     def total_rate(self, x: float, region: Intervals | None = None) -> float:
@@ -448,13 +363,8 @@ class CompoundPoissonUniform(JumpKernel):
         # np.clip through the bare ufuncs, whose call cost counts per row
         return self.density * np.minimum(np.maximum(d, -self.horizon), self.horizon)
 
-    def _pieces(self, x, region):
-        return _with_masses(_clip_pieces(
-            [_ConstPiece(x - self.horizon, x + self.horizon, self.density)], region))
-
-    def _piece_columns(self, xs):
-        rows = np.arange(xs.size)
-        return [_ConstColumn(rows, xs - self.horizon, xs + self.horizon, self.density)]
+    def _unclipped(self, x):
+        return [_ConstPiece(x - self.horizon, x + self.horizon, self.density)]
 
 
 @dataclass(frozen=True)
@@ -499,23 +409,12 @@ class TruncatedStable(JumpKernel):
         tail = (eps ** -a - np.maximum(z, eps) ** -a) / (self.m * a)
         return np.copysign(self.plateau * np.minimum(z, eps) + tail, d)
 
-    def _pieces(self, x, region):
-        lam, eps = self.horizon, self.epsilon
-        scale = 1.0 / self.m
-        return _with_masses(_clip_pieces([
-            _PowerPiece(x - lam, x - eps, x, scale, self.alpha),
-            _ConstPiece(x - eps, x + eps, self.plateau),
-            _PowerPiece(x + eps, x + lam, x, scale, self.alpha),
-        ], region))
-
-    def _piece_columns(self, xs):
-        lam, eps = self.horizon, self.epsilon
-        scale = 1.0 / self.m
-        rows = np.arange(xs.size)
+    def _unclipped(self, x):
+        lam, eps, scale, a = self.horizon, self.epsilon, 1.0 / self.m, self.alpha
         return [
-            _PowerColumn(rows, xs - lam, xs - eps, xs, scale, self.alpha),
-            _ConstColumn(rows, xs - eps, xs + eps, self.plateau),
-            _PowerColumn(rows, xs + eps, xs + lam, xs, scale, self.alpha),
+            _PowerPiece(x - lam, x - eps, x, scale, a, False),
+            _ConstPiece(x - eps, x + eps, self.plateau),
+            _PowerPiece(x + eps, x + lam, x, scale, a, True),
         ]
 
 
@@ -529,6 +428,18 @@ def _linear_integral(nodes: np.ndarray, values: np.ndarray, q: np.ndarray) -> np
     t = q - nodes[k]
     slope = (values[k + 1] - values[k]) / dz[k]
     return cum[k] + t * (values[k] + 0.5 * slope * t)
+
+
+def _nodes(nodes, name: str) -> np.ndarray:
+    """A table's nodes as floats: a 1-D array of at least two, strictly
+    increasing."""
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1 or nodes.size < 2:
+        raise ConfigurationError(
+            f"a kernel table needs a 1-D array of at least two {name} nodes, got shape {nodes.shape}")
+    if np.any(np.diff(nodes) <= 0):  # NaN nodes go on to the finiteness check
+        raise ConfigurationError(f"{name} nodes must be strictly increasing")
+    return nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -553,18 +464,15 @@ class TabulatedKernel(JumpKernel):
         if not 0 < self.horizon < math.inf:
             raise ConfigurationError("horizon must be positive and finite")
         if self.displacements is not None:
-            z = np.asarray(self.displacements, dtype=float)
+            z = _nodes(self.displacements, "displacement")
             v = np.asarray(self.values, dtype=float)
-            if z.ndim != 1 or z.size < 2 or v.shape != z.shape:
+            if v.shape != z.shape:
                 raise ConfigurationError("displacement table needs matching 1-D arrays")
-            if np.any(np.diff(z) <= 0):
-                raise ConfigurationError("displacement nodes must be strictly increasing")
             object.__setattr__(self, "displacements", z)
             object.__setattr__(self, "values", v)
             tables = (z, v)
         elif self.grid_values is not None:
-            xs = np.asarray(self.x_nodes, dtype=float)
-            ys = np.asarray(self.y_nodes, dtype=float)
+            xs, ys = _nodes(self.x_nodes, "x"), _nodes(self.y_nodes, "y")
             vv = np.ascontiguousarray(self.grid_values, dtype=float)
             if vv.shape != (xs.size, ys.size):
                 raise ConfigurationError("bivariate table shape must be (n_x, n_y)")
@@ -633,11 +541,11 @@ class TabulatedKernel(JumpKernel):
         else:
             vals = self._bilinear(x, nodes)
         # the ball, then the region: each cut's ends from the piece it cuts
-        pieces = _clip_linear(nodes[:-1], nodes[1:], vals[:-1], vals[1:], ((x - lam, x + lam),))
+        pieces = _clip_linear(_LinearPiece(nodes[:-1], nodes[1:], vals[:-1], vals[1:]),
+                              ((x - lam, x + lam),))
         if region is not None:
-            pieces = _clip_linear(*pieces, region.bounds)
-        table = _LinearTable(*pieces)
-        return table, table.masses()
+            pieces = _clip_linear(pieces, region.bounds)
+        return pieces, pieces.mass().tolist()
 
     def _piece_columns(self, xs):
         lam = self.horizon
@@ -649,8 +557,8 @@ class TabulatedKernel(JumpKernel):
             vals = self._bilinear(np.broadcast_to(xs[:, None], nodes.shape), nodes)
         rows = np.arange(xs.size)
         lo, hi = xs - lam, xs + lam
-        columns = (_clip_column(_LinearColumn(rows, nodes[:, k], nodes[:, k + 1],
-                                              vals[:, k], vals[:, k + 1]), lo, hi)
+        columns = (_clip_column(rows, _LinearPiece(nodes[:, k], nodes[:, k + 1],
+                                                   vals[:, k], vals[:, k + 1]), lo, hi)
                    for k in range(nodes.shape[1] - 1))
         return [c for c in columns if c is not None]
 

@@ -105,11 +105,32 @@ def _stuck(x: float) -> ConfigurationError:
     )
 
 
+def _stranded_part(partition: DomainPartition) -> tuple[float, float] | None:
+    """A domain component from which no chain of jumps reaches the absorbing
+    set; None when every component reaches it. A jump is shorter than the
+    horizon, so a chain crosses only gaps shorter than that, from component
+    to component."""
+    lam = partition.horizon
+    left = list(partition.domain.bounds)
+    reached = partition.absorbing.bounds
+    while reached and left:
+        reached = [(lo, hi) for lo, hi in left
+                   if any(rlo - hi < lam and lo - rhi < lam for rlo, rhi in reached)]
+        left = [part for part in left if part not in reached]
+    return left[0] if left else None
+
+
 def _check_ends(partition: DomainPartition | None, t_max: float) -> None:
-    """Raise unless a walk ends, by absorption or at a finite ``t_max``."""
-    if (partition is None or partition.absorbing.empty) and not np.isfinite(t_max):
-        raise ConfigurationError(
-            f"a walk that nothing absorbs needs a finite t_max, got {t_max}")
+    """Raise unless every walk ends, by absorption or at a finite ``t_max``."""
+    if np.isfinite(t_max):
+        return
+    if partition is None:
+        why = "free space absorbs nothing"
+    elif (part := _stranded_part(partition)) is not None:
+        why = f"no chain of jumps leads from the domain part {part} to the absorbing set"
+    else:
+        return
+    raise ConfigurationError(f"a walk that nothing absorbs needs a finite t_max, got {t_max}: {why}")
 
 
 def _walk_path(kernel: JumpKernel, partition: DomainPartition | None, x: float, t: float,

@@ -127,12 +127,38 @@ def evolve(op: DiscreteOperator, u0: np.ndarray, dt: float, t_end: float) -> Den
     return DensityTrajectory(times=times, survival=survival, absorbed_cdf=absorbed)
 
 
+def _cell_without_exit(op: DiscreteOperator) -> int | None:
+    """Position in ``op.interior`` of the first domain cell that jumps but
+    from which no chain of jumps reaches the absorbing set; None when there
+    is none.
+
+    The generator is singular exactly when some cell has no way out: such a
+    cell, or one that cannot jump at all, whose zero row the factorization
+    reports. The search runs backwards from the cells with a positive exit
+    weight or no jump, reading each row of the forward matrix at most once
+    (row j lists the cells that jump into cell j), so it is O(nnz).
+    """
+    done = (op.exit_weights > 0) | (op.a_star.diagonal() == 0)
+    frontier = np.flatnonzero(done)
+    while frontier.size and not done.all():
+        into = op.a_star[frontier]
+        sources = into.indices[into.data != 0]
+        frontier = np.unique(sources[~done[sources]])
+        done[frontier] = True
+    stuck = np.flatnonzero(~done)
+    return int(stuck[0]) if stuck.size else None
+
+
 def exit_moments(op: DiscreteOperator, k_max: int) -> list[ExitMoments]:
-    """Exit-time moments m_1 .. m_k by the generator recursion, one LU."""
-    if op.absorbing.size == 0:
+    """Exit-time moments m_1 .. m_k by the generator recursion, one LU.
+    A domain cell that cannot reach the absorbing set is a
+    ``ConfigurationError``: its exit time is infinite."""
+    stuck = _cell_without_exit(op)
+    if stuck is not None:
         raise ConfigurationError(
-            "exit moments need a nonempty absorbing set; a purely confined "
-            "process never exits (the generator is singular on constants)"
+            f"no chain of jumps from the domain cell at x={float(op.centers[op.interior[stuck]])} "
+            "reaches the absorbing set, so the exit time from there is infinite "
+            "and has no moments (the generator is singular)"
         )
     if k_max < 1:
         raise ConfigurationError("k_max must be at least 1")

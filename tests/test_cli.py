@@ -402,6 +402,48 @@ def test_non_finite_table_value_exits_2(config_file, tmp_path, command):
     assert "finite" in json.loads((tmp_path / "e" / "error.json").read_text())["message"]
 
 
+@pytest.mark.parametrize("text, match", [
+    ("0.0,0.5,0.1\n1.0,0.5,0.2\n", "at least two y nodes"),
+    ("0.5,-1.0,0.1\n0.5,0.0,0.2\n0.5,2.0,0.1\n", "at least two x nodes"),
+], ids=["one_y", "one_x"])
+@pytest.mark.parametrize("command", ["moments", "simulate"])
+def test_degenerate_bivariate_table_exits_2(config_file, tmp_path, command, text, match):
+    # one y value once ended moments in an IndexError; one x value gave NaN
+    # rates, which moments wrote with exit 0 and simulate walked on forever
+    table = tmp_path / "grid.csv"
+    table.write_text(text)
+    path = _tabulated_config(config_file, tmp_path, table)
+    with pytest.raises(ConfigurationError, match=match):
+        load_config(path)
+    assert main([command, "--config", path, "--out", str(tmp_path / "e")]) == 2
+    err = json.loads((tmp_path / "e" / "error.json").read_text())
+    assert err["error"] == "ConfigurationError" and match in err["message"]
+
+
+@pytest.mark.parametrize("t_max", ["", "t_max = inf\n"], ids=["t_max_unset", "t_max_inf"])
+def test_a_domain_part_nothing_absorbs_exits_2(config_file, tmp_path, t_max):
+    # (5, 6) lies farther than the horizon from the absorbing set and from
+    # (0, 1): moments once wrote m_1 near 4e16 with exit 0, and simulate
+    # walked to a t_max of fifty times that, or forever at t_max = inf
+    text = (BASE_CONFIG.replace("t_max = 500.0\n", t_max)
+            .replace("omega = [[0.0, 1.0]]", "omega = [[0.0, 1.0], [5.0, 6.0]]")
+            .replace("omega_d = full", "omega_d = [[-1.0, 0.0], [1.0, 2.0]]")
+            .replace("rate = 0.2", "rate = 1.0").replace("h = 0.015625", "h = 0.125"))
+    cfg = load_config(config_file(text=text))
+    if t_max:
+        with pytest.raises(ConfigurationError, match="nothing absorbs needs a finite t_max"):
+            mc._check_ends(cfg.partition, cfg.t_max)
+    op = operators.assemble(cfg.kernel, cfg.build_grid(), cfg.partition)
+    with pytest.raises(ConfigurationError, match=r"x=5\.0625 reaches the absorbing set"):
+        solver.exit_moments(op, 1)
+    for command in ("moments", "simulate", "compare"):
+        out = tmp_path / command
+        assert main([command, "--config", str(tmp_path / "run.ini"), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigurationError"
+        assert ("5.0625" if command == "moments" or not t_max else "(5.0, 6.0)") in err["message"]
+
+
 def test_infinite_t_max_simulates_on_absorbing_domain(config_file, tmp_path):
     # every walk is absorbed, so no censoring horizon is needed
     path = config_file(t_max__="inf", n_paths__="200")

@@ -226,6 +226,22 @@ def test_stable_parameter_validation(kwargs):
         TruncatedStable(**kwargs)
 
 
+@pytest.mark.parametrize("x_nodes, y_nodes, match", [
+    ([0.0, 1.0], [1.0, 0.0], "y nodes must be strictly increasing"),
+    ([1.0, 0.0], [0.0, 1.0], "x nodes must be strictly increasing"),
+    ([0.0, 1.0], [0.5], "at least two y nodes"),
+    ([0.5], [0.0, 1.0], "at least two x nodes"),
+    ([0.0, 1.0], [[0.0, 1.0]], "1-D array"),
+], ids=["y_decreasing", "x_decreasing", "one_y", "one_x", "y_2d"])
+def test_bivariate_nodes_are_validated(x_nodes, y_nodes, match):
+    # y_nodes = [1, 0] once rated every jump 0; a single node once gave
+    # NaN rates or an IndexError
+    values = np.ones((np.size(x_nodes), np.size(y_nodes)))
+    with pytest.raises(ConfigurationError, match=match):
+        TabulatedKernel(horizon=1.0, x_nodes=np.array(x_nodes), y_nodes=np.array(y_nodes),
+                        grid_values=values)
+
+
 # --- tabulated bivariate ----------------------------------------------------
 
 def test_bivariate_table_cell_averages_and_sample():

@@ -135,6 +135,35 @@ def test_a_walk_nothing_absorbs_needs_a_finite_t_max():
     assert simulate_path(k, 0.5, path_rng(0, 0), np.inf, partition=full).times[-1] < np.inf
 
 
+def test_a_walk_from_a_part_nothing_absorbs_needs_a_finite_t_max():
+    # (5, 6) lies farther than the horizon from the absorbing set and from
+    # the other component; (0, 1) touches the absorbing set
+    k = CompoundPoissonUniform(rate=1.0, horizon=1.0)
+    part = DomainPartition.build([(0.0, 1.0), (5.0, 6.0)], horizon=1.0,
+                                 absorbing=[(-1.0, 0.0), (1.0, 2.0)])
+    for t_max in (np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match=r"nothing absorbs needs a finite t_max"
+                                                     r".*domain part \(5\.0, 6\.0\)"):
+            simulate_path(k, 0.5, path_rng(0, 0), t_max, partition=part)
+        with pytest.raises(ConfigurationError, match="nothing absorbs needs a finite t_max"):
+            mc._check_ends(part, t_max)  # the check simulate_ensemble makes first
+    assert simulate_path(k, 0.5, path_rng(0, 0), 50.0, partition=part).times[-1] <= 50.0
+
+
+def test_a_chain_of_components_reaches_the_absorbing_set():
+    # (1.5, 2.5) reaches the absorbing set only through (0, 1), across a
+    # gap of 0.5 < horizon: every walk ends by absorption
+    k = CompoundPoissonUniform(rate=1.0, horizon=1.0)
+    part = DomainPartition.build([(0.0, 1.0), (1.5, 2.5)], horizon=1.0,
+                                 absorbing=[(-1.0, -0.5)])
+    ens = simulate_ensemble(k, part, n_paths=50, seed=4, t_max=np.inf)
+    assert not ens.censored.any() and np.all(ens.exit_location < -0.5)
+    # a gap of exactly the horizon cannot be jumped
+    far = DomainPartition.build([(0.0, 1.0), (2.0, 3.0)], horizon=1.0, absorbing=[(-1.0, 0.0)])
+    with pytest.raises(ConfigurationError, match=r"domain part \(2\.0, 3\.0\)"):
+        mc._check_ends(far, np.inf)
+
+
 def _land_first_at(monkeypatch, law_class, y0):
     """Make the first ``law_class.sample`` call land every point it draws
     for at ``y0``, after drawing as the walk would."""
@@ -428,6 +457,31 @@ def test_jump_law_matches_rate_and_draw(family):
             if law.total > 0.0:
                 a, b = path_rng(9, i), path_rng(9, i)
                 assert kernel.sample_jump(x, region, a) == law.sample(b)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=kernel_cases(), seed=st.integers(0, 2**32 - 1))
+def test_each_batched_row_is_the_scalar_law(case, seed):
+    # row i of jump_laws(xs, region) is jump_law(xs[i], region) bit for
+    # bit: the same masses in piece order, the same total, and the same
+    # landing from the same uniform
+    kernel, part, _ = case
+    xs = part.domain.uniform_points(np.random.default_rng(seed).random(16))
+    u = np.array([path_rng(seed, i).random() for i in range(xs.size)])
+    (lo, hi), = part.domain.dilate(kernel.horizon).bounds[:1]
+    union = Intervals.from_pairs([(lo, lo + 0.3 * (hi - lo)), (lo + 0.5 * (hi - lo), hi)])
+    regions = [part.reachable, union] + [part.absorbing] * (not part.absorbing.empty)
+    for region in regions:
+        laws = kernel.jump_laws(xs, region)
+        y = laws.sample(u)
+        for i, x in enumerate(xs):
+            law = kernel.jump_law(x, region)
+            masses = [m[rows == i][0] for (rows, _), m in zip(laws.columns, laws.masses)
+                      if i in rows]
+            assert masses == law.masses
+            assert laws.total[i] == law.total
+            if law.total > 0.0:
+                assert y[i] == law.sample(path_rng(seed, i))
 
 
 # --- lockstep engine against the path-by-path walk -------------------------

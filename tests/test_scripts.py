@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import jumpexit
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,8 +66,20 @@ checkpoints = [1.0, 5.0]
 """
 
 
-def test_output_digests_repeat_and_do_not_depend_on_threads(tmp_path):
-    (tmp_path / "small.ini").write_text(SMALL_CONFIG)
+# a translation-invariant table, skewed to the right, whose walks are
+# absorbed on part of the collar only
+TABLE_CONFIG = (SMALL_CONFIG
+                .replace("family = compound_poisson_uniform", "family = custom_tabulated")
+                .replace("rate = 0.2", "table_path = table.csv")
+                .replace("omega = [[0.0, 1.0]]",
+                         "omega = [[0.0, 1.0]]\nomega_d = [[-1.0, -0.5], [1.0, 2.0]]"))
+TABLE = "-1.0,0.05\n-0.5,0.1\n0.0,0.2\n0.5,0.3\n1.0,0.1\n"
+
+
+@pytest.mark.parametrize("case", ["uniform", "table"])
+def test_output_digests_repeat_and_do_not_depend_on_threads(tmp_path, case):
+    (tmp_path / "small.ini").write_text(SMALL_CONFIG if case == "uniform" else TABLE_CONFIG)
+    (tmp_path / "table.csv").write_text(TABLE)
     args = ("small.ini", "--seeds", "0", "3", "--threads", "1", "2")
     first = _run("output_digests.py", *args, cwd=tmp_path)
     assert _run("output_digests.py", *args, cwd=tmp_path) == first

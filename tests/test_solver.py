@@ -228,6 +228,23 @@ def test_mean_exit_time_requires_absorbing():
         mean_exit_time(_censored_op())
 
 
+def test_exit_moments_name_a_cell_that_cannot_reach_the_absorbing_set():
+    # (5, 6) lies farther than the horizon from the absorbing set and from
+    # (0, 1): its rows sum to zero, and the LU once solved that singular
+    # system to m_1 near 4e16
+    k = CompoundPoissonUniform(rate=1.0, horizon=1.0)
+    part = DomainPartition.build([(0.0, 1.0), (5.0, 6.0)], horizon=1.0,
+                                 absorbing=[(-1.0, 0.0), (1.0, 2.0)])
+    with pytest.raises(ConfigurationError, match=r"domain cell at x=5\.0625 reaches"):
+        exit_moments(assemble(k, build_grid(part, 1 / 8), part), 1)
+    # (1.5, 2.5) reaches the absorbing set through (0, 1), whose cells near
+    # 1 reach it only through cells nearer 0: a chain of several jumps
+    chain = DomainPartition.build([(0.0, 1.0), (1.5, 2.5)], horizon=1.0,
+                                  absorbing=[(-1.0, -0.5)])
+    m1, = exit_moments(assemble(k, build_grid(chain, 1 / 8), chain), 1)
+    assert np.all(np.isfinite(m1.values)) and m1.values.min() > 0.0
+
+
 def test_second_moment_and_jensen(analytic_op_256):
     m1, m2 = exit_moments(analytic_op_256, 2)
     assert np.max(np.abs(m2.values - 200.0)) <= 0.03 * 200.0
