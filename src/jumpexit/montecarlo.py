@@ -105,28 +105,29 @@ def _stuck(x: float) -> ConfigurationError:
     )
 
 
-def _stranded_part(partition: DomainPartition) -> tuple[float, float] | None:
+def _stranded_part(kernel: JumpKernel, partition: DomainPartition) -> tuple[float, float] | None:
     """A domain component from which no chain of jumps reaches the absorbing
-    set; None when every component reaches it. A jump is shorter than the
-    horizon, so a chain crosses only gaps shorter than that, from component
-    to component."""
-    lam = partition.horizon
+    set; None when every component reaches it. A jump's displacement lies
+    in the kernel's support D (``jump_support``), so a chain steps from a
+    component to a set that the component's Minkowski sum with D meets."""
+    support = kernel.jump_support().bounds
     left = list(partition.domain.bounds)
     reached = partition.absorbing.bounds
     while reached and left:
         reached = [(lo, hi) for lo, hi in left
-                   if any(rlo - hi < lam and lo - rhi < lam for rlo, rhi in reached)]
+                   if any(rlo - hi < dhi and lo - rhi < -dlo
+                          for rlo, rhi in reached for dlo, dhi in support)]
         left = [part for part in left if part not in reached]
     return left[0] if left else None
 
 
-def _check_ends(partition: DomainPartition | None, t_max: float) -> None:
+def _check_ends(kernel: JumpKernel, partition: DomainPartition | None, t_max: float) -> None:
     """Raise unless every walk ends, by absorption or at a finite ``t_max``."""
     if np.isfinite(t_max):
         return
     if partition is None:
         why = "free space absorbs nothing"
-    elif (part := _stranded_part(partition)) is not None:
+    elif (part := _stranded_part(kernel, partition)) is not None:
         why = f"no chain of jumps leads from the domain part {part} to the absorbing set"
     else:
         return
@@ -254,7 +255,7 @@ def simulate_ensemble(kernel: JumpKernel, partition: DomainPartition, n_paths: i
         raise ConfigurationError("n_paths must be at least 1")
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
-    _check_ends(partition, t_max)
+    _check_ends(kernel, partition, t_max)
     workers = min(workers, os.cpu_count() or 1)
     size = -(-n_paths // workers)
     firsts = range(0, n_paths, size)
@@ -276,7 +277,7 @@ def simulate_path(kernel: JumpKernel, x0: float, rng: np.random.Generator,
     jump process when ``partition`` is None, otherwise the walk confined to
     the partition, which stops when it is absorbed. A walk that nothing
     absorbs needs a finite ``t_max``."""
-    _check_ends(partition, t_max)
+    _check_ends(kernel, partition, t_max)
     times, positions = [0.0], [float(x0)]
     _, x, _, over = _walk_path(kernel, partition, float(x0), 0.0, t_max, rng, times, positions)
     if over:

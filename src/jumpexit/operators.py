@@ -19,14 +19,23 @@ of the domain cells alone, and the balance-law check rebuilds each cell's
 net two-point flux from those rows to test both matrices against it. The
 absorbing cells enter only as the targets of those jumps.
 
+Two routes build those rows, bit for bit alike, with one reach rule and one
+zero filter. For a translation-invariant kernel on cells of one dyadic
+width whose centres sit on one lattice, every row is the same function of
+the offset, so the kernel is evaluated once per offset and each row is
+gathered from that table. Bivariate tables and grids of mixed widths or
+off one lattice take the loop, one kernel row per domain cell.
+
 The forward matrix (density evolution) and the backward matrix (the
 process generator, acting on observables) satisfy the weighted-transpose
 duality ``W A_fwd = A_bwd^T W`` with ``W = diag(cell widths)``; for a
 symmetric kernel (gamma a function of |x - y| alone) whose domain cells
-share one width the two matrices coincide entry for entry.
+share one width the two matrices coincide entry for entry, and assembly
+builds one and uses it as both.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -55,6 +64,10 @@ class DiscreteOperator:
     cell), the rows all of these were built from. ``centers``, ``widths``
     and ``tags`` cover every cell, the jump targets included; ``interior``
     and ``absorbing`` pick their blocks.
+
+    ``a_star`` may be the very object ``a_gen`` is (a symmetric kernel on
+    domain cells of one width), so the arrays of all three matrices are
+    read-only: a change meant for one would reach the other.
     """
 
     centers: np.ndarray
@@ -140,34 +153,93 @@ def _factor(block: sp.csr_matrix, name: str, dt: float | None = None):
     return SimpleNamespace(solve=lambda b: getrs(lu, piv, b)[0], L=triangle, U=triangle)
 
 
-def _rate_rows(kernel: JumpKernel, x: np.ndarray, w: np.ndarray,
-               sources: np.ndarray) -> sp.csr_matrix:
-    """Collocation rate densities out of each cell in ``sources`` (row k =
-    source ``sources[k]``) into every cell of ``x`` the horizon reaches, in
-    part or whole, as CSR with sorted columns and no stored zeros."""
+def _reached(kernel: JumpKernel, d, w):
+    """The reach rule: a target cell of width ``w`` at displacement ``d``
+    from the source counts while part of it is in range."""
+    return np.abs(d) < kernel.horizon + 0.5 * w
+
+
+def _nonzero_rates(kernel: JumpKernel, x: float, c: np.ndarray, w: np.ndarray):
+    """The zero filter: the positions in ``c`` of the cells (centres ``c``,
+    widths ``w``) that gamma(x, .) charges, and their cell averages."""
+    v = kernel.quadrature_values(x, c, w)
+    nz = np.flatnonzero(v)
+    return nz, v[nz]
+
+
+def _offset_rows(kernel: JumpKernel, x: np.ndarray, w: np.ndarray,
+                 sources: np.ndarray) -> sp.csr_matrix | None:
+    """``_rate_rows`` from one table of offsets, or None where it does not
+    apply: the kernel must be translation invariant, and every cell must
+    have one width ``w0``, a power of two, with its centre on one lattice
+    of spacing ``w0`` (gaps allowed). Every centre is then a whole number
+    of half-widths below 2**52, so two cells k sites apart lie exactly
+    ``k * w0`` apart, and each row is the loop's bit for bit. The kernel is
+    evaluated once for each offset 0 < |k| <= K = ceil((lambda + w0/2) /
+    w0) in reach, and row i gathers the cells at site(i) + k; a cell more
+    than K sites away is out of reach."""
+    w0 = w[0]
+    m = x * (2.0 / w0)  # exact: 2 / w0 is a power of two
+    if (not kernel.translation_invariant or np.any(w != w0) or math.frexp(w0)[0] != 0.5
+            or np.any(m != np.rint(m)) or np.max(np.abs(m)) >= 2.0 ** 52
+            or np.any((m - m[0]) % 2.0 != 0.0)):
+        return None
+    site = ((m - m[0]) / 2.0).astype(np.intp)
+    reach = math.ceil((kernel.horizon + 0.5 * w0) / w0)
+    k = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
+    k = k[_reached(kernel, k * w0, w0)]
+    nz, v = _nonzero_rates(kernel, 0.0, k * w0, np.full(k.size, w0))
+    cell = np.full(site[-1] + 2 * reach + 1, -1, dtype=np.int32)  # -1: no cell at that site
+    cell[site + reach] = np.arange(x.size)
+    cols = cell[site[sources, np.newaxis] + reach + k[nz]]  # columns sorted, as sites are
+    has = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(has, axis=1))])
+    return sp.csr_matrix((np.broadcast_to(v, has.shape)[has], cols[has], indptr),
+                         shape=(sources.size, x.size))
+
+
+def _row_loop(kernel: JumpKernel, x: np.ndarray, w: np.ndarray,
+              sources: np.ndarray) -> sp.csr_matrix:
+    """``_rate_rows`` by one kernel row per source: the route for bivariate
+    tables and for cells of mixed widths or off one lattice."""
     counts = np.zeros(sources.size, dtype=np.int64)
     cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-    reach = kernel.horizon + 0.5 * w  # a cell counts while part of it is in range
     for k, i in enumerate(sources):
-        mask = np.abs(x - x[i]) < reach
+        mask = _reached(kernel, x - x[i], w)
         mask[i] = False  # self-jumps cancel exactly between gain and loss
         j = np.flatnonzero(mask)
         if j.size == 0:
             continue
-        v = kernel.quadrature_values(x[i], x[j], w[j])
-        nz = v != 0.0
-        counts[k] = np.count_nonzero(nz)
+        nz, v = _nonzero_rates(kernel, x[i], x[j], w[j])
+        counts[k] = nz.size
         cols.append(j[nz])
-        vals.append(v[nz])
+        vals.append(v)
     indptr = np.concatenate([[0], np.cumsum(counts)])
     return sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr),
                          shape=(sources.size, x.size))
 
 
-def _scaled_transpose(block: sp.csr_matrix, row_scale: np.ndarray) -> sp.csr_matrix:
-    """``(diag(row_scale) block)^T`` as CSR, scaling ``block`` in place."""
+def _rate_rows(kernel: JumpKernel, x: np.ndarray, w: np.ndarray,
+               sources: np.ndarray) -> sp.csr_matrix:
+    """Collocation rate densities out of each cell in ``sources`` (row k =
+    source ``sources[k]``) into every cell of ``x`` the horizon reaches, in
+    part or whole, as CSR with sorted columns and no stored zeros: from the
+    offset table where it applies, else by the row loop, bit for bit the
+    same rows."""
+    rows = _offset_rows(kernel, x, w, sources)
+    return _row_loop(kernel, x, w, sources) if rows is None else rows
+
+
+def _scale_rows(block: sp.csr_matrix, row_scale: np.ndarray) -> sp.csr_matrix:
+    """``diag(row_scale) block``, scaling ``block`` in place."""
     block.data *= np.repeat(row_scale, np.diff(block.indptr))
-    return block.T.tocsr()
+    return block
+
+
+def _scale_columns(block: sp.csr_matrix, col_scale: np.ndarray) -> sp.csr_matrix:
+    """``block diag(col_scale)``, scaling ``block`` in place."""
+    block.data *= col_scale[block.indices]
+    return block
 
 
 def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> DiscreteOperator:
@@ -191,14 +263,20 @@ def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> Disc
     w_int = w[interior]
     # arrival-rate density at each absorbing cell per unit domain density,
     # integrated over the absorbing cells
-    exit_weights = _scaled_transpose(rows[:, absorbing], w_int).T @ w[absorbing]
+    exit_weights = _scale_rows(rows[:, absorbing], w_int) @ w[absorbing]
     # loss rate: same discrete sum as the gain weights, forward direction,
     # over every target cell
     minus_loss = sp.diags(-(rows @ w))
-    v_int = rows[:, interior]
-    a_gen = v_int.multiply(w_int[np.newaxis, :]) + minus_loss    # A_bwd[i, j] = v_ij w_j
-    # v_int's last use: it is scaled in place
-    a_star = _scaled_transpose(v_int, w_int) + minus_loss         # A_fwd[i, j] = v_ji w_j
+    v_int = rows[:, interior]  # scaled in place below, its last use
+    if kernel.symmetric and np.all(w_int == w_int[0]):
+        # v_ji = v_ij bit for bit, so A_fwd = A_bwd entry for entry: one matrix
+        a_gen = a_star = _scale_columns(v_int, w_int) + minus_loss
+    else:
+        a_star = _scale_columns(v_int.T.tocsr(), w_int) + minus_loss   # A_fwd[i, j] = v_ji w_j
+        a_gen = _scale_columns(v_int, w_int) + minus_loss              # A_bwd[i, j] = v_ij w_j
+    for a in (rows, a_gen, a_star):  # one matrix may serve as both: none may change
+        for array in (a.data, a.indices, a.indptr):
+            array.setflags(write=False)
 
     return DiscreteOperator(
         centers=x, widths=w, tags=tags, interior=interior, absorbing=absorbing,

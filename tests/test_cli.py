@@ -432,7 +432,7 @@ def test_a_domain_part_nothing_absorbs_exits_2(config_file, tmp_path, t_max):
     cfg = load_config(config_file(text=text))
     if t_max:
         with pytest.raises(ConfigurationError, match="nothing absorbs needs a finite t_max"):
-            mc._check_ends(cfg.partition, cfg.t_max)
+            mc._check_ends(cfg.kernel, cfg.partition, cfg.t_max)
     op = operators.assemble(cfg.kernel, cfg.build_grid(), cfg.partition)
     with pytest.raises(ConfigurationError, match=r"x=5\.0625 reaches the absorbing set"):
         solver.exit_moments(op, 1)
@@ -442,6 +442,31 @@ def test_a_domain_part_nothing_absorbs_exits_2(config_file, tmp_path, t_max):
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ConfigurationError"
         assert ("5.0625" if command == "moments" or not t_max else "(5.0, 6.0)") in err["message"]
+
+
+def test_a_part_the_kernel_support_cannot_leave_exits_2(config_file, tmp_path):
+    # the table's jumps are shorter than 0.3, so the gap of 0.5 from
+    # (1.5, 2.5) to (0, 1) cannot be crossed, though the horizon of 1 spans
+    # it: simulate once walked forever at t_max = inf while moments named
+    # the cell at x = 1.5625
+    table = tmp_path / "short.csv"
+    table.write_text("-0.3,1.0\n0.0,1.0\n0.3,1.0\n")
+    text = (BASE_CONFIG.replace("t_max = 500.0", "t_max = inf")
+            .replace("compound_poisson_uniform", "custom_tabulated")
+            .replace("rate = 0.2", f"table_path = {table}")
+            .replace("omega = [[0.0, 1.0]]", "omega = [[0.0, 1.0], [1.5, 2.5]]")
+            .replace("omega_d = full", "omega_d = [[-1.0, 0.0]]")
+            .replace("h = 0.015625", "h = 0.125"))
+    cfg = load_config(config_file(text=text))
+    with pytest.raises(ConfigurationError, match=r"nothing absorbs needs a finite t_max"
+                                                 r".*domain part \(1\.5, 2\.5\)"):
+        mc._check_ends(cfg.kernel, cfg.partition, cfg.t_max)  # fails fast where it would hang
+    for command in ("simulate", "compare", "moments"):
+        out = tmp_path / command
+        assert main([command, "--config", str(tmp_path / "run.ini"), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigurationError"
+        assert ("x=1.5625" if command == "moments" else "(1.5, 2.5)") in err["message"]
 
 
 def test_infinite_t_max_simulates_on_absorbing_domain(config_file, tmp_path):
@@ -622,14 +647,16 @@ def test_compare_assembles_one_operator(config_file, monkeypatch):
 
 def test_verify_evaluates_domain_rows_only(config_file, monkeypatch):
     # the density verify checks vanishes on the absorbing set, so no stage
-    # needs a kernel row out of an absorbing cell
+    # needs a kernel row out of an absorbing cell: on this grid of one
+    # dyadic width the whole run evaluates the kernel once, at the offsets
+    # from a source at 0
     from jumpexit.kernels import CompoundPoissonUniform
     calls, ops = [], []
     quadrature, assemble = CompoundPoissonUniform.quadrature_values, operators.assemble
 
-    def counting(self, *args):
-        calls.append(1)
-        return quadrature(self, *args)
+    def counting(self, x, *args):
+        calls.append(x)
+        return quadrature(self, x, *args)
 
     def keeping(*args):
         ops.append(assemble(*args))
@@ -640,7 +667,27 @@ def test_verify_evaluates_domain_rows_only(config_file, monkeypatch):
     assert main(["verify", "--config", config_file()]) == 0
     (op,) = ops
     assert op.absorbing.size > 0
-    assert len(calls) == op.interior.size
+    assert calls == [0.0]
+
+
+def test_verify_leaves_the_shared_matrix_unchanged(config_file, tmp_path, monkeypatch):
+    # the symmetric kernel's one matrix serves as A_fwd and A_bwd through
+    # every check, the symmetric_matrix one and the operator dump included
+    assemble, kept = operators.assemble, []
+
+    def keeping(*args):
+        op = assemble(*args)
+        kept.append((op, [a.copy() for a in (op.a_gen.data, op.a_gen.indices, op.a_gen.indptr)]))
+        return op
+
+    monkeypatch.setattr(operators, "assemble", keeping)
+    assert main(["verify", "--config", config_file(), "--dump-operator"]) == 0
+    ((op, before),) = kept
+    assert op.a_star is op.a_gen
+    for a, b in zip((op.a_gen.data, op.a_gen.indices, op.a_gen.indptr), before):
+        assert np.array_equal(a, b)
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    assert report["checks"]["symmetric_matrix"]["value"] == 0.0
 
 
 def test_benchmark_tracer_reads_solver_counts(config_file, tmp_path):

@@ -22,6 +22,25 @@ PLATEAU_PROB_05 = 0.34051195566956066    # (2 / sqrt(1e-3)) / TOTAL_RATE_05
 KS_CRIT_1PCT = 1.628  # one-sample asymptotic critical value at the 1% level
 
 
+# --- jump support --------------------------------------------------------------
+
+def test_jump_support_is_where_the_law_has_mass():
+    assert CompoundPoissonUniform(rate=0.2, horizon=1.0).jump_support().bounds == ((-1.0, 1.0),)
+    # the plateau and the two power-law tails join into the horizon ball
+    assert TruncatedStable(alpha=0.5, m=1.0, horizon=0.5).jump_support().bounds == ((-0.5, 0.5),)
+    # a table that vanishes on (-0.2, 0.1) and stops short of the horizon
+    table = TabulatedKernel(horizon=1.0, displacements=np.array([-0.6, -0.2, 0.1, 0.5]),
+                            values=np.array([1.0, 0.0, 0.0, 2.0]))
+    assert table.jump_support().bounds == ((-0.6, -0.2), (0.1, 0.5))
+    # a bivariate table: from the lowest to the highest displacement any x
+    # node's law charges, (-0.5, 0.5) at x = 0 and (-1, 0.5) at x = 1
+    bivariate = TabulatedKernel(horizon=1.0, x_nodes=np.array([0.0, 1.0]),
+                                y_nodes=np.array([-0.5, 0.0, 0.5, 1.5]),
+                                grid_values=np.array([[1.0, 1.0, 0.0, 0.0],
+                                                      [0.0, 0.0, 1.0, 1.0]]))
+    assert bivariate.jump_support().bounds == ((-1.0, 0.5),)
+
+
 # --- cell averages ----------------------------------------------------------
 
 def _cell_average(kernel, x, lo, hi):

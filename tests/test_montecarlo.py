@@ -146,7 +146,7 @@ def test_a_walk_from_a_part_nothing_absorbs_needs_a_finite_t_max():
                                                      r".*domain part \(5\.0, 6\.0\)"):
             simulate_path(k, 0.5, path_rng(0, 0), t_max, partition=part)
         with pytest.raises(ConfigurationError, match="nothing absorbs needs a finite t_max"):
-            mc._check_ends(part, t_max)  # the check simulate_ensemble makes first
+            mc._check_ends(k, part, t_max)  # the check simulate_ensemble makes first
     assert simulate_path(k, 0.5, path_rng(0, 0), 50.0, partition=part).times[-1] <= 50.0
 
 
@@ -161,7 +161,21 @@ def test_a_chain_of_components_reaches_the_absorbing_set():
     # a gap of exactly the horizon cannot be jumped
     far = DomainPartition.build([(0.0, 1.0), (2.0, 3.0)], horizon=1.0, absorbing=[(-1.0, 0.0)])
     with pytest.raises(ConfigurationError, match=r"domain part \(2\.0, 3\.0\)"):
-        mc._check_ends(far, np.inf)
+        mc._check_ends(k, far, np.inf)
+
+
+def test_reachability_follows_the_kernel_support():
+    # jumps go right only, by 0.1 to 0.5: (0, 1) reaches an absorbing set
+    # on its right and never one on its left, whatever the horizon spans
+    k = TabulatedKernel(horizon=1.0, displacements=np.array([0.1, 0.5]),
+                        values=np.array([1.0, 1.0]))
+    left = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing=[(-1.0, 0.0)])
+    with pytest.raises(ConfigurationError, match=r"domain part \(0\.0, 1\.0\)"):
+        mc._check_ends(k, left, np.inf)
+    right = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing=[(1.0, 2.0)])
+    mc._check_ends(k, right, np.inf)
+    ens = simulate_ensemble(k, right, n_paths=50, seed=4, t_max=np.inf)
+    assert not ens.censored.any() and np.all(ens.exit_location > 1.0)
 
 
 def _land_first_at(monkeypatch, law_class, y0):

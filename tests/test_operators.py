@@ -2,6 +2,7 @@
 identities: adjointness, balance laws, flux bookkeeping, sign structure."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 from conftest import kernel_cases
 from jumpexit.errors import ConfigurationError
 from jumpexit.geometry import DomainPartition, Intervals, Region, build_grid
-from jumpexit.kernels import CompoundPoissonUniform, TabulatedKernel, TruncatedStable
-from jumpexit.operators import (adjoint_check, assemble, balance_check,
+from jumpexit.kernels import CompoundPoissonUniform, JumpKernel, TabulatedKernel, TruncatedStable
+from jumpexit.operators import (_offset_rows, _row_loop, adjoint_check, assemble, balance_check,
                                 divergence_theorem_check, dump_operator)
+from jumpexit.solver import (_cell_without_exit, coercivity_sigma, evolve, exit_moments,
+                             uniform_density)
 
 
 def make_op(kernel, omega=((0.0, 1.0),), absorbing="full", h=1 / 32, horizon=1.0):
@@ -369,7 +372,16 @@ ASSEMBLY_CASES = {
     "partial_absorbing": (lambda: TruncatedStable(alpha=0.5, m=1.0, horizon=0.5),
                           [(0.0, 1.0), (1.25, 2.0)],
                           Intervals.from_pairs([[-0.5, 0.0], [1.0, 1.25]]), 1 / 32),
+    "gapped_lattice": (asym_kernel, [(0.0, 1.0), (1.5, 2.5)],
+                       Intervals.from_pairs([[-1.0, -0.5], [1.25, 1.375], [2.5, 3.0]]), 1 / 32),
+    "non_dyadic_h": (lambda: TruncatedStable(alpha=0.5, m=1.0, horizon=1.0),
+                     [(0.0, 1.0)], "full", 1 / 24),
+    "mixed_widths": (lambda: CompoundPoissonUniform(rate=0.2, horizon=1.0),
+                     [(0.0, 1.0), (1.6, 2.4)], "full", 1 / 16),
 }
+
+# the cases the row loop builds; the offset table builds the rest
+LOOP_CASES = {"bivariate_short_of_collar", "non_dyadic_h", "mixed_widths"}
 
 
 @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
@@ -379,6 +391,7 @@ def test_domain_row_assembly_matches_all_rows_reference(case):
     part = DomainPartition.build(omega, horizon=kernel.horizon, absorbing=absorbing)
     grid = build_grid(part, h)
     op = assemble(kernel, grid, part)
+    assert (_offset_rows(kernel, op.centers, op.widths, op.interior) is None) == (case in LOOP_CASES)
     ref = all_rows_reference(kernel, grid, part)
     ref["domain_rows"] = ref.pop("values")[op.interior]
     assert op.exit_weights.tobytes() == ref.pop("exit_weights").tobytes()
@@ -390,15 +403,74 @@ def test_domain_row_assembly_matches_all_rows_reference(case):
         assert got.data.tobytes() == expected.data.tobytes(), name
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=kernel_cases())
+def test_offset_table_rows_equal_the_row_loop(case):
+    # cells of one dyadic width h on one lattice over the domain and the
+    # absorbing set, with gaps where the collar does not absorb: the offset
+    # table builds the loop's rows bit for bit, and a bivariate table,
+    # whose rows are no one function of the offset, is left to the loop
+    kernel, part, _ = case
+    lo, hi = part.collar.bounds[0][0], part.collar.bounds[-1][1]
+    h = 2.0 ** math.ceil(math.log2(max(kernel.horizon / 16, (hi - lo) / 400)))
+    x = (np.arange(math.floor(lo / h), math.ceil(hi / h)) + 0.5) * h
+    x = x[part.reachable.contains(x)]
+    w = np.full(x.size, h)
+    sources = np.flatnonzero(part.domain.contains(x))
+    assert sources.size > 0  # every component is wider than h
+    table = _offset_rows(kernel, x, w, sources)
+    if not kernel.translation_invariant:
+        assert table is None
+        return
+    loop = _row_loop(kernel, x, w, sources)
+    assert table.shape == loop.shape
+    assert np.array_equal(table.indptr, loop.indptr)
+    assert np.array_equal(table.indices, loop.indices)
+    assert table.data.tobytes() == loop.data.tobytes()
+
+
 def test_assembly_evaluates_domain_rows_only(stable_kernel_05, monkeypatch):
+    # a bivariate table takes one kernel row per domain cell and none for
+    # an absorbing cell; a translation-invariant kernel on one lattice takes
+    # one call in all, at the offsets k h (k != 0) from a source at 0
     calls = []
-    original = type(stable_kernel_05).quadrature_values
+    original = JumpKernel.quadrature_values
 
-    def counting(self, *args):
-        calls.append(args[0])
-        return original(self, *args)
+    def counting(self, x, centers, widths):
+        calls.append((x, np.array(centers)))
+        return original(self, x, centers, widths)
 
-    monkeypatch.setattr(type(stable_kernel_05), "quadrature_values", counting)
-    op = make_op(stable_kernel_05, omega=((0.0, 1.0), (1.5, 2.5)), h=1 / 16)
-    assert len(calls) == op.interior.size
-    assert sorted(calls) == sorted(op.centers[op.interior])
+    monkeypatch.setattr(JumpKernel, "quadrature_values", counting)
+    omega, h = ((0.0, 1.0), (1.5, 2.5)), 1 / 16
+    op = make_op(bivariate_short_table(), omega=omega, h=h)
+    assert sorted(x for x, _ in calls) == sorted(op.centers[op.interior])
+    calls.clear()
+    op = make_op(stable_kernel_05, omega=omega, h=h)
+    ((x, offsets),) = calls
+    k = offsets / h
+    assert x == 0.0 and np.array_equal(k, np.rint(k)) and np.all(k != 0)
+    assert op.domain_rows.nnz > offsets.size
+
+
+def test_one_matrix_serves_both_directions_and_nothing_changes_it(tmp_path):
+    # a symmetric kernel on cells of one width: A_fwd is A_bwd, and no stage
+    # that reads the operator writes to it (its arrays are read-only)
+    op = make_op(CompoundPoissonUniform(rate=0.2, horizon=1.0), h=1 / 32)
+    assert op.a_star is op.a_gen
+    arrays = (op.a_gen.data, op.a_gen.indices, op.a_gen.indptr)
+    before = [a.copy() for a in arrays]
+    evolve(op, uniform_density(op), dt=0.1, t_end=1.0)
+    exit_moments(op, 2)
+    assert _cell_without_exit(op) is None
+    coercivity_sigma(op)
+    adjoint_check(op, trials=4, rng=0)
+    balance_check(op, random_density(op))
+    dump_operator(op, tmp_path / "operator.csv", tmp_path / "operator_meta.json")
+    for a, b in zip(arrays, before):
+        assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="read-only"):
+        op.a_star.data *= 2.0
+    # an asymmetric kernel keeps two matrices, tied by the weighted transpose
+    op = make_op(asym_kernel(), h=1 / 32)
+    assert op.a_star is not op.a_gen
+    assert adjoint_check(op, trials=20, rng=1) <= 1e-12 * abs(op.a_gen).max()
