@@ -8,8 +8,7 @@ paths).
 """
 
 from .errors import ConfigurationError, NumericalError
-from .geometry import (DomainPartition, Grid, Intervals, Region,
-                       build_grid, interaction_domain)
+from .geometry import DomainPartition, Grid, Intervals, build_grid, interaction_domain
 from .kernels import (CompoundPoissonUniform, JumpKernel, TabulatedKernel,
                       TruncatedStable, load_tabulated_csv)
 from .montecarlo import (ExitEnsemble, SamplePath, brownian_path,
@@ -25,7 +24,7 @@ __all__ = [
     "CompoundPoissonUniform", "ConfigurationError",
     "DensityTrajectory", "DiscreteOperator", "DomainPartition",
     "ExitEnsemble", "ExitMoments", "Grid", "Intervals", "JumpKernel",
-    "NumericalError", "Region", "SamplePath", "SigmaEstimate",
+    "NumericalError", "SamplePath", "SigmaEstimate",
     "TabulatedKernel", "TruncatedStable", "adjoint_check", "assemble",
     "balance_check", "brownian_path", "build_grid", "coercivity_sigma",
     "divergence_theorem_check", "dump_operator", "empirical_survival",

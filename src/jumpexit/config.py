@@ -237,6 +237,7 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
         "paths": {"n_paths": paths_n, "free_space": paths_free,
                   "brownian": paths_brownian, "n_steps": paths_steps},
     }
+    _check_known_keys(cp, resolved)
     cfg_hash = config_hash(resolved)
     return RunConfig(
         kernel=kernel, partition=partition, h=h,
@@ -247,6 +248,21 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
         paths_brownian=paths_brownian, paths_n_steps=paths_steps,
         out_dir=out, resolved=resolved, config_hash=cfg_hash,
     )
+
+
+def _check_known_keys(cp, resolved: dict) -> None:
+    """Refuse a section or key the run does not read: the keys of each
+    resolved section (the kernel's by its family) and ``[output] dir``.
+    A misspelt key would otherwise run on its default unnoticed."""
+    known = {section: set(items) for section, items in resolved.items()}
+    known["output"] = {"dir"}
+    for section in cp.sections():
+        if section not in known:
+            raise ConfigurationError(f"unknown config section [{section}] "
+                                     f"(keys {', '.join(cp.options(section))})")
+        for key in cp.options(section):
+            if key not in known[section]:
+                raise ConfigurationError(f"unknown key [{section}] {key}")
 
 
 def config_hash(resolved: dict) -> str:

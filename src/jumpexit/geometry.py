@@ -7,20 +7,18 @@ width ``horizon`` around each component (components closer than twice the
 horizon share a merged collar piece). An absorbing subset of the collar
 marks where walkers are killed; the rest of the collar is unreachable by
 construction (censored jumps).
+
+Only the domain is tiled with cells. The volume constraint pins the density
+to zero on the absorbing set, so that set enters the equations only through
+the killing rate, an integral of the kernel over its intervals; the rest of
+the collar enters not at all.
 """
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .errors import ConfigurationError
-
-
-class Region(IntEnum):
-    INTERIOR = 0   # the domain itself
-    ABSORBING = 1  # killing subset of the collar
-    COLLAR = 2     # unreachable remainder of the collar
 
 
 def _merge_pairs(pairs):
@@ -135,10 +133,10 @@ def interaction_domain(omega: Intervals, horizon: float) -> Intervals:
 
 @dataclass(frozen=True)
 class DomainPartition:
-    """Domain, its interaction collar, and the absorbing subset."""
+    """Domain, the absorbing subset of its interaction collar, and the
+    horizon."""
 
     domain: Intervals
-    collar: Intervals
     absorbing: Intervals
     horizon: float
 
@@ -178,7 +176,7 @@ class DomainPartition:
                     f"absorbing interval ({lo}, {hi}) is not contained in the "
                     f"interaction collar {collar.bounds}"
                 )
-        return cls(domain=omega, collar=collar, absorbing=absorbing_iv, horizon=float(horizon))
+        return cls(domain=omega, absorbing=absorbing_iv, horizon=float(horizon))
 
     @property
     def reachable(self) -> Intervals:
@@ -188,16 +186,15 @@ class DomainPartition:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Uniform cell partition of domain plus collar.
+    """Uniform cell partition of the domain.
 
-    Cells are built per component interval so none straddles a region
-    boundary; the width is re-fitted per component (``length / round(length/h)``)
-    so each component tiles exactly.
+    Cells are built per component interval, so none straddles a gap; the
+    width is re-fitted per component (``length / round(length/h)``) so each
+    component tiles exactly, and the centres come out sorted.
     """
 
     centers: np.ndarray
     widths: np.ndarray
-    tags: np.ndarray
 
     @property
     def n_cells(self) -> int:
@@ -205,33 +202,23 @@ class Grid:
 
 
 def build_grid(partition: DomainPartition, h: float) -> Grid:
-    """Tile domain + collar with near-uniform cells of target width ``h``.
+    """Tile the domain with near-uniform cells of target width ``h``.
 
-    Raises when the fitted width exceeds a quarter of the horizon: coarser
+    Raises when a fitted width exceeds a quarter of the horizon: coarser
     grids cannot resolve the jump range and the collocation sums would be
     meaningless.
     """
     if not 0 < h < np.inf:
         raise ConfigurationError(f"cell width h must be positive and finite, got {h}")
-    pieces = []
-    for region, ivs in (
-        (Region.INTERIOR, partition.domain),
-        (Region.ABSORBING, partition.absorbing),
-        (Region.COLLAR, partition.collar.difference(partition.absorbing)),
-    ):
-        for lo, hi in ivs.bounds:
-            length = hi - lo
-            n = max(1, round(length / h))
-            w = length / n
-            centers = lo + (np.arange(n) + 0.5) * w
-            pieces.append((centers, np.full(n, w), np.full(n, int(region), dtype=np.int8)))
-    if not pieces:
-        raise ConfigurationError("partition has no cells to grid")
-    centers = np.concatenate([p[0] for p in pieces])
-    widths = np.concatenate([p[1] for p in pieces])
-    tags = np.concatenate([p[2] for p in pieces])
-    order = np.argsort(centers)
-    centers, widths, tags = centers[order], widths[order], tags[order]
+    if partition.domain.empty:
+        raise ConfigurationError("partition has no domain cells to grid")
+    centers, widths = [], []
+    for lo, hi in partition.domain.bounds:
+        n = max(1, round((hi - lo) / h))
+        w = (hi - lo) / n
+        centers.append(lo + (np.arange(n) + 0.5) * w)
+        widths.append(np.full(n, w))
+    centers, widths = np.concatenate(centers), np.concatenate(widths)
     h_max = float(widths.max())
     if h_max > partition.horizon / 4 * (1 + 1e-12):
         raise ConfigurationError(
@@ -240,5 +227,4 @@ def build_grid(partition: DomainPartition, h: float) -> Grid:
         )
     centers.setflags(write=False)
     widths.setflags(write=False)
-    tags.setflags(write=False)
-    return Grid(centers=centers, widths=widths, tags=tags)
+    return Grid(centers=centers, widths=widths)

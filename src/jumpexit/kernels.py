@@ -17,7 +17,9 @@ whenever |x - y| >= horizon. Three families are provided:
 
 The solver reads a kernel through ``JumpKernel.quadrature_values``, the
 exact average of gamma(x, .) over each cell from a per-family closed-form
-CDF, so a cell that the horizon covers in part counts with that part.
+CDF, so a cell that the horizon covers in part counts with that part, and
+through ``JumpKernel.interval_rates``, the same CDF's integral over the
+intervals of the absorbing set.
 
 Rate integrals over interval unions use exact piecewise antiderivatives
 (power-law, constant, and linear pieces), and jump destinations are drawn
@@ -355,6 +357,22 @@ class JumpKernel:
         d = np.abs(d) if self.symmetric else d
         f = self._cdf(x, d + np.multiply.outer((-0.5, 0.5), widths))  # both cell ends
         return (f[1] - f[0]) / widths
+
+    def interval_rates(self, x: np.ndarray, bounds) -> np.ndarray:
+        """The rate of jumps from each point of ``x`` into each interval
+        (lo, hi) of ``bounds``, ``F(hi - x) - F(lo - x)`` for the CDF F of
+        the displacement, as an array of shape ``(x.size, len(bounds))``.
+
+        One CDF call serves every point of a translation-invariant kernel;
+        a bivariate table takes one call per point.
+        """
+        x = np.asarray(x, dtype=float)
+        ends = np.asarray(bounds, dtype=float).reshape(-1, 2).T  # every lo, then every hi
+        if self.translation_invariant:
+            f = self._cdf(0.0, ends - x[:, np.newaxis, np.newaxis])
+        else:
+            f = np.array([self._cdf(p, ends - p) for p in x.tolist()])
+        return f[:, 1] - f[:, 0]
 
 
 @dataclass(frozen=True)

@@ -1,30 +1,28 @@
-"""Discrete forward/backward jump operators on the cell grid.
+"""Discrete forward/backward jump operators on the domain cells.
 
-Collocation of the master equation at the cell centres of the domain plus
-absorbing set, the rate ``v_ij`` from cell i into cell j being the exact
-average of gamma(x_i, .) over cell j: the gain into cell i from cell j
-carries weight ``v_ji * w_j`` and the loss at cell i is the same discrete
-sum taken in the forward direction, over every target cell, absorbing
-ones included. Jumps into the unreachable part of the collar are excluded
-from both gain and loss (censoring). The volume constraint pins the density
-to zero on the absorbing cells, so those unknowns are known: the matrices
-hold only the domain block, and every vector holds one entry per domain
-cell. Generator rows sum to minus the killing rate (the rate of jumping
-into the absorbing set), and the exit weights carry that rate out of the
-domain, so mass bookkeeping closes exactly at the semi-discrete level.
+Collocation of the master equation at the centres of the domain cells, the
+rate ``v_ij`` from cell i into cell j being the exact average of
+gamma(x_i, .) over cell j: the gain into cell i from cell j carries weight
+``v_ji * w_j``, and the loss at cell i is the same discrete sum taken in the
+forward direction plus the killing rate ``kappa_i``, the integral of
+gamma(x_i, .) over the absorbing set. The volume constraint pins the
+density to zero on the absorbing set, so that set enters only through
+kappa, which ``JumpKernel.interval_rates`` takes from the kernel's
+closed-form CDF over each absorbing interval: no cell tiles it. Jumps into
+the unreachable part of the collar are excluded from both gain and loss
+(censoring). The matrices and every vector hold one entry per domain cell.
+Generator rows sum to minus kappa, and the exit weights carry that rate out
+of the domain, so mass bookkeeping closes exactly at the semi-discrete
+level. The balance-law check rebuilds each cell's net two-point flux from
+the rates between domain cells and kappa to test both matrices against it.
 
-Since the absorbing densities are pinned, the solver and the checks read
-only the jump rates out of domain cells: assembly evaluates the kernel rows
-of the domain cells alone, and the balance-law check rebuilds each cell's
-net two-point flux from those rows to test both matrices against it. The
-absorbing cells enter only as the targets of those jumps.
-
-Two routes build those rows, bit for bit alike, with one reach rule and one
-zero filter. For a translation-invariant kernel on cells of one dyadic
-width whose centres sit on one lattice, every row is the same function of
-the offset, so the kernel is evaluated once per offset and each row is
-gathered from that table. Bivariate tables and grids of mixed widths or
-off one lattice take the loop, one kernel row per domain cell.
+Two routes build the rates between domain cells, bit for bit alike, with
+one reach rule and one zero filter. For a translation-invariant kernel on
+cells of one dyadic width whose centres sit on one lattice, every row is
+the same function of the offset, so the kernel is evaluated once per offset
+and each row is gathered from that table. Bivariate tables and grids of
+mixed widths or off one lattice take the loop, one kernel row per domain
+cell.
 
 The forward matrix (density evolution) and the backward matrix (the
 process generator, acting on observables) satisfy the weighted-transpose
@@ -45,25 +43,22 @@ from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericalError
-from .geometry import DomainPartition, Grid, Region
+from .geometry import DomainPartition, Grid
 from .kernels import JumpKernel
 
 
 @dataclass(eq=False)
 class DiscreteOperator:
-    """Assembled operator pair on the domain block of the Omega + absorbing
-    cell set.
+    """Assembled operator pair on the domain cells.
 
-    ``a_star`` evolves densities (forward) and ``a_gen`` is the generator
-    (backward), both ``n_int x n_int`` over the cells listed in
-    ``interior``; ``exit_weights`` (``n_int``) is the flux into the
-    absorbing set per unit density on each domain cell, so the absorbed
-    flux of a domain density ``u`` is ``exit_weights @ u``. ``domain_rows``
-    (``n_int x n_cells``) keeps the cell-average rate densities out of
-    each domain cell (row k = source ``interior[k]``, column = target
-    cell), the rows all of these were built from. ``centers``, ``widths``
-    and ``tags`` cover every cell, the jump targets included; ``interior``
-    and ``absorbing`` pick their blocks.
+    ``centers`` and ``widths`` list the ``n_cells`` domain cells. ``a_star``
+    evolves densities (forward) and ``a_gen`` is the generator (backward),
+    both ``n_cells x n_cells``; ``exit_weights`` is the flux into the
+    absorbing set per unit density on each cell, the killing rate times
+    the width, so the absorbed flux of a density ``u`` is ``exit_weights @
+    u``. ``domain_rows`` (``n_cells x n_cells``) keeps the cell-average rate
+    densities between domain cells (row = source, column = target), the
+    rows both matrices were built from.
 
     ``a_star`` may be the very object ``a_gen`` is (a symmetric kernel on
     domain cells of one width), so the arrays of all three matrices are
@@ -72,9 +67,6 @@ class DiscreteOperator:
 
     centers: np.ndarray
     widths: np.ndarray
-    tags: np.ndarray
-    interior: np.ndarray      # indices of domain cells
-    absorbing: np.ndarray     # indices of absorbing cells
     a_star: sp.csr_matrix
     a_gen: sp.csr_matrix
     exit_weights: np.ndarray
@@ -89,15 +81,15 @@ class DiscreteOperator:
     @property
     def killing_rate(self) -> np.ndarray:
         """Jump rate from each domain cell into the absorbing set."""
-        return self.exit_weights / self.widths[self.interior]
+        return self.exit_weights / self.widths
 
     def domain_vector(self, u, name: str) -> np.ndarray:
-        """``u`` as floats, one entry per domain cell in ``interior`` order;
-        any other shape is a ``ConfigurationError``."""
+        """``u`` as floats, one entry per domain cell; any other shape is a
+        ``ConfigurationError``."""
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.interior.size,):
+        if u.shape != (self.n_cells,):
             raise ConfigurationError(
-                f"{name} must have one entry per domain cell ({self.interior.size}), "
+                f"{name} must have one entry per domain cell ({self.n_cells}), "
                 f"got shape {u.shape}")
         return u
 
@@ -167,8 +159,7 @@ def _nonzero_rates(kernel: JumpKernel, x: float, c: np.ndarray, w: np.ndarray):
     return nz, v[nz]
 
 
-def _offset_rows(kernel: JumpKernel, x: np.ndarray, w: np.ndarray,
-                 sources: np.ndarray) -> sp.csr_matrix | None:
+def _offset_rows(kernel: JumpKernel, x: np.ndarray, w: np.ndarray) -> sp.csr_matrix | None:
     """``_rate_rows`` from one table of offsets, or None where it does not
     apply: the kernel must be translation invariant, and every cell must
     have one width ``w0``, a power of two, with its centre on one lattice
@@ -191,49 +182,40 @@ def _offset_rows(kernel: JumpKernel, x: np.ndarray, w: np.ndarray,
     nz, v = _nonzero_rates(kernel, 0.0, k * w0, np.full(k.size, w0))
     cell = np.full(site[-1] + 2 * reach + 1, -1, dtype=np.int32)  # -1: no cell at that site
     cell[site + reach] = np.arange(x.size)
-    cols = cell[site[sources, np.newaxis] + reach + k[nz]]  # columns sorted, as sites are
+    cols = cell[site[:, np.newaxis] + reach + k[nz]]  # columns sorted, as sites are
     has = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(has, axis=1))])
     return sp.csr_matrix((np.broadcast_to(v, has.shape)[has], cols[has], indptr),
-                         shape=(sources.size, x.size))
+                         shape=(x.size, x.size))
 
 
-def _row_loop(kernel: JumpKernel, x: np.ndarray, w: np.ndarray,
-              sources: np.ndarray) -> sp.csr_matrix:
-    """``_rate_rows`` by one kernel row per source: the route for bivariate
+def _row_loop(kernel: JumpKernel, x: np.ndarray, w: np.ndarray) -> sp.csr_matrix:
+    """``_rate_rows`` by one kernel row per cell: the route for bivariate
     tables and for cells of mixed widths or off one lattice."""
-    counts = np.zeros(sources.size, dtype=np.int64)
+    counts = np.zeros(x.size, dtype=np.int64)
     cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-    for k, i in enumerate(sources):
+    for i in range(x.size):
         mask = _reached(kernel, x - x[i], w)
         mask[i] = False  # self-jumps cancel exactly between gain and loss
         j = np.flatnonzero(mask)
         if j.size == 0:
             continue
         nz, v = _nonzero_rates(kernel, x[i], x[j], w[j])
-        counts[k] = nz.size
+        counts[i] = nz.size
         cols.append(j[nz])
         vals.append(v)
     indptr = np.concatenate([[0], np.cumsum(counts)])
     return sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr),
-                         shape=(sources.size, x.size))
+                         shape=(x.size, x.size))
 
 
-def _rate_rows(kernel: JumpKernel, x: np.ndarray, w: np.ndarray,
-               sources: np.ndarray) -> sp.csr_matrix:
-    """Collocation rate densities out of each cell in ``sources`` (row k =
-    source ``sources[k]``) into every cell of ``x`` the horizon reaches, in
-    part or whole, as CSR with sorted columns and no stored zeros: from the
-    offset table where it applies, else by the row loop, bit for bit the
-    same rows."""
-    rows = _offset_rows(kernel, x, w, sources)
-    return _row_loop(kernel, x, w, sources) if rows is None else rows
-
-
-def _scale_rows(block: sp.csr_matrix, row_scale: np.ndarray) -> sp.csr_matrix:
-    """``diag(row_scale) block``, scaling ``block`` in place."""
-    block.data *= np.repeat(row_scale, np.diff(block.indptr))
-    return block
+def _rate_rows(kernel: JumpKernel, x: np.ndarray, w: np.ndarray) -> sp.csr_matrix:
+    """Collocation rate densities out of each cell of ``x`` (row = source)
+    into every other cell the horizon reaches, in part or whole, as CSR
+    with sorted columns and no stored zeros: from the offset table where it
+    applies, else by the row loop, bit for bit the same rows."""
+    rows = _offset_rows(kernel, x, w)
+    return _row_loop(kernel, x, w) if rows is None else rows
 
 
 def _scale_columns(block: sp.csr_matrix, col_scale: np.ndarray) -> sp.csr_matrix:
@@ -244,44 +226,33 @@ def _scale_columns(block: sp.csr_matrix, col_scale: np.ndarray) -> sp.csr_matrix
 
 def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> DiscreteOperator:
     """Assemble forward/backward matrices for the censored-and-absorbed
-    process from the kernel rows of the domain cells alone: the volume
-    constraint pins the absorbing densities to zero, so no rate out of an
-    absorbing cell enters either matrix."""
+    process on the domain cells of ``grid``: the rates between those cells,
+    and the killing rate from the kernel's CDF over the intervals of
+    ``partition.absorbing``."""
     if abs(kernel.horizon - partition.horizon) > 1e-12 * max(1.0, partition.horizon):
         raise ConfigurationError(
             f"kernel horizon {kernel.horizon} does not match the domain "
             f"partition horizon {partition.horizon}"
         )
-    sel = np.flatnonzero(grid.tags != int(Region.COLLAR))
-    x = grid.centers[sel]
-    w = grid.widths[sel]
-    tags = grid.tags[sel]
-    interior = np.flatnonzero(tags == int(Region.INTERIOR))
-    absorbing = np.flatnonzero(tags == int(Region.ABSORBING))
-
-    rows = _rate_rows(kernel, x, w, interior)
-    w_int = w[interior]
-    # arrival-rate density at each absorbing cell per unit domain density,
-    # integrated over the absorbing cells
-    exit_weights = _scale_rows(rows[:, absorbing], w_int) @ w[absorbing]
-    # loss rate: same discrete sum as the gain weights, forward direction,
-    # over every target cell
-    minus_loss = sp.diags(-(rows @ w))
-    v_int = rows[:, interior]  # scaled in place below, its last use
-    if kernel.symmetric and np.all(w_int == w_int[0]):
+    x, w = grid.centers, grid.widths
+    rows = _rate_rows(kernel, x, w)
+    kappa = kernel.interval_rates(x, partition.absorbing.bounds).sum(axis=1)
+    # loss rate: the gain weights' discrete sum in the forward direction,
+    # plus the jumps into the absorbing set
+    minus_loss = sp.diags(-(rows @ w + kappa))
+    if kernel.symmetric and np.all(w == w[0]):
         # v_ji = v_ij bit for bit, so A_fwd = A_bwd entry for entry: one matrix
-        a_gen = a_star = _scale_columns(v_int, w_int) + minus_loss
+        a_gen = a_star = _scale_columns(rows.copy(), w) + minus_loss
     else:
-        a_star = _scale_columns(v_int.T.tocsr(), w_int) + minus_loss   # A_fwd[i, j] = v_ji w_j
-        a_gen = _scale_columns(v_int, w_int) + minus_loss              # A_bwd[i, j] = v_ij w_j
+        a_star = _scale_columns(rows.T.tocsr(), w) + minus_loss   # A_fwd[i, j] = v_ji w_j
+        a_gen = _scale_columns(rows.copy(), w) + minus_loss       # A_bwd[i, j] = v_ij w_j
     for a in (rows, a_gen, a_star):  # one matrix may serve as both: none may change
         for array in (a.data, a.indices, a.indptr):
             array.setflags(write=False)
 
     return DiscreteOperator(
-        centers=x, widths=w, tags=tags, interior=interior, absorbing=absorbing,
-        a_star=a_star, a_gen=a_gen, exit_weights=exit_weights, domain_rows=rows,
-        horizon=kernel.horizon,
+        centers=x, widths=w, a_star=a_star, a_gen=a_gen, exit_weights=kappa * w,
+        domain_rows=rows, horizon=kernel.horizon,
     )
 
 
@@ -295,10 +266,10 @@ def adjoint_check(op: DiscreteOperator, trials: int = 100, rng=None) -> float:
     kernel. Both hold to rounding by construction.
     """
     rng = np.random.default_rng(rng)
-    w = op.widths[op.interior]
+    w = op.widths
     # all trials in one draw, u then v per trial as a loop would draw them;
     # rows are trials, so every sum runs along a contiguous row
-    u, v = rng.standard_normal((trials, 2, op.interior.size)).transpose(1, 0, 2)
+    u, v = rng.standard_normal((trials, 2, op.n_cells)).transpose(1, 0, 2)
     a_u = np.ascontiguousarray((op.a_star @ u.T).T)
     b_v = np.ascontiguousarray((op.a_gen @ v.T).T)
     lhs = np.sum(v * a_u * w, axis=1)
@@ -312,22 +283,22 @@ def balance_check(op: DiscreteOperator, u: np.ndarray) -> float:
     """Worst relative defect of the per-cell flux balance of both matrices.
 
     The forward equation is the nonlocal divergence of the two-point flux
-    ``psi_ij = u_j v_ji - u_i v_ij`` (``v`` the collocation rates), so cell
-    i must change at ``sum_j psi_ij w_j``: the gain carried in from every
-    domain cell minus the loss carried out to every target cell, absorbing
-    ones included. The generator mirrors it with ``sum_j v_ij w_j (u_j -
-    u_i)``. Both sides are rebuilt from ``op.domain_rows`` alone, in O(nnz)
+    ``psi_ij = u_j v_ji - u_i v_ij`` (``v`` the collocation rates), less the
+    killing: cell i must change at ``sum_j psi_ij w_j - kappa_i u_i``, the
+    gain carried in from every domain cell minus the loss carried out to
+    every domain cell and into the absorbing set. The generator mirrors it
+    with ``sum_j v_ij w_j (u_j - u_i) - kappa_i u_i``. Both sides are
+    rebuilt from ``op.domain_rows`` and the killing rate alone, in O(nnz)
     and without a new matrix, and compared with ``A_fwd u`` and ``A_bwd u``
     relative to each product's largest entry; the larger defect is
     returned. ``u`` is a domain vector; the volume constraint holds the
-    density at zero on the absorbing cells.
+    density at zero on the absorbing set.
     """
     u = op.domain_vector(u, "u")
     rows = op.domain_rows
-    uw = np.zeros(op.n_cells)  # u_j w_j over every cell, zero on the absorbing ones
-    uw[op.interior] = u * op.widths[op.interior]
-    loss = u * (rows @ op.widths)                   # u_i sum_j v_ij w_j
-    gain = (rows.T @ uw[op.interior])[op.interior]  # sum_j v_ji w_j u_j
+    uw = u * op.widths
+    loss = u * (rows @ op.widths + op.killing_rate)  # u_i (sum_j v_ij w_j + kappa_i)
+    gain = rows.T @ uw                                # sum_j v_ji w_j u_j
     worst = 0.0
     for a, balance in ((op.a_star, gain - loss), (op.a_gen, rows @ uw - loss)):
         a_u = a @ u
@@ -340,14 +311,14 @@ def divergence_theorem_check(op: DiscreteOperator, u: np.ndarray) -> float:
     """Defect of (rate of mass change in the domain) + (absorbed flux) = 0
     for a domain vector ``u``."""
     u = op.domain_vector(u, "u")
-    interior_rate = float(np.sum((op.a_star @ u) * op.widths[op.interior]))
-    return abs(interior_rate + float(op.exit_weights @ u))
+    domain_rate = float(np.sum((op.a_star @ u) * op.widths))
+    return abs(domain_rate + float(op.exit_weights @ u))
 
 
 def dump_operator(op: DiscreteOperator, csv_path, meta_path) -> None:
     """Write the forward matrix as (i, j, value) triplets plus a JSON
     sidecar with the grid metadata, for external inspection. ``i`` and
-    ``j`` are positions in the sidecar's ``interior`` list."""
+    ``j`` are positions in the sidecar's ``centers`` list."""
     coo = op.a_star.tocoo()
     with open(csv_path, "w") as fh:
         fh.write("i,j,value\n")
@@ -359,9 +330,6 @@ def dump_operator(op: DiscreteOperator, csv_path, meta_path) -> None:
         "horizon": op.horizon,
         "centers": [float(c) for c in op.centers],
         "widths": [float(w) for w in op.widths],
-        "tags": [int(t) for t in op.tags],
-        "interior": [int(i) for i in op.interior],
-        "absorbing": [int(i) for i in op.absorbing],
     }
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=1)

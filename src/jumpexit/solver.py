@@ -1,9 +1,8 @@
 """Time integration of the density equation and steady exit-moment solves.
 
-Both work on the operator's domain block: the volume constraint holds the
-density and the exit-time moments at zero on the absorbing cells, so
-those unknowns never enter a linear system, and every vector here holds
-one entry per domain cell, in ``op.interior`` order.
+Both work on the operator's domain cells: the volume constraint holds the
+density and the exit-time moments at zero on the absorbing set, so every
+vector here holds one entry per domain cell, in ``op.centers`` order.
 
 Time stepping is implicit Euler: ``I - dt * A_fwd`` is an M-matrix
 (Metzler off-diagonal signs plus exact weighted column sums), so densities
@@ -37,8 +36,8 @@ from .operators import DiscreteOperator, _factor, _is_dense
 class DensityTrajectory:
     """Recorded evolution of the not-yet-exited density.
 
-    ``survival[k]`` is the domain mass at ``times[k]``; ``absorbed_cdf[k]``
-    the cumulative flux into the absorbing cells.
+    ``survival[k]`` is the domain mass at ``times[k] = k dt``;
+    ``absorbed_cdf[k]`` the cumulative flux into the absorbing set.
     """
 
     times: np.ndarray
@@ -46,16 +45,19 @@ class DensityTrajectory:
     absorbed_cdf: np.ndarray
 
     def survival_at(self, t: float) -> float:
-        k = int(round(t / (self.times[1] - self.times[0]))) if self.times.size > 1 else 0
-        if not (0 <= k < self.times.size) or abs(self.times[k] - t) > 1e-9 * max(1.0, t):
+        """The survival at a recorded time: ``t`` must be on the step grid
+        (``on_step_grid``) and within the run."""
+        dt = self.times[1]
+        k = int(round(t / dt))
+        if not (on_step_grid(t, dt) and 0 <= k < self.times.size):
             raise ValueError(f"time {t} is not on the recorded step grid")
         return float(self.survival[k])
 
 
 @dataclass(eq=False)
 class ExitMoments:
-    """k-th exit-time moment field on the domain cells, in ``op.interior``
-    order (the volume constraint holds it at zero on the absorbing set)."""
+    """k-th exit-time moment field on the domain cells (the volume
+    constraint holds it at zero on the absorbing set)."""
 
     order: int
     values: np.ndarray
@@ -75,15 +77,14 @@ class SigmaEstimate:
 
 def uniform_density(op: DiscreteOperator) -> np.ndarray:
     """Probability density uniform over the domain cells."""
-    mass = float(op.widths[op.interior].sum())
-    return np.full(op.interior.size, 1.0 / mass)
+    return np.full(op.n_cells, 1.0 / float(op.widths.sum()))
 
 
 def _validate_u0(op: DiscreteOperator, u0: np.ndarray) -> np.ndarray:
     u0 = op.domain_vector(u0, "u0")
     if np.any(u0 < 0):
         raise ConfigurationError("u0 must be nonnegative")
-    mass = float(np.sum(u0 * op.widths[op.interior]))
+    mass = float(np.sum(u0 * op.widths))
     if abs(mass - 1.0) > 1e-8:
         raise ConfigurationError(f"u0 must integrate to 1, got {mass}")
     return u0
@@ -110,35 +111,34 @@ def evolve(op: DiscreteOperator, u0: np.ndarray, dt: float, t_end: float) -> Den
     times = np.arange(n_steps + 1) * dt
     step = _factor(op.a_star, "time-step", dt).solve
 
-    w_int = op.widths[op.interior]
+    w = op.widths
     exit_w = op.exit_weights  # each step's absorbed flux is one dot product
     survival = np.empty(n_steps + 1)
     absorbed = np.empty(n_steps + 1)
-    survival[0] = float(np.sum(u * w_int))
+    survival[0] = float(np.sum(u * w))
     absorbed[0] = 0.0
 
     f_acc = 0.0
     for k in range(1, n_steps + 1):
         u = step(u)
         f_acc += dt * float(exit_w @ u)
-        survival[k] = float(np.sum(u * w_int))
+        survival[k] = float(np.sum(u * w))
         absorbed[k] = f_acc
 
     return DensityTrajectory(times=times, survival=survival, absorbed_cdf=absorbed)
 
 
 def _cell_without_exit(op: DiscreteOperator) -> int | None:
-    """Position in ``op.interior`` of the first domain cell that jumps but
-    from which no chain of jumps reaches the absorbing set; None when there
-    is none.
+    """Position of the first domain cell from which no chain of jumps
+    reaches the absorbing set, a cell that cannot jump at all included;
+    None when there is none.
 
-    The generator is singular exactly when some cell has no way out: such a
-    cell, or one that cannot jump at all, whose zero row the factorization
-    reports. The search runs backwards from the cells with a positive exit
-    weight or no jump, reading each row of the forward matrix at most once
-    (row j lists the cells that jump into cell j), so it is O(nnz).
+    The generator is singular exactly when some cell has no way out. The
+    search runs backwards from the cells with a positive exit weight,
+    reading each row of the forward matrix at most once (row j lists the
+    cells that jump into cell j), so it is O(nnz).
     """
-    done = (op.exit_weights > 0) | (op.a_star.diagonal() == 0)
+    done = op.exit_weights > 0
     frontier = np.flatnonzero(done)
     while frontier.size and not done.all():
         into = op.a_star[frontier]
@@ -156,14 +156,14 @@ def exit_moments(op: DiscreteOperator, k_max: int) -> list[ExitMoments]:
     stuck = _cell_without_exit(op)
     if stuck is not None:
         raise ConfigurationError(
-            f"no chain of jumps from the domain cell at x={float(op.centers[op.interior[stuck]])} "
+            f"no chain of jumps from the domain cell at x={float(op.centers[stuck])} "
             "reaches the absorbing set, so the exit time from there is infinite "
             "and has no moments (the generator is singular)"
         )
     if k_max < 1:
         raise ConfigurationError("k_max must be at least 1")
     lu = op.generator_solver()
-    m = np.ones(op.interior.size)  # m_0 on the domain
+    m = np.ones(op.n_cells)  # m_0 on the domain
     out = []
     for k in range(1, k_max + 1):
         m = lu.solve(-k * m)
@@ -194,10 +194,10 @@ def coercivity_sigma(op: DiscreteOperator) -> SigmaEstimate:
     ``(C + C^T)/2`` with ``C = W^{1/2} (-A) W^{-1/2}`` and the bottom of its
     spectrum found by one shift-invert Lanczos call (ARPACK, started from
     the constant vector so that reruns are bit-identical); the value is the
-    Rayleigh quotient of the returned mode. Positive when the whole collar
-    absorbs; zero (constants) when nothing does.
+    Rayleigh quotient of the returned mode. Positive when every domain cell
+    can reach the absorbing set; zero (constants) when nothing absorbs.
     """
-    sw = np.sqrt(op.widths[op.interior])
+    sw = np.sqrt(op.widths)
     if _is_dense(op.a_gen):
         m = -op.a_gen.toarray()
         c = (sw[:, np.newaxis] * m) / sw[np.newaxis, :]

@@ -103,9 +103,9 @@ def exp_survival(t):
 
 def point_mass(op, x):
     """Single-cell density of unit mass at the domain cell nearest ``x``."""
-    k = np.argmin(np.abs(op.centers[op.interior] - x))
-    u = np.zeros(op.interior.size)
-    u[k] = 1.0 / op.widths[op.interior[k]]
+    k = np.argmin(np.abs(op.centers - x))
+    u = np.zeros(op.n_cells)
+    u[k] = 1.0 / op.widths[k]
     return u
 
 

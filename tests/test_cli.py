@@ -71,7 +71,7 @@ def config_file(tmp_path):
 def test_load_config_resolves_defaults(config_file):
     cfg = load_config(config_file())
     assert cfg.kernel.rate == 0.2
-    assert cfg.partition.collar.bounds == ((-1.0, 0.0), (1.0, 2.0))
+    assert cfg.partition.absorbing.bounds == ((-1.0, 0.0), (1.0, 2.0))  # the whole collar
     assert cfg.checkpoints == [1.0, 5.0, 10.0, 25.0, 50.0]
     assert len(cfg.config_hash) == 16
 
@@ -203,11 +203,12 @@ def test_verify_passes_and_writes_report(config_file, tmp_path):
 
 
 def test_verify_checks_symmetry_when_only_collar_widths_differ(config_file, tmp_path):
-    # lambda = 0.3 does not fit whole cells of the domain's width h = 1/14
+    # lambda = 0.3 does not fit whole cells of the domain's width h = 1/14,
+    # and no cell tiles the collar: the domain cells share one width
     path = config_file(lambda__="0.3", h__="0.07")
     cfg = load_config(path)
     op = operators.assemble(cfg.kernel, cfg.build_grid(), cfg.partition)
-    assert np.ptp(op.widths) > 0.0 and np.ptp(op.widths[op.interior]) == 0.0
+    assert np.ptp(op.widths) == 0.0 and op.widths[0] == 1 / 14
     assert main(["verify", "--config", path]) == 0
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
     assert report["all_pass"]
@@ -257,14 +258,74 @@ def test_exit_codes(config_file, tmp_path):
     assert main(["solve", "--config", bad, "--out", str(tmp_path / "e")]) == 2
     err = json.loads((tmp_path / "e" / "error.json").read_text())
     assert err["error"] == "ConfigurationError"
-    # singular generator (kernel with no jumps anywhere) -> numerical failure
+    # a kernel with no jumps anywhere: no cell has a way out, so the exit
+    # time is infinite, a configuration error that names the first cell
     table = tmp_path / "zero.csv"
     table.write_text("-1.0,0.0\n0.0,0.0\n1.0,0.0\n")
     cfg = config_file(family__="custom_tabulated")
     text = (tmp_path / "run.ini").read_text().replace(
         "rate = 0.2", f"table_path = {table}")
     (tmp_path / "run.ini").write_text(text)
-    assert main(["exit-time", "--config", str(tmp_path / "run.ini")]) == 3
+    assert main(["exit-time", "--config", str(tmp_path / "run.ini")]) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "ConfigurationError"
+    assert "domain cell at x=0.0078125 " in err["message"]
+
+
+def _write_stranded_table(tmp_path, config_file):
+    """A config whose displacement table has no mass for 0.6 > |d| > 0.5999,
+    on the unit domain absorbed on (1.5, 2) only: the cells near x = 0.4
+    cannot jump at all."""
+    table = tmp_path / "gap.csv"
+    table.write_text("-1,1\n-0.6,1\n-0.5999,0\n0.5999,0\n0.6,1\n1,1\n")
+    path = config_file(family__="custom_tabulated", omega_d__="[[1.5, 2.0]]", h__="0.0625")
+    text = Path(path).read_text().replace("rate = 0.2", f"table_path = {table}")
+    Path(path).write_text(text)
+    return path
+
+
+def test_verify_fails_coercivity_on_a_generator_singular_to_rounding(config_file, tmp_path):
+    # sigma comes out near 1e-47 here, positive only by rounding: held to
+    # the max|A| scale of the other checks, it fails
+    path = _write_stranded_table(tmp_path, config_file)
+    assert main(["verify", "--config", path]) == 4
+    check = json.loads((tmp_path / "out" / "verify_report.json").read_text())[
+        "checks"]["coercivity_positive"]
+    assert not check["pass"] and check["value"] < check["threshold"]
+
+
+def test_a_cell_that_cannot_jump_exits_2_and_is_named(config_file, tmp_path):
+    path = _write_stranded_table(tmp_path, config_file)
+    assert main(["moments", "--config", path]) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "ConfigurationError"
+    assert "domain cell at x=0.40625 " in err["message"]
+
+
+@pytest.mark.parametrize("omega_d", ["[[-0.37, 0.0], [1.0, 2.0]]", "[[-1.0, -0.37]]"])
+def test_absorbing_intervals_of_any_length_solve(config_file, tmp_path, omega_d):
+    # no cell tiles the absorbing set, so an interval 0.37 long cannot
+    # break the h <= lambda/4 rule, which reads the domain cells alone
+    path = config_file(omega_d__=omega_d, h__="0.25", t_end__="1.0")
+    assert main(["solve", "--config", path]) == 0
+    lines = (tmp_path / "out" / "survival.csv").read_text().splitlines()
+    assert len(lines) == 2 + 51 and float(lines[-1].split(",")[1]) < 1.0
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda body: body.replace("n_paths = 5000", "n_path = 10"), r"unknown key \[mc\] n_path"),
+    (lambda body: body + "\n[solvr]\ndt = 0.1\n", r"unknown config section \[solvr\]"),
+    (lambda body: body.replace("rate = 0.2", "rate = 0.2\nalpha = 0.5"),
+     r"unknown key \[kernel\] alpha"),
+], ids=["misspelt_key", "misspelt_section", "other_family_key"])
+def test_unknown_sections_and_keys_exit_2(config_file, tmp_path, edit, match):
+    path = Path(config_file())
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ConfigurationError, match=match):
+        load_config(path)
+    assert main(["solve", "--config", str(path)]) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "ConfigurationError"
 
 
 def test_eigensolver_failure_exits_3_with_error_json(config_file, tmp_path, monkeypatch, capsys):
@@ -289,8 +350,8 @@ def test_banded_block_verifies_without_densifying(config_file, tmp_path, monkeyp
     path = config_file(lambda__="0.0625", h__="0.00390625")
     cfg = load_config(path)
     op = operators.assemble(cfg.kernel, cfg.build_grid(), cfg.partition)
-    assert 4 * op.a_gen.nnz < op.interior.size ** 2
-    sw = np.sqrt(op.widths[op.interior])
+    assert 4 * op.a_gen.nnz < op.n_cells ** 2
+    sw = np.sqrt(op.widths)
     c = sw[:, None] * -op.a_gen.toarray() / sw[None, :]
     dense = float(np.linalg.eigvalsh(0.5 * (c + c.T))[0])
 
@@ -666,7 +727,7 @@ def test_verify_evaluates_domain_rows_only(config_file, monkeypatch):
     monkeypatch.setattr(operators, "assemble", keeping)
     assert main(["verify", "--config", config_file()]) == 0
     (op,) = ops
-    assert op.absorbing.size > 0
+    assert op.exit_weights.min() > 0.0  # every cell jumps into the absorbing set
     assert calls == [0.0]
 
 

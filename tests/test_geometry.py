@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpexit.errors import ConfigurationError
-from jumpexit.geometry import (DomainPartition, Intervals, Region, build_grid,
-                               interaction_domain)
+from jumpexit.geometry import DomainPartition, Intervals, build_grid, interaction_domain
 
 
 def ivs(*pairs):
@@ -105,7 +104,7 @@ def test_partition_accepts_absorbing_within_tolerance_of_collar_end():
     # 0.1 + 0.7 rounds to just below 0.8, so the collar ends short of the
     # absorbing interval by one ulp; the endpoint slack accepts it
     part = DomainPartition.build([(0.0, 0.1)], horizon=0.7, absorbing=[(0.1, 0.8)])
-    assert part.collar.bounds[-1][1] < 0.8
+    assert interaction_domain(part.domain, 0.7).bounds[-1][1] < 0.8
     assert part.absorbing.bounds == ((0.1, 0.8),)
     with pytest.raises(ConfigurationError, match=r"\(0.1, 0.8001\) is not contained"):
         DomainPartition.build([(0.0, 0.1)], horizon=0.7, absorbing=[(0.1, 0.8001)])
@@ -128,35 +127,43 @@ def test_geometry_rejects_non_finite_numbers(bad):
 
 
 def test_grid_cell_counts_and_tags():
-    part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="empty")
-    grid = build_grid(part, 0.25)
-    assert grid.n_cells == 12  # 4 interior + 4 collar each side
-    assert np.flatnonzero(grid.tags == int(Region.INTERIOR)).size == 4
-    assert np.flatnonzero(grid.tags == int(Region.COLLAR)).size == 8
-    assert np.flatnonzero(grid.tags == int(Region.ABSORBING)).size == 0
-    # tags partition the index set
-    counts = sum(np.flatnonzero(grid.tags == int(tag)).size for tag in Region)
-    assert counts == grid.n_cells
+    # every cell is a domain cell: the collar gets none, whatever absorbs,
+    # so the grid is the same for empty, full and partial absorbing sets
+    grids = [build_grid(DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing=a), 0.25)
+             for a in ("empty", "full", [(1.0, 1.5)])]
+    for grid in grids:
+        assert grid.n_cells == 4
+        assert grid.centers.tolist() == [0.125, 0.375, 0.625, 0.875]
+        assert grid.widths.tolist() == [0.25] * 4
 
 
 def test_grid_full_absorbing_has_no_collar_tags():
     part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
     grid = build_grid(part, 0.25)
-    assert np.flatnonzero(grid.tags == int(Region.COLLAR)).size == 0
-    assert np.flatnonzero(grid.tags == int(Region.ABSORBING)).size == 8
+    assert part.absorbing.bounds == ((-1.0, 0.0), (1.0, 2.0))
+    # no cell centre lies in the absorbing collar; all lie in the domain
+    assert not any(part.absorbing.contains(float(c)) for c in grid.centers)
+    assert all(part.domain.contains(float(c)) for c in grid.centers)
 
 
-def test_grid_tiles_domain_plus_collar():
+def test_grid_tiles_each_domain_component():
     part = DomainPartition.build([(0.0, 1.0), (1.5, 2.5)], horizon=0.9, absorbing="full")
     grid = build_grid(part, 0.11)
-    total = measure(part.domain) + measure(part.collar)
-    assert float(grid.widths.sum()) == pytest.approx(total, rel=1e-12)
-    # no cell straddles a region boundary: each center lies in its tag's
-    # region and in no other
-    regions = {Region.INTERIOR: part.domain, Region.ABSORBING: part.absorbing,
-               Region.COLLAR: part.collar.difference(part.absorbing)}
-    for c, tag in zip(grid.centers, grid.tags):
-        assert [tag_ for tag_, r in regions.items() if r.contains(float(c))] == [tag]
+    assert float(grid.widths.sum()) == pytest.approx(measure(part.domain), rel=1e-12)
+    # sorted, and no cell straddles the gap: each lies inside one component
+    assert np.all(np.diff(grid.centers) > 0)
+    for c, w in zip(grid.centers, grid.widths):
+        assert sum(lo <= c - w / 2 and c + w / 2 <= hi + 1e-12
+                   for lo, hi in part.domain.bounds) == 1
+
+
+@pytest.mark.parametrize("omega_d", [[(-0.37, 0.0), (1.0, 2.0)], [(-1.0, -0.37)]])
+def test_grid_width_rule_reads_domain_cells_only(omega_d):
+    # an absorbing interval 0.37 long has no cells, so its length cannot
+    # break the h <= lambda/4 rule; the domain cells are a quarter wide
+    part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing=omega_d)
+    grid = build_grid(part, 0.25)
+    assert grid.widths.max() == 0.25
 
 
 def test_grid_rejects_underresolved_horizon():
@@ -169,7 +176,7 @@ def test_grid_rejects_underresolved_horizon():
 
 def test_grid_refits_width_per_component():
     # component lengths 1 and 0.7 cannot share one exact width
-    part = DomainPartition.build([(0.0, 0.7)], horizon=1.0, absorbing="full")
+    part = DomainPartition.build([(0.0, 1.0), (1.5, 2.2)], horizon=1.0, absorbing="full")
     grid = build_grid(part, 0.15)
     widths = np.unique(np.round(grid.widths, 12))
     assert widths.size >= 2

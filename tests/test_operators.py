@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import kernel_cases
 from jumpexit.errors import ConfigurationError
-from jumpexit.geometry import DomainPartition, Intervals, Region, build_grid
+from jumpexit.geometry import DomainPartition, Intervals, build_grid
 from jumpexit.kernels import CompoundPoissonUniform, JumpKernel, TabulatedKernel, TruncatedStable
 from jumpexit.operators import (_offset_rows, _row_loop, adjoint_check, assemble, balance_check,
                                 divergence_theorem_check, dump_operator)
@@ -36,10 +36,9 @@ def bivariate_short_table():
 
 
 def random_density(op, seed=0):
-    """A positive density on the domain cells (one draw per cell of the
-    operator, kept on the domain ones)."""
+    """A positive density on the domain cells."""
     rng = np.random.default_rng(seed)
-    return (rng.random(op.n_cells) + 0.25)[op.interior]
+    return rng.random(op.n_cells) + 0.25
 
 
 def asym_kernel(horizon=1.0):
@@ -54,9 +53,9 @@ def test_zero_kernel_gives_zero_rows():
                            values=np.zeros(9))
     op = make_op(zero)
     # only the domain block is stored, and it is all zero
-    assert op.a_star.shape == (op.interior.size, op.interior.size)
+    assert op.a_star.shape == op.domain_rows.shape == (op.n_cells, op.n_cells)
     assert np.all(op.a_star.toarray() == 0.0)
-    assert op.exit_weights.shape == (op.interior.size,)
+    assert op.exit_weights.shape == (op.n_cells,)
     assert np.all(op.killing_rate == 0.0)
     # both sides of every cell balance are zero: no defect, and no 0/0
     assert balance_check(op, random_density(op, seed=1)) == 0.0
@@ -89,14 +88,14 @@ def test_generator_annihilates_constants(analytic_op_64, stable_kernel_05, stabl
     # without absorbing rows, A 1 = -kappa, with the killing rate kappa read
     # off the exit weights (not off A itself)
     for op in (analytic_op_64, make_op(stable_kernel_05), make_op(stable_kernel_15)):
-        ones = np.ones(op.interior.size)
+        ones = np.ones(op.n_cells)
         norm = abs(op.a_gen).max()
         kappa = op.killing_rate
         assert kappa.min() > 0.0  # every domain cell reaches the absorbing collar
         assert np.max(np.abs(op.a_gen @ ones + kappa)) <= 1e-12 * norm
     # censored process: no killing, constants annihilated outright
     op = make_op(CompoundPoissonUniform(rate=0.2, horizon=1.0), absorbing="empty")
-    assert np.max(np.abs(op.a_gen @ np.ones(op.interior.size))) <= 1e-12 * abs(op.a_gen).max()
+    assert np.max(np.abs(op.a_gen @ np.ones(op.n_cells))) <= 1e-12 * abs(op.a_gen).max()
 
 
 def test_adjoint_identity_symmetric(analytic_op_64):
@@ -110,7 +109,7 @@ def test_adjoint_identity_asymmetric_weighted_transpose():
     # inner-product form of the duality
     assert adjoint_check(op, trials=100, rng=2) <= 1e-12 * norm
     # matrix form: W A_fwd = A_bwd^T W on the domain block
-    w = op.widths[op.interior]
+    w = op.widths
     lhs = w[:, None] * op.a_star.toarray()
     rhs = op.a_gen.toarray().T * w[:, None]
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * norm
@@ -120,11 +119,11 @@ def test_adjoint_identity_asymmetric_weighted_transpose():
 def test_batched_adjoint_check_matches_per_trial_loop(case, analytic_op_64):
     op = analytic_op_64 if case == "analytic_64" else make_op(asym_kernel())
     rng = np.random.default_rng(8)
-    w = op.widths[op.interior]
+    w = op.widths
     worst = 0.0
     for _ in range(40):  # the per-trial loop: one draw and two mat-vecs per trial
-        u = rng.standard_normal(op.interior.size)
-        v = rng.standard_normal(op.interior.size)
+        u = rng.standard_normal(op.n_cells)
+        v = rng.standard_normal(op.n_cells)
         lhs = float(np.sum(v * (op.a_star @ u) * w))
         rhs = float(np.sum((op.a_gen @ v) * u * w))
         nu = np.sqrt(np.sum(u * u * w))
@@ -139,43 +138,42 @@ def test_batched_adjoint_check_matches_per_trial_loop(case, analytic_op_64):
 
 def test_balance_conditions(analytic_op_64):
     assert balance_check(analytic_op_64, random_density(analytic_op_64, seed=3)) <= 1e-12
-    # the volume constraint pins the density to zero on the absorbing cells,
-    # so a density has one entry per domain cell; a vector over every cell
-    # is rejected
-    u = np.zeros(analytic_op_64.n_cells)
-    u[analytic_op_64.interior] = random_density(analytic_op_64, seed=3)
-    n = analytic_op_64.interior.size
+    # the volume constraint pins the density to zero on the absorbing set,
+    # so a density has one entry per domain cell; any other length is
+    # rejected
+    u = np.append(random_density(analytic_op_64, seed=3), 0.0)
+    n = analytic_op_64.n_cells
     with pytest.raises(ConfigurationError, match=rf"domain cell \({n}\)"):
         balance_check(analytic_op_64, u)
 
 
 @pytest.fixture(params=["analytic_64", "asymmetric_16"])
 def balance_case(request):
-    """An operator, a density on its domain cells, and the reference rate
-    matrix over all of its cells."""
+    """An operator, a density on its domain cells, and the all-cells
+    reference on the same grid."""
     kernel, h, seed = {
         "analytic_64": (CompoundPoissonUniform(rate=0.2, horizon=1.0), 1 / 64, 3),
         "asymmetric_16": (asym_kernel(), 1 / 16, 5),
     }[request.param]
     part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
-    grid = build_grid(part, h)
-    op = assemble(kernel, grid, part)
-    return op, random_density(op, seed=seed), all_rows_reference(kernel, grid, part)["values"]
+    op = assemble(kernel, build_grid(part, h), part)
+    return op, random_density(op, seed=seed), all_cells_reference(kernel, part, h)
 
 
 def test_matrices_match_dense_two_point_flux(balance_case):
     # A_fwd u = sum_j psi_ij w_j, with psi_ij = u_j v_ji - u_i v_ij built
-    # densely from the rates out of every cell, absorbing ones included
-    op, u, rates = balance_case
-    gamma = rates.toarray()
-    full = np.zeros(op.n_cells)  # zero on the absorbing cells
-    full[op.interior] = u
+    # densely from the rates out of every cell of a grid that tiles the
+    # absorbing set too, the density zero there
+    op, u, ref = balance_case
+    gamma, w, dom = ref["values"].toarray(), ref["widths"], ref["domain"]
+    full = np.zeros(w.size)  # zero on the absorbing cells
+    full[dom] = u
     psi = full[np.newaxis, :] * gamma.T - full[:, np.newaxis] * gamma
-    want = (psi @ op.widths)[op.interior]
+    want = (psi @ w)[dom]
     got = op.a_star @ u
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # and its mirror, A_bwd u = sum_j v_ij w_j (u_j - u_i)
-    want = ((gamma * (full[np.newaxis, :] - full[:, np.newaxis])) @ op.widths)[op.interior]
+    want = ((gamma * (full[np.newaxis, :] - full[:, np.newaxis])) @ w)[dom]
     got = op.a_gen @ u
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert balance_check(op, u) <= 1e-12
@@ -191,7 +189,7 @@ def _zero_row(op, k):
     lambda op: {"a_star": op.a_star * (1 + 1e-8)},
     lambda op: {"a_gen": op.a_gen * (1 + 1e-8)},
     lambda op: {"a_star": op.a_gen, "a_gen": op.a_star},
-    lambda op: {"domain_rows": _zero_row(op, op.interior.size // 3)},
+    lambda op: {"domain_rows": _zero_row(op, op.n_cells // 3)},
 ], ids=["a_star_scaled", "a_gen_scaled", "swapped", "zeroed_domain_row"])
 def test_balance_check_catches_corrupted_operator(mutation):
     op = make_op(asym_kernel(), h=1 / 16)
@@ -203,6 +201,16 @@ def test_balance_check_catches_corrupted_operator(mutation):
 _PROPERTY_MAX_CELLS = 200
 
 
+def _property_h(kernel, part, cells_per_horizon):
+    """A cell width of at most lambda/6 that puts no more than
+    ``_PROPERTY_MAX_CELLS`` cells across the domain and its collar."""
+    reach = part.domain.dilate(kernel.horizon).bounds
+    h = max(kernel.horizon / cells_per_horizon,
+            (reach[-1][1] - reach[0][0]) / _PROPERTY_MAX_CELLS)
+    assert h <= kernel.horizon / 6
+    return h
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=kernel_cases(), cells_per_horizon=st.sampled_from([6, 8, 12]),
        seed=st.integers(0, 2**16))
@@ -210,9 +218,7 @@ def test_balance_check_holds_for_every_family_and_partition(case, cells_per_hori
     # a cell is at most 3/2 of h wide after fitting, so h <= lambda/6 keeps
     # every grid within lambda/4; the cap keeps each case to a few hundred rows
     kernel, part, _ = case
-    lo, hi = part.collar.bounds[0][0], part.collar.bounds[-1][1]
-    h = max(kernel.horizon / cells_per_horizon, (hi - lo) / _PROPERTY_MAX_CELLS)
-    assert h <= kernel.horizon / 6
+    h = _property_h(kernel, part, cells_per_horizon)
     op = assemble(kernel, build_grid(part, h), part)
     assert balance_check(op, random_density(op, seed=seed)) <= 1e-10
 
@@ -228,9 +234,9 @@ def test_balance_check_never_densifies(balance_case, monkeypatch):
         for name in ("toarray", "todense"):
             if name in vars(cls):
                 monkeypatch.setattr(cls, name, refuse)
-    op, u, rates = balance_case
+    op, u, ref = balance_case
     with pytest.raises(AssertionError, match="densified"):
-        rates.toarray()
+        ref["values"].toarray()
     balance_check(op, u)  # raises if it densifies
 
 
@@ -238,24 +244,23 @@ def test_divergence_censored_case_conserves():
     k = CompoundPoissonUniform(rate=0.2, horizon=1.0)
     op = make_op(k, absorbing="empty")
     u = random_density(op, seed=7)
-    scale = float(np.sum(u * op.widths[op.interior]))
+    scale = float(np.sum(u * op.widths))
     assert divergence_theorem_check(op, u) <= 1e-12 * scale
 
 
 def test_divergence_uniform_density(analytic_op_64):
-    u = np.ones(analytic_op_64.interior.size)
+    u = np.ones(analytic_op_64.n_cells)
     assert divergence_theorem_check(analytic_op_64, u) <= 1e-12
 
 
 def test_divergence_random_density(analytic_op_64):
     op = analytic_op_64
     u = random_density(op, seed=8)
-    w_int = op.widths[op.interior]
+    w_int = op.widths
     scale = float(np.sum(u * w_int))
     assert divergence_theorem_check(op, u) <= 1e-12 * scale
-    # mass flowing out of the domain shows up as absorbing-cell flux
-    flux = op.domain_rows[:, op.absorbing].T @ (u * w_int)
-    assert float(np.sum(flux * op.widths[op.absorbing])) > 0.0
+    # mass flowing out of the domain shows up as absorbed flux
+    assert float(op.exit_weights @ u) > 0.0
 
 
 def test_horizon_mismatch_rejected():
@@ -271,7 +276,7 @@ def test_stable_kernel_operator_identities(stable_kernel_05):
     norm = np.max(np.abs(op.a_gen.toarray()))
     assert adjoint_check(op, trials=50, rng=9) <= 1e-12 * norm
     u = random_density(op, seed=10)
-    scale = float(np.sum(u * op.widths[op.interior]))
+    scale = float(np.sum(u * op.widths))
     assert divergence_theorem_check(op, u) <= 1e-12 * scale
     blk = op.a_gen.toarray()
     assert np.max(np.abs(blk - blk.T)) <= 1e-12 * norm
@@ -288,9 +293,10 @@ def test_dump_operator(tmp_path, analytic_op_64):
     meta = json.loads(meta_path.read_text())
     assert meta["n_cells"] == analytic_op_64.n_cells
     assert len(meta["centers"]) == analytic_op_64.n_cells
-    # triplet indices are positions in the domain block
+    # triplet indices are positions in the domain cells, the only cells
     ij = np.array([[int(v) for v in line.split(",")[:2]] for line in lines[1:]])
-    assert ij.max() == len(meta["interior"]) - 1
+    assert ij.max() == len(meta["centers"]) - 1
+    assert set(meta) == {"n_cells", "horizon", "centers", "widths"}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -303,31 +309,34 @@ def test_cell_rates_match_the_jump_law_pieces(case):
     # cell, to rounding (bivariate tables whose y nodes stop short of the
     # collar included)
     kernel, part, _ = case
-    lo, hi = part.collar.bounds[0][0], part.collar.bounds[-1][1]
-    h = max(kernel.horizon / 8, (hi - lo) / _PROPERTY_MAX_CELLS)
-    op = assemble(kernel, build_grid(part, h), part)
-    loss = op.domain_rows @ op.widths
+    op = assemble(kernel, build_grid(part, _property_h(kernel, part, 8)), part)
+    loss = op.domain_rows @ op.widths + op.killing_rate
     scale = max(float(loss.max()), 1e-300)
-    for k, i in enumerate(op.interior):
-        x, w = op.centers[i], op.widths[i]
+    for k, (x, w) in enumerate(zip(op.centers, op.widths)):
         own = Intervals(((x - 0.5 * w, x + 0.5 * w),))
         assert abs(op.killing_rate[k] - kernel.total_rate(x, part.absorbing)) <= 1e-12 * scale
         want = kernel.total_rate(x, part.reachable) - kernel.total_rate(x, own)
         assert abs(loss[k] - want) <= 1e-12 * scale
 
 
-def all_rows_reference(kernel, grid, partition):
-    """Assembly from a kernel row for every cell, absorbing ones included,
-    then sliced to the domain rows: kept as the reference for ``assemble``,
-    which evaluates the domain rows alone. Returns the three matrices and
-    the exit weights."""
-    sel = np.flatnonzero(grid.tags != int(Region.COLLAR))
-    x = grid.centers[sel]
-    w = grid.widths[sel]
-    tags = grid.tags[sel]
+def all_cells_reference(kernel, partition, h):
+    """Rates between every cell of a grid that tiles the absorbing set as
+    well as the domain, one kernel row per cell: the form the operator took
+    when the absorbing set was cells, kept as the reference for
+    ``assemble``. The domain cells are ``build_grid``'s, and each absorbing
+    interval is fitted with cells near ``h`` wide the same way. Returns the
+    rates, the widths, and the positions of the domain and absorbing
+    cells."""
+    grid = build_grid(partition, h)
+    xs, ws, on_domain = [grid.centers], [grid.widths], [np.ones(grid.n_cells, dtype=bool)]
+    for lo, hi in partition.absorbing.bounds:
+        n = max(1, round((hi - lo) / h))
+        xs.append(lo + (np.arange(n) + 0.5) * ((hi - lo) / n))
+        ws.append(np.full(n, (hi - lo) / n))
+        on_domain.append(np.zeros(n, dtype=bool))
+    order = np.argsort(np.concatenate(xs))
+    x, w, on_domain = (np.concatenate(a)[order] for a in (xs, ws, on_domain))
     n = x.size
-    interior = np.flatnonzero(tags == int(Region.INTERIOR))
-    absorbing = np.flatnonzero(tags == int(Region.ABSORBING))
     counts = np.zeros(n, dtype=np.int64)
     cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     for i in range(n):
@@ -343,17 +352,35 @@ def all_rows_reference(kernel, grid, partition):
         vals.append(v[nz])
     indptr = np.concatenate([[0], np.cumsum(counts)])
     values = sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), shape=(n, n))
-    w_int = w[interior]
-    from_int = values[interior]
-    minus_loss = sp.diags(-(from_int @ w))
-    v_int = from_int[:, interior]
-    return {
-        "a_gen": (v_int.multiply(w_int[np.newaxis, :]) + minus_loss).tocsr(),
-        "a_star": (v_int.T.multiply(w_int[np.newaxis, :]) + minus_loss).tocsr(),
-        "exit_weights": (from_int[:, absorbing].T.multiply(w_int[np.newaxis, :]).tocsr().T
-                         @ w[absorbing]),
-        "values": values,
-    }
+    return {"values": values, "widths": w, "domain": np.flatnonzero(on_domain),
+            "absorbing": np.flatnonzero(~on_domain)}
+
+
+def assert_matches_reference(op, ref):
+    """The domain block of the all-cells reference is ``op.domain_rows``,
+    and the matrices' off-diagonal entries are its rates times the target
+    widths, bit for bit; the killing rate is the reference's rates summed
+    over the absorbing cells, and each diagonal entry minus the loss, to
+    rounding."""
+    dom, absorbing, w_all = ref["domain"], ref["absorbing"], ref["widths"]
+    from_domain = ref["values"][dom]
+    block = from_domain[:, dom]
+    got = op.domain_rows
+    assert got.shape == block.shape
+    assert np.array_equal(got.indptr, block.indptr)
+    assert np.array_equal(got.indices, block.indices)
+    assert got.data.tobytes() == block.data.tobytes()
+    kappa = from_domain[:, absorbing] @ w_all[absorbing]
+    assert np.max(np.abs(op.killing_rate - kappa), initial=0.0) <= 1e-13 * np.max(kappa, initial=0.0)
+    w = op.widths
+    dense = block.toarray()
+    norm = max(float(abs(op.a_gen).max()), 1e-300)
+    for a, rates in ((op.a_gen, dense), (op.a_star, dense.T)):
+        a = a.toarray()
+        diag = a.diagonal().copy()
+        np.fill_diagonal(a, 0.0)
+        assert a.tobytes() == (rates * w).tobytes()
+        assert np.max(np.abs(diag + (dense @ w + kappa))) <= 1e-13 * norm
 
 
 ASSEMBLY_CASES = {
@@ -389,18 +416,32 @@ def test_domain_row_assembly_matches_all_rows_reference(case):
     make_kernel, omega, absorbing, h = ASSEMBLY_CASES[case]
     kernel = make_kernel()
     part = DomainPartition.build(omega, horizon=kernel.horizon, absorbing=absorbing)
-    grid = build_grid(part, h)
-    op = assemble(kernel, grid, part)
-    assert (_offset_rows(kernel, op.centers, op.widths, op.interior) is None) == (case in LOOP_CASES)
-    ref = all_rows_reference(kernel, grid, part)
-    ref["domain_rows"] = ref.pop("values")[op.interior]
-    assert op.exit_weights.tobytes() == ref.pop("exit_weights").tobytes()
-    for name, expected in ref.items():
-        got = getattr(op, name)
-        assert got.shape == expected.shape, name
-        assert np.array_equal(got.indptr, expected.indptr), name
-        assert np.array_equal(got.indices, expected.indices), name
-        assert got.data.tobytes() == expected.data.tobytes(), name
+    op = assemble(kernel, build_grid(part, h), part)
+    assert (_offset_rows(kernel, op.centers, op.widths) is None) == (case in LOOP_CASES)
+    assert_matches_reference(op, all_cells_reference(kernel, part, h))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=kernel_cases(), cells_per_horizon=st.sampled_from([6, 8, 12]))
+def test_domain_cells_alone_match_an_all_cells_reference(case, cells_per_horizon):
+    # every family, bivariate and asymmetric tables included, on gapped
+    # domains with full, partial or empty absorbing sets: the operator on
+    # the domain cells alone is the all-cells one's domain block, with the
+    # absorbing cells' rates summed into the killing rate
+    kernel, part, _ = case
+    h = _property_h(kernel, part, cells_per_horizon)
+    op = assemble(kernel, build_grid(part, h), part)
+    assert_matches_reference(op, all_cells_reference(kernel, part, h))
+
+
+def test_killing_rate_is_exact_on_the_fine_grid():
+    # the analytic kernel kills at rate 0.1 from every point of the unit
+    # domain; from the CDF's integral over the collar that holds to a few
+    # ulp on each of 1024 cells
+    part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
+    op = assemble(CompoundPoissonUniform(rate=0.2, horizon=1.0), build_grid(part, 2.0 ** -10), part)
+    assert op.n_cells == 1024
+    assert np.max(np.abs(op.killing_rate - 0.1)) <= 4 * np.spacing(0.1)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -411,28 +452,27 @@ def test_offset_table_rows_equal_the_row_loop(case):
     # table builds the loop's rows bit for bit, and a bivariate table,
     # whose rows are no one function of the offset, is left to the loop
     kernel, part, _ = case
-    lo, hi = part.collar.bounds[0][0], part.collar.bounds[-1][1]
+    reach = part.domain.dilate(kernel.horizon).bounds
+    lo, hi = reach[0][0], reach[-1][1]
     h = 2.0 ** math.ceil(math.log2(max(kernel.horizon / 16, (hi - lo) / 400)))
     x = (np.arange(math.floor(lo / h), math.ceil(hi / h)) + 0.5) * h
     x = x[part.reachable.contains(x)]
     w = np.full(x.size, h)
-    sources = np.flatnonzero(part.domain.contains(x))
-    assert sources.size > 0  # every component is wider than h
-    table = _offset_rows(kernel, x, w, sources)
+    table = _offset_rows(kernel, x, w)
     if not kernel.translation_invariant:
         assert table is None
         return
-    loop = _row_loop(kernel, x, w, sources)
-    assert table.shape == loop.shape
+    loop = _row_loop(kernel, x, w)
+    assert table.shape == loop.shape == (x.size, x.size)
     assert np.array_equal(table.indptr, loop.indptr)
     assert np.array_equal(table.indices, loop.indices)
     assert table.data.tobytes() == loop.data.tobytes()
 
 
 def test_assembly_evaluates_domain_rows_only(stable_kernel_05, monkeypatch):
-    # a bivariate table takes one kernel row per domain cell and none for
-    # an absorbing cell; a translation-invariant kernel on one lattice takes
-    # one call in all, at the offsets k h (k != 0) from a source at 0
+    # a bivariate table takes one kernel row per domain cell, and the
+    # killing rate none; a translation-invariant kernel on one lattice
+    # takes one call in all, at the offsets k h (k != 0) from a source at 0
     calls = []
     original = JumpKernel.quadrature_values
 
@@ -443,7 +483,7 @@ def test_assembly_evaluates_domain_rows_only(stable_kernel_05, monkeypatch):
     monkeypatch.setattr(JumpKernel, "quadrature_values", counting)
     omega, h = ((0.0, 1.0), (1.5, 2.5)), 1 / 16
     op = make_op(bivariate_short_table(), omega=omega, h=h)
-    assert sorted(x for x, _ in calls) == sorted(op.centers[op.interior])
+    assert sorted(x for x, _ in calls) == sorted(op.centers)
     calls.clear()
     op = make_op(stable_kernel_05, omega=omega, h=h)
     ((x, offsets),) = calls

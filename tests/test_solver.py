@@ -16,8 +16,8 @@ from jumpexit.errors import ConfigurationError, NumericalError
 from jumpexit.geometry import DomainPartition, build_grid
 from jumpexit.kernels import CompoundPoissonUniform
 from jumpexit.operators import _factor, assemble
-from jumpexit.solver import (coercivity_sigma, evolve, exit_moments,
-                             mean_exit_time, uniform_density)
+from jumpexit.solver import (DensityTrajectory, coercivity_sigma, evolve, exit_moments,
+                             mean_exit_time, on_step_grid, uniform_density)
 
 
 def _censored_op(h=1 / 32):
@@ -47,20 +47,21 @@ def test_conservation_every_step(analytic_op_64):
     assert np.max(np.abs(traj.survival + traj.absorbed_cdf - traj.survival[0])) <= 1e-10
 
 
-def test_absorbed_flux_comes_from_exit_weights(analytic_op_64):
-    # F is accumulated from the flux into the absorbing cells, not read off
+def test_absorbed_flux_comes_from_exit_weights(analytic_op_64, analytic_kernel,
+                                              analytic_partition):
+    # F is accumulated from the flux into the absorbing set, not read off
     # as 1 - S: step the density alongside and recompute each step's flux
-    # cell by cell from the rates into the absorbing cells
+    # cell by cell from the walk's rate into the absorbing set
     op = analytic_op_64
     dt = 0.1
     traj = evolve(op, uniform_density(op), dt=dt, t_end=5.0)
     step = _factor(op.a_star, "time-step", dt).solve
-    into_d = op.domain_rows[:, op.absorbing].T
-    w_int, w_abs = op.widths[op.interior], op.widths[op.absorbing]
+    kappa = np.array([analytic_kernel.total_rate(x, analytic_partition.absorbing)
+                      for x in op.centers])
     u, per_step = uniform_density(op), []
     for _ in range(traj.times.size - 1):
         u = step(u)
-        per_step.append(float(np.sum((into_d @ (u * w_int)) * w_abs)))
+        per_step.append(float(np.sum(kappa * u * op.widths)))
     f = dt * np.concatenate([[0.0], np.cumsum(per_step)])
     assert np.max(np.abs(f - traj.absorbed_cdf)) <= 1e-13
     assert traj.absorbed_cdf[-1] > 0.1
@@ -70,6 +71,20 @@ def test_absorbed_flux_comes_from_exit_weights(analytic_op_64):
                      uniform_density(op), dt=dt, t_end=5.0)
     assert np.array_equal(doubled.survival, traj.survival)
     assert np.max(np.abs(doubled.absorbed_cdf - 2 * traj.absorbed_cdf)) <= 1e-13
+
+
+def test_survival_at_reads_the_step_grid_rule():
+    # one rule for what lies on the grid of steps dt: a time that
+    # on_step_grid refuses has no recorded survival
+    times = np.arange(11) * 0.01
+    traj = DensityTrajectory(times=times, survival=1.0 - times, absorbed_cdf=times)
+    assert traj.survival_at(0.0) == 1.0 and traj.survival_at(0.05) == 1.0 - times[5]
+    for t in (0.0100000005, 1e-12):
+        assert not on_step_grid(t, 0.01)
+        with pytest.raises(ValueError, match="not on the recorded step grid"):
+            traj.survival_at(t)
+    with pytest.raises(ValueError, match="not on the recorded step grid"):
+        traj.survival_at(0.11)  # past the run
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0, 10.0])
@@ -96,11 +111,9 @@ def test_evolve_validates_inputs(analytic_op_64):
     good = uniform_density(analytic_op_64)
     with pytest.raises(ConfigurationError, match="positive"):
         evolve(analytic_op_64, good, dt=-0.1, t_end=1.0)
-    # one entry per domain cell: a vector over every cell is rejected
-    full = np.zeros(analytic_op_64.n_cells)
-    full[analytic_op_64.interior] = good
+    # one entry per domain cell: a vector with one more is rejected
     with pytest.raises(ConfigurationError, match=rf"domain cell \({good.size}\)"):
-        evolve(analytic_op_64, full, dt=0.1, t_end=1.0)
+        evolve(analytic_op_64, np.append(good, 0.0), dt=0.1, t_end=1.0)
     with pytest.raises(ConfigurationError, match="integrate"):
         evolve(analytic_op_64, 2 * good, dt=0.1, t_end=1.0)
     with pytest.raises(ConfigurationError, match="nonnegative"):
@@ -116,7 +129,7 @@ def _banded_op():
     k = CompoundPoissonUniform(rate=0.2, horizon=1 / 16)
     part = DomainPartition.build([(0.0, 1.0)], horizon=1 / 16, absorbing="full")
     op = assemble(k, build_grid(part, 1 / 256), part)
-    assert 4 * op.a_star.nnz < op.interior.size ** 2
+    assert 4 * op.a_star.nnz < op.n_cells ** 2
     return op
 
 
@@ -124,7 +137,7 @@ def _implicit_euler_reference(op, dt, n_steps, step):
     """Survival and absorbed flux of implicit Euler, one ``step`` solve of
     ``(I - dt A_fwd) u_new = u`` per step."""
     u = uniform_density(op)
-    w = op.widths[op.interior]
+    w = op.widths
     survival, absorbed = [float(u @ w)], [0.0]
     for _ in range(n_steps):
         u = step(u)
@@ -135,8 +148,8 @@ def _implicit_euler_reference(op, dt, n_steps, step):
 
 def test_dense_block_steps_match_sparse_lu_reference(analytic_op_64, monkeypatch):
     op, dt = analytic_op_64, 0.1
-    assert op.a_star.nnz == op.interior.size ** 2
-    lu = splu((sp.identity(op.interior.size, format="csr") - dt * op.a_star).tocsc())
+    assert op.a_star.nnz == op.n_cells ** 2
+    lu = splu((sp.identity(op.n_cells, format="csr") - dt * op.a_star).tocsc())
     s_ref, f_ref = _implicit_euler_reference(op, dt, 200, lu.solve)
 
     def refuse(*args, **kwargs):
@@ -150,7 +163,7 @@ def test_dense_block_steps_match_sparse_lu_reference(analytic_op_64, monkeypatch
 
 def test_banded_block_steps_with_sparse_lu(monkeypatch):
     op, dt = _banded_op(), 0.1
-    system = np.eye(op.interior.size) - dt * op.a_star.toarray()
+    system = np.eye(op.n_cells) - dt * op.a_star.toarray()
     s_ref, f_ref = _implicit_euler_reference(op, dt, 100,
                                              lambda u: np.linalg.solve(system, u))
 
@@ -168,7 +181,7 @@ def test_banded_block_steps_with_sparse_lu(monkeypatch):
 def test_singular_step_system_raises_numerical_error(analytic_op_64, dense):
     # a_star = I / dt makes I - dt * a_star exactly zero
     op, dt = (analytic_op_64 if dense else _banded_op()), 0.1
-    n = op.interior.size
+    n = op.n_cells
     a_star = sp.identity(n, format="csr") / dt
     if dense:  # the same matrix with all n^2 entries stored
         a_star = sp.csr_matrix(np.ones((n, n)))
@@ -185,7 +198,7 @@ def test_generator_factor_route_matches_a_direct_solve(analytic_op_64, monkeypat
     # a dense block goes to LAPACK and a banded one to SuperLU, each
     # checked against a solve of the same a_gen by the other route
     op = dataclasses.replace(analytic_op_64 if dense else _banded_op(), _gen_lu=None)
-    n = op.interior.size
+    n = op.n_cells
     assert (op.a_gen.nnz == n * n) == dense
     reference = (splu(op.a_gen.tocsc()).solve if dense
                  else functools.partial(np.linalg.solve, op.a_gen.toarray()))
@@ -207,7 +220,7 @@ def test_generator_factor_route_matches_a_direct_solve(analytic_op_64, monkeypat
 @pytest.mark.parametrize("dense", [True, False])
 def test_singular_generator_raises_numerical_error(analytic_op_64, dense):
     op = analytic_op_64 if dense else _banded_op()
-    n = op.interior.size
+    n = op.n_cells
     a_gen = sp.csr_matrix((n, n))
     if dense:  # the zero matrix with all n^2 entries stored
         a_gen = sp.csr_matrix(np.ones((n, n)))
@@ -219,7 +232,7 @@ def test_singular_generator_raises_numerical_error(analytic_op_64, dense):
 
 def test_mean_exit_time_flat_field(analytic_op_256):
     met = mean_exit_time(analytic_op_256)
-    assert met.values.shape == (analytic_op_256.interior.size,)
+    assert met.values.shape == (analytic_op_256.n_cells,)
     assert np.max(np.abs(met.values - 10.0)) <= 0.02 * 10.0
 
 
@@ -293,8 +306,8 @@ def test_mean_exit_time_equals_time_integrated_survival(analytic_op_64):
     met = mean_exit_time(analytic_op_64)
     dt = 0.01
     for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-        k = int(frac * analytic_op_64.interior.size)
-        x = analytic_op_64.centers[analytic_op_64.interior[k]]
+        k = int(frac * analytic_op_64.n_cells)
+        x = analytic_op_64.centers[k]
         u0 = point_mass(analytic_op_64, x)
         traj = evolve(analytic_op_64, u0, dt=dt, t_end=200.0)
         keep = traj.survival >= 1e-8
@@ -309,7 +322,7 @@ def test_moment_recursion_vs_trajectory_integral(analytic_op_64):
     keep = traj.survival >= 1e-8
     t, s = traj.times[keep], traj.survival[keep]
     m1, m2 = exit_moments(analytic_op_64, 2)
-    w = analytic_op_64.widths[analytic_op_64.interior]
+    w = analytic_op_64.widths
     for k, mom in ((1, m1), (2, m2)):
         route_a = np.trapezoid(k * t ** (k - 1) * s, t)
         route_b = float(np.sum(mom.values * u0 * w))
@@ -326,7 +339,7 @@ def test_moments_reject_negative_rhs_shape(analytic_op_64):
 def _symmetrized_block(op):
     """The width-weighted, symmetrized negative generator whose bottom
     eigenvalue is sigma."""
-    sw = np.sqrt(op.widths[op.interior])
+    sw = np.sqrt(op.widths)
     c = sw[:, None] * -op.a_gen.toarray() / sw[None, :]
     return 0.5 * (c + c.T)
 
@@ -354,7 +367,7 @@ def test_sigma_reruns_are_bit_identical(stable_kernel_05):
 def test_sigma_on_one_cell_domain(absorbing):
     part = DomainPartition.build([(0.0, 0.1)], horizon=1.0, absorbing=absorbing)
     op = assemble(CompoundPoissonUniform(rate=0.2, horizon=1.0), build_grid(part, 0.1), part)
-    assert op.interior.size == 1
+    assert op.n_cells == 1
     est = coercivity_sigma(op)
     b00 = float(_symmetrized_block(op)[0, 0])
     assert est.value == b00
@@ -384,7 +397,7 @@ def test_sigma_energy_bound_on_mean_exit_time(analytic_op_64):
     # Rayleigh inequality: <m, -A m>_w >= sigma <m, m>_w for the mean exit field
     est = coercivity_sigma(analytic_op_64)
     m = mean_exit_time(analytic_op_64).values
-    w = analytic_op_64.widths[analytic_op_64.interior]
+    w = analytic_op_64.widths
     neg_a = -analytic_op_64.a_gen.toarray()
     energy = float((m * w) @ (neg_a @ m))
     assert energy >= est.value * float(np.sum(m * m * w)) * (1 - 1e-10)
@@ -398,6 +411,6 @@ def test_sigma_positive_for_stable_kernel(stable_kernel_05):
     assert est.value > 0.0
     # mean exit field obeys the energy-norm bound <m, -A m>_w >= sigma <m, m>_w
     m = mean_exit_time(op).values
-    w = op.widths[op.interior]
+    w = op.widths
     energy = float((m * w) @ (-op.a_gen.toarray() @ m))
     assert energy >= est.value * float(np.sum(m * m * w)) * (1 - 1e-9)
