@@ -24,6 +24,7 @@ every file starts with a comment echoing the resolved-config hash.
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,18 +50,29 @@ def _row_format(types) -> str:
                     for t in types) + "\n"
 
 
-def _write_csv(path: Path, cfg_hash: str, header: list[str], rows) -> None:
+def _csv_lines(rows):
+    """Each row as one CSV line, in the format ``_row_format`` gives its
+    cell types."""
     formats = {}  # cell types -> line format; a file's rows share a few
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = _row_format(types)
+        yield fmt % row
+
+
+def _write_lines(path: Path, cfg_hash: str, header: list[str], lines) -> None:
+    """Write the hash comment, the header and the formatted ``lines``."""
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg_hash}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            row = tuple(row)
-            types = tuple(map(type, row))
-            fmt = formats.get(types)
-            if fmt is None:
-                fmt = formats[types] = _row_format(types)
-            fh.write(fmt % row)
+        fh.writelines(lines)
+
+
+def _write_csv(path: Path, cfg_hash: str, header: list[str], rows) -> None:
+    _write_lines(path, cfg_hash, header, _csv_lines(rows))
 
 
 def _prepare_out(cfg: RunConfig) -> Path:
@@ -138,14 +150,12 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_paths(cfg: RunConfig) -> int:
-    t_max = cfg.t_max if cfg.t_max is not None else cfg.t_end
-    if not np.isfinite(t_max):
-        raise ConfigurationError(f"[mc] t_max must be finite to record sample paths, got {t_max}")
-    out = _prepare_out(cfg)
+def _path_lines(cfg: RunConfig, t_max: float, first: int, stop: int) -> str:
+    """The ``paths.csv`` lines of paths ``first .. stop-1``; path i draws
+    from ``path_rng(seed, i)`` alone."""
     partition = None if cfg.paths_free_space else cfg.partition  # None: free space
     rows = []
-    for i in range(cfg.paths_n):
+    for i in range(first, stop):
         rng = mc.path_rng(cfg.seed, i)
         if cfg.paths_brownian:
             path = mc.brownian_path(0.0, rng, t_max, n_steps=cfg.paths_n_steps)
@@ -153,7 +163,16 @@ def cmd_paths(cfg: RunConfig) -> int:
             x0 = 0.0 if partition is None else partition.domain.sample_uniform(rng)
             path = mc.simulate_path(cfg.kernel, x0, rng, t_max, partition=partition)
         rows.extend([i, t, x] for t, x in zip(path.times, path.positions))
-    _write_csv(out / "paths.csv", cfg.config_hash, ["path_id", "t", "x"], rows)
+    return "".join(_csv_lines(rows))
+
+
+def cmd_paths(cfg: RunConfig, workers: int) -> int:
+    t_max = cfg.t_max if cfg.t_max is not None else cfg.t_end
+    if not np.isfinite(t_max):
+        raise ConfigurationError(f"[mc] t_max must be finite to record sample paths, got {t_max}")
+    out = _prepare_out(cfg)
+    chunks = mc.map_chunks(partial(_path_lines, cfg, t_max), cfg.paths_n, workers)
+    _write_lines(out / "paths.csv", cfg.config_hash, ["path_id", "t", "x"], chunks)
     return EXIT_OK
 
 
@@ -281,7 +300,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.command in ("simulate", "compare") and args.threads < 1:
+        if args.command in ("simulate", "compare", "paths") and args.threads < 1:
             raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "solve":
             return cmd_solve(cfg)
@@ -292,7 +311,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, workers=args.threads)
         if args.command == "paths":
-            return cmd_paths(cfg)
+            return cmd_paths(cfg, workers=args.threads)
         if args.command == "verify":
             return cmd_verify(cfg, dump_operator=args.dump_operator)
         if args.command == "compare":

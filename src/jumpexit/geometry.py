@@ -14,6 +14,7 @@ the killing rate, an integral of the kernel over its intervals; the rest of
 the collar enters not at all.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,8 +190,9 @@ class Grid:
     """Uniform cell partition of the domain.
 
     Cells are built per component interval, so none straddles a gap; the
-    width is re-fitted per component (``length / round(length/h)``) so each
-    component tiles exactly, and the centres come out sorted.
+    width is re-fitted per component (``length / ceil(length/h)``, never
+    wider than ``h``) so each component tiles exactly, and the centres come
+    out sorted.
     """
 
     centers: np.ndarray
@@ -202,29 +204,29 @@ class Grid:
 
 
 def build_grid(partition: DomainPartition, h: float) -> Grid:
-    """Tile the domain with near-uniform cells of target width ``h``.
+    """Tile the domain with near-uniform cells of width at most ``h``.
 
-    Raises when a fitted width exceeds a quarter of the horizon: coarser
-    grids cannot resolve the jump range and the collocation sums would be
+    Raises when ``h`` exceeds a quarter of the horizon: coarser grids
+    cannot resolve the jump range and the collocation sums would be
     meaningless.
     """
     if not 0 < h < np.inf:
         raise ConfigurationError(f"cell width h must be positive and finite, got {h}")
+    if h > partition.horizon / 4 * (1 + 1e-12):
+        raise ConfigurationError(
+            f"cell width {h:.6g} exceeds horizon/4 = {partition.horizon / 4:.6g}; "
+            "refine the grid"
+        )
     if partition.domain.empty:
         raise ConfigurationError("partition has no domain cells to grid")
     centers, widths = [], []
     for lo, hi in partition.domain.bounds:
-        n = max(1, round((hi - lo) / h))
+        # a length that is a whole number of h up to rounding keeps that count
+        n = math.ceil((hi - lo) / h * (1 - 1e-12))
         w = (hi - lo) / n
         centers.append(lo + (np.arange(n) + 0.5) * w)
         widths.append(np.full(n, w))
     centers, widths = np.concatenate(centers), np.concatenate(widths)
-    h_max = float(widths.max())
-    if h_max > partition.horizon / 4 * (1 + 1e-12):
-        raise ConfigurationError(
-            f"cell width {h_max:.6g} exceeds horizon/4 = {partition.horizon / 4:.6g}; "
-            "refine the grid"
-        )
     centers.setflags(write=False)
     widths.setflags(write=False)
     return Grid(centers=centers, widths=widths)

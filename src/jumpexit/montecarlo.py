@@ -16,6 +16,9 @@ of the chunk has joined and at most ``_TAIL`` (32) are live, each of
 those finishes alone on the scalar ``JumpLaw`` walk, ``_walk_path``.
 ``simulate_path`` records its few long paths on the same walk.
 
+``map_chunks`` cuts the paths of an ensemble, or of the ``paths``
+subcommand, into one chunk of consecutive paths per worker process.
+
 Reproducibility: path i draws from numpy's ``default_rng((seed, i))``
 stream (``path_rng``) in the order a lone walk would: its start, then per
 jump the wait and the landing uniform. The lockstep walk builds no
@@ -241,31 +244,36 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: floa
     return x0, exit_time, exit_location, jumps, censored
 
 
+def map_chunks(work, n: int, workers: int) -> list:
+    """``work(first, stop)`` for each chunk of ``range(n)``, the results in
+    chunk order. There is one chunk of consecutive indices per worker, and
+    at most ``os.cpu_count()`` chunks. More than one chunk runs on a pool of
+    one process per chunk; when chunks raise, the lowest one's exception is
+    raised, as a serial run would raise it. ``work`` must pickle."""
+    workers = min(workers, os.cpu_count() or 1)
+    size = -(-n // workers)
+    firsts = range(0, n, size)
+    stops = [min(first + size, n) for first in firsts]
+    if len(firsts) == 1:
+        return list(map(work, firsts, stops))
+    with ProcessPoolExecutor(max_workers=len(firsts)) as pool:
+        return list(pool.map(work, firsts, stops))
+
+
 def simulate_ensemble(kernel: JumpKernel, partition: DomainPartition, n_paths: int,
                       seed: int, t_max: float, workers: int = 1) -> ExitEnsemble:
     """Simulate ``n_paths`` independent exits, each started uniformly over
     the domain (from the path's own stream).
 
-    ``workers > 1`` cuts the paths into one chunk of consecutive paths per
-    worker and walks them in a pool of ``workers`` processes, or of
-    ``os.cpu_count()`` when that is smaller. Results are identical to a
-    serial run.
+    The paths are walked in chunks of consecutive paths by ``map_chunks``,
+    one chunk per worker. Results are identical to a serial run.
     """
     if n_paths < 1:
         raise ConfigurationError("n_paths must be at least 1")
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
     _check_ends(kernel, partition, t_max)
-    workers = min(workers, os.cpu_count() or 1)
-    size = -(-n_paths // workers)
-    firsts = range(0, n_paths, size)
-    stops = [min(first + size, n_paths) for first in firsts]
-    walk = partial(_walk, kernel, partition, seed, t_max)
-    if len(firsts) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(walk, firsts, stops))
-    else:
-        results = list(map(walk, firsts, stops))
+    results = map_chunks(partial(_walk, kernel, partition, seed, t_max), n_paths, workers)
     x0s, exit_time, exit_location, jumps, censored = (np.concatenate(a) for a in zip(*results))
     return ExitEnsemble(x0=x0s, exit_time=exit_time, exit_location=exit_location,
                         jumps=jumps, censored=censored, t_max=t_max)

@@ -203,16 +203,25 @@ def test_verify_passes_and_writes_report(config_file, tmp_path):
 
 
 def test_verify_checks_symmetry_when_only_collar_widths_differ(config_file, tmp_path):
-    # lambda = 0.3 does not fit whole cells of the domain's width h = 1/14,
-    # and no cell tiles the collar: the domain cells share one width
+    # lambda = 0.3 does not fit whole cells of the domain's width 1/15 (the
+    # widest at most h), and no cell tiles the collar: the domain cells
+    # share one width
     path = config_file(lambda__="0.3", h__="0.07")
     cfg = load_config(path)
     op = operators.assemble(cfg.kernel, cfg.build_grid(), cfg.partition)
-    assert np.ptp(op.widths) == 0.0 and op.widths[0] == 1 / 14
+    assert np.ptp(op.widths) == 0.0 and op.widths[0] == 1 / 15
     assert main(["verify", "--config", path]) == 0
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
     assert report["all_pass"]
     assert report["checks"]["symmetric_matrix"]["value"] == 0.0
+
+
+def test_solve_grids_a_component_that_is_not_a_whole_number_of_h(config_file, tmp_path):
+    # h = lambda/4 passes load_config; the 0.37 component must not get a
+    # cell wider than h
+    path = config_file(omega__="[[0.0, 1.0], [1.5, 1.87]]", h__="0.25")
+    assert main(["solve", "--config", path]) == 0
+    assert not (tmp_path / "out" / "error.json").exists()
 
 
 def test_verify_exits_4_on_corrupted_operator(config_file, tmp_path, monkeypatch, capsys):
@@ -251,6 +260,36 @@ def test_paths_free_space_and_brownian(config_file, tmp_path):
                  "--out", str(tmp_path / "bm")]) == 0
     rows = (tmp_path / "bm" / "paths.csv").read_text().splitlines()[2:]
     assert len(rows) == 2 * 51
+
+
+@pytest.mark.parametrize("text", [
+    BASE_CONFIG + "\n[paths]\nn_paths = 5\nfree_space = true\n",
+    POWER_LAW + "\n[paths]\nn_paths = 5\nfree_space = false\n",
+    BASE_CONFIG + "\n[paths]\nn_paths = 5\nbrownian = true\nn_steps = 50\n",
+    POWER_LAW + "\n[paths]\nn_paths = 1\nfree_space = true\n",
+], ids=["free_space", "confined", "brownian", "one_path"])
+def test_paths_outputs_identical_at_any_thread_count(config_file, tmp_path, text):
+    path = config_file(text=text)
+    runs = [tmp_path / str(threads) for threads in (1, 2, 3, 4)]
+    for threads, out in enumerate(runs, start=1):
+        assert main(["paths", "--config", path, "--out", str(out),
+                     "--threads", str(threads)]) == 0
+        assert (out / "paths.csv").read_bytes() == (runs[0] / "paths.csv").read_bytes()
+
+
+def test_paths_raises_the_first_failing_path_at_any_thread_count(config_file, tmp_path):
+    # paths 11, 14, 20 and 21 start where the table cannot jump; two
+    # workers split the 24 paths at 12, so both chunks fail, the second
+    # one sooner
+    path = _write_stranded_table(tmp_path, config_file)
+    with open(path, "a") as fh:
+        fh.write("\n[paths]\nn_paths = 24\nfree_space = false\n")
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["paths", "--config", path, "--out", str(out), "--threads", threads]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigurationError"
+        assert "zero jump rate at x=0.4674105075080861" in err["message"]
 
 
 def test_exit_codes(config_file, tmp_path):
@@ -630,12 +669,12 @@ def test_compare_checkpoint_at_zero(config_file, tmp_path):
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_2_with_error_json(config_file, tmp_path, monkeypatch, threads):
-    # only the Monte Carlo subcommands use the flag; compare stops before
-    # it solves
+    # only the Monte Carlo subcommands (simulate, compare and paths) use
+    # the flag; solve ignores it, and compare stops before it solves
     path = config_file(n_paths__="100")
     assert main(["solve", "--config", path, "--threads", threads]) == 0
     monkeypatch.setattr(solver, "evolve", lambda *a, **k: pytest.fail("solved with no workers"))
-    for command in ("simulate", "compare"):
+    for command in ("simulate", "compare", "paths"):
         assert main([command, "--config", path, "--threads", threads]) == 2
         err = json.loads((tmp_path / "out" / "error.json").read_text())
         assert err["error"] == "ConfigurationError"

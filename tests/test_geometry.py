@@ -174,6 +174,16 @@ def test_grid_rejects_underresolved_horizon():
         build_grid(part, -0.1)
 
 
+def test_grid_cells_are_never_wider_than_h():
+    # a 0.37 component gets two cells, not one 0.37 wide; a length that is
+    # a whole number of h up to rounding (1.1 / 0.1 = 11.000000000000002)
+    # keeps that count
+    part = DomainPartition.build([(0.0, 1.0), (1.5, 1.87)], horizon=1.0, absorbing="full")
+    grid = build_grid(part, 0.25)
+    assert grid.n_cells == 6 and grid.widths.max() == 0.25
+    assert build_grid(DomainPartition.build([(0.0, 1.1)], horizon=1.0), 0.1).n_cells == 11
+
+
 def test_grid_refits_width_per_component():
     # component lengths 1 and 0.7 cannot share one exact width
     part = DomainPartition.build([(0.0, 1.0), (1.5, 2.2)], horizon=1.0, absorbing="full")

@@ -9,6 +9,8 @@ specified null distribution.
 import dataclasses
 import hashlib
 import itertools
+import os
+import time
 from unittest import mock
 
 import numpy as np
@@ -236,6 +238,36 @@ def test_reproducible_across_worker_counts(analytic_kernel, analytic_partition):
         assert np.array_equal(runs[0].exit_time, other.exit_time)
         assert np.array_equal(runs[0].x0, other.x0)
         assert np.array_equal(runs[0].jumps, other.jumps)
+
+
+def _chunk_pid(first, stop):
+    time.sleep(0.5)  # long enough that each worker of the pool takes one chunk
+    return first, stop, os.getpid()
+
+
+def _chunk_error(first, stop):
+    if first == 0:
+        time.sleep(0.5)  # the later chunk raises first
+    raise ValueError(f"chunk {first}")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: map_chunks runs one chunk")
+def test_map_chunks_runs_each_chunk_in_a_worker_process():
+    chunks = mc.map_chunks(_chunk_pid, 5, workers=2)
+    assert [chunk[:2] for chunk in chunks] == [(0, 3), (3, 5)]
+    pids = {chunk[2] for chunk in chunks}
+    assert len(pids) == 2 and os.getpid() not in pids
+
+
+def test_map_chunks_returns_chunk_order_and_raises_the_first_chunk_error():
+    two = (os.cpu_count() or 1) >= 2
+    assert mc.map_chunks(range, 5, workers=2) == ([range(0, 3), range(3, 5)] if two
+                                                  else [range(0, 5)])
+    # one chunk runs in this process: the lambda need not pickle
+    assert mc.map_chunks(lambda first, stop: (first, stop), 5, workers=1) == [(0, 5)]
+    assert mc.map_chunks(lambda first, stop: (first, stop), 1, workers=4) == [(0, 1)]
+    with pytest.raises(ValueError, match="chunk 0"):
+        mc.map_chunks(_chunk_error, 4, workers=2)
 
 
 def test_exit_times_anderson_darling_exponential(analytic_ensemble):
