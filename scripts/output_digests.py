@@ -2,8 +2,9 @@
 """Digest every output file of a sweep of CLI runs, to compare two checkouts.
 
 Runs every subcommand of ``jumpexit.cli.main`` once for each config,
-seed and thread count given, each run into a directory of its own, and
-prints one line per output file, sorted::
+seed and thread count given, each run into a directory of its own
+(``verify`` with ``--dump-operator``, so the assembled matrix is digested
+too), and prints one line per output file, sorted::
 
     config subcommand seed threads exit_code file sha256
 
@@ -40,6 +41,7 @@ def sweep(configs, seeds, threads, work: Path) -> list[str]:
         out = work / str(k)
         argv = [command, "--config", config, "--out", str(out),
                 "--seed", str(seed), "--threads", str(n)]
+        argv += ["--dump-operator"] if command == "verify" else []
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli_main(argv)
         head = f"{config} {command} {seed} {n} {code}"

@@ -13,9 +13,10 @@ Subcommands::
                with per-checkpoint z-scores, exit 4 when any |z| > 3
 
 Exit codes: 0 success, 2 configuration/validation failure (an output
-directory that cannot be made or written included), 3 numerical failure,
-4 verification-check failure. Failures also leave a
-machine-readable ``error.json`` in the output directory when possible.
+directory that cannot be made or written, or a configured size that does
+not fit in memory, included), 3 numerical failure, 4 verification-check
+failure. Failures also leave a machine-readable ``error.json`` in the
+output directory when possible.
 
 Everything a run writes is deterministic for a fixed config and seed, and
 every file starts with a comment echoing the resolved-config hash.
@@ -208,7 +209,7 @@ def cmd_verify(cfg: RunConfig, dump_operator: bool = False) -> int:
         record("censored_mass_constant",
                float(np.max(np.abs(traj.survival - traj.survival[0]))), 1e-12)
 
-    if cfg.kernel.symmetric and np.ptp(op.widths) == 0.0:
+    if op.a_star is op.a_gen:  # assembly's rule: one matrix serves both directions
         asym = abs(op.a_gen - op.a_gen.T).max()
         record("symmetric_matrix", float(asym) / norm, 1e-12)
 
@@ -328,6 +329,10 @@ def main(argv=None) -> int:
     except OSError as exc:  # preparing or writing the outputs
         print(f"output error: {exc}", file=sys.stderr)
         _report_error(cfg.out_dir, "OSError", exc)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # the configured grid or ensemble does not fit
+        print(f"out of memory: {exc}", file=sys.stderr)
+        _report_error(cfg.out_dir, "MemoryError", exc)
         return EXIT_CONFIG
 
 

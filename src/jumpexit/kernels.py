@@ -33,9 +33,9 @@ from the same piece classes, each piece's fields held as arrays over the
 points it reaches in place of floats. The arithmetic is the scalar law's,
 and power-law powers go through Python floats, so every point's law is bit
 for bit the scalar one. ``JumpKernel.jump_support`` gives the
-displacements a jump can take, from the pieces that carry mass; the walks
-read it to refuse an infinite ``t_max`` for a domain part whose jumps
-cannot lead to the absorbing set.
+displacements a jump of a translation-invariant kernel can take, from the
+pieces that carry mass; the walks read it to refuse an infinite ``t_max``
+for a domain part whose jumps cannot lead to the absorbing set.
 
 Kernels are immutable and safe to share across workers; sampling state
 lives entirely in the caller-supplied generator.
@@ -324,18 +324,16 @@ class JumpKernel:
             total[rows] += m  # rows are distinct within a column
         return JumpLaws(xs, columns, masses, total)
 
-    def _support_at(self, x: float) -> list:
-        """The displacement intervals of the pieces of gamma(x, .) that
-        carry mass."""
-        law = self.jump_law(x)
-        return [(law.pieces[k].lo - x, law.pieces[k].hi - x)
-                for k, m in enumerate(law.masses) if m > 0.0]
-
     def jump_support(self) -> Intervals:
         """The displacements y - x that a jump can take, as open intervals:
-        where the pieces of the law carry mass. The whole horizon ball for
-        the uniform and power-law families."""
-        return Intervals.from_pairs(self._support_at(0.0))
+        where the pieces of gamma(0, .) carry mass. The whole horizon ball
+        for the uniform and power-law families. A translation-invariant
+        kernel only: a bivariate table's support moves with x."""
+        if not self.translation_invariant:
+            raise ValueError("jump_support needs a translation-invariant kernel")
+        law = self.jump_law(0.0)
+        return Intervals.from_pairs([(law.pieces[k].lo, law.pieces[k].hi)
+                                     for k, m in enumerate(law.masses) if m > 0.0])
 
     def total_rate(self, x: float, region: Intervals | None = None) -> float:
         """Integral of gamma(x, .) over ``region`` (all space when None)."""
@@ -536,17 +534,6 @@ class TabulatedKernel(JumpKernel):
         mirrored = np.interp(-z, z, v, left=0.0, right=0.0)
         scale = max(float(v.max()), 1e-300)
         return bool(np.max(np.abs(v - mirrored)) <= 1e-12 * scale)
-
-    def jump_support(self) -> Intervals:
-        """A bivariate table's support moves with x: the widest one over its
-        x nodes, from the lowest to the highest displacement any node's law
-        charges. That bounds each node's support, not the rows between or
-        beyond the nodes, which mix or clamp the nodes' rows."""
-        if self.translation_invariant:
-            return super().jump_support()
-        ends = [end for x in self.x_nodes.tolist() for piece in self._support_at(x)
-                for end in piece]
-        return Intervals.from_pairs([(min(ends), max(ends))] if ends else [])
 
     def _cdf(self, x, d):
         d = np.minimum(np.maximum(d, -self.horizon), self.horizon)

@@ -130,6 +130,10 @@ def _check_ends(kernel: JumpKernel, partition: DomainPartition | None, t_max: fl
         return
     if partition is None:
         why = "free space absorbs nothing"
+    elif not kernel.translation_invariant:
+        why = ("a bivariate kernel table has no one jump support to show that every walk is "
+               "absorbed; set a finite [mc] t_max, or leave it unset to censor the walk at 50 "
+               "times the largest mean exit time")
     elif (part := _stranded_part(kernel, partition)) is not None:
         why = f"no chain of jumps leads from the domain part {part} to the absorbing set"
     else:

@@ -13,8 +13,9 @@ the unreachable part of the collar are excluded from both gain and loss
 (censoring). The matrices and every vector hold one entry per domain cell.
 Generator rows sum to minus kappa, and the exit weights carry that rate out
 of the domain, so mass bookkeeping closes exactly at the semi-discrete
-level. The balance-law check rebuilds each cell's net two-point flux from
-the rates between domain cells and kappa to test both matrices against it.
+level. The operator keeps the two matrices and the kernel, not the rates
+they were built from: the balance-law check evaluates the rates again to
+test both matrices against each cell's net two-point flux.
 
 Two routes build the rates between domain cells, bit for bit alike, with
 one reach rule and one zero filter. For a translation-invariant kernel on
@@ -56,13 +57,11 @@ class DiscreteOperator:
     both ``n_cells x n_cells``; ``exit_weights`` is the flux into the
     absorbing set per unit density on each cell, the killing rate times
     the width, so the absorbed flux of a density ``u`` is ``exit_weights @
-    u``. ``domain_rows`` (``n_cells x n_cells``) keeps the cell-average rate
-    densities between domain cells (row = source, column = target), the
-    rows both matrices were built from.
+    u``; ``kernel`` is the kernel the matrices were assembled from.
 
     ``a_star`` may be the very object ``a_gen`` is (a symmetric kernel on
-    domain cells of one width), so the arrays of all three matrices are
-    read-only: a change meant for one would reach the other.
+    domain cells of one width), so the arrays of both are read-only: a
+    change meant for one would reach the other.
     """
 
     centers: np.ndarray
@@ -70,8 +69,7 @@ class DiscreteOperator:
     a_star: sp.csr_matrix
     a_gen: sp.csr_matrix
     exit_weights: np.ndarray
-    domain_rows: sp.csr_matrix
-    horizon: float
+    kernel: JumpKernel
     _gen_lu: object = field(default=None, repr=False)
 
     @property
@@ -228,7 +226,8 @@ def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> Disc
     """Assemble forward/backward matrices for the censored-and-absorbed
     process on the domain cells of ``grid``: the rates between those cells,
     and the killing rate from the kernel's CDF over the intervals of
-    ``partition.absorbing``."""
+    ``partition.absorbing``. The rates are scaled in place into the
+    generator, after the forward matrix is built from their transpose."""
     if abs(kernel.horizon - partition.horizon) > 1e-12 * max(1.0, partition.horizon):
         raise ConfigurationError(
             f"kernel horizon {kernel.horizon} does not match the domain "
@@ -242,18 +241,16 @@ def assemble(kernel: JumpKernel, grid: Grid, partition: DomainPartition) -> Disc
     minus_loss = sp.diags(-(rows @ w + kappa))
     if kernel.symmetric and np.all(w == w[0]):
         # v_ji = v_ij bit for bit, so A_fwd = A_bwd entry for entry: one matrix
-        a_gen = a_star = _scale_columns(rows.copy(), w) + minus_loss
+        a_gen = a_star = _scale_columns(rows, w) + minus_loss
     else:
         a_star = _scale_columns(rows.T.tocsr(), w) + minus_loss   # A_fwd[i, j] = v_ji w_j
-        a_gen = _scale_columns(rows.copy(), w) + minus_loss       # A_bwd[i, j] = v_ij w_j
-    for a in (rows, a_gen, a_star):  # one matrix may serve as both: none may change
+        a_gen = _scale_columns(rows, w) + minus_loss              # A_bwd[i, j] = v_ij w_j
+    for a in (a_gen, a_star):  # one matrix may serve as both: neither may change
         for array in (a.data, a.indices, a.indptr):
             array.setflags(write=False)
 
-    return DiscreteOperator(
-        centers=x, widths=w, a_star=a_star, a_gen=a_gen, exit_weights=kappa * w,
-        domain_rows=rows, horizon=kernel.horizon,
-    )
+    return DiscreteOperator(centers=x, widths=w, a_star=a_star, a_gen=a_gen,
+                            exit_weights=kappa * w, kernel=kernel)
 
 
 def adjoint_check(op: DiscreteOperator, trials: int = 100, rng=None) -> float:
@@ -288,14 +285,15 @@ def balance_check(op: DiscreteOperator, u: np.ndarray) -> float:
     gain carried in from every domain cell minus the loss carried out to
     every domain cell and into the absorbing set. The generator mirrors it
     with ``sum_j v_ij w_j (u_j - u_i) - kappa_i u_i``. Both sides are
-    rebuilt from ``op.domain_rows`` and the killing rate alone, in O(nnz)
-    and without a new matrix, and compared with ``A_fwd u`` and ``A_bwd u``
-    relative to each product's largest entry; the larger defect is
-    returned. ``u`` is a domain vector; the volume constraint holds the
-    density at zero on the absorbing set.
+    rebuilt from the killing rate and the rates ``v``, which ``_rate_rows``
+    evaluates again from ``op.kernel`` as assembly did, bit for bit, in
+    O(nnz) and without a dense array, and compared with ``A_fwd u`` and
+    ``A_bwd u`` relative to each product's largest entry; the larger
+    defect is returned. ``u`` is a domain vector; the volume constraint
+    holds the density at zero on the absorbing set.
     """
     u = op.domain_vector(u, "u")
-    rows = op.domain_rows
+    rows = _rate_rows(op.kernel, op.centers, op.widths)
     uw = u * op.widths
     loss = u * (rows @ op.widths + op.killing_rate)  # u_i (sum_j v_ij w_j + kappa_i)
     gain = rows.T @ uw                                # sum_j v_ji w_j u_j
@@ -327,7 +325,7 @@ def dump_operator(op: DiscreteOperator, csv_path, meta_path) -> None:
             fh.write(f"{i},{j},{v:.17g}\n")
     meta = {
         "n_cells": int(op.n_cells),
-        "horizon": op.horizon,
+        "horizon": op.kernel.horizon,
         "centers": [float(c) for c in op.centers],
         "widths": [float(w) for w in op.widths],
     }

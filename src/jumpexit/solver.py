@@ -199,11 +199,16 @@ def coercivity_sigma(op: DiscreteOperator) -> SigmaEstimate:
     """
     sw = np.sqrt(op.widths)
     if _is_dense(op.a_gen):
-        m = -op.a_gen.toarray()
-        c = (sw[:, np.newaxis] * m) / sw[np.newaxis, :]
+        # 0.5 (c + c^T), c = (sw * -a) / sw, in one array and the same IEEE
+        # operations: (-a) s = -(a s), and numpy buffers the overlapping b.T
+        b = op.a_gen.toarray()
+        b *= -sw[:, np.newaxis]
+        b /= sw[np.newaxis, :]
+        b += b.T
+        b *= 0.5
     else:  # ARPACK's shift-invert factors a sparse b with SuperLU
         c = sp.diags(sw) @ -op.a_gen @ sp.diags(1.0 / sw)
-    b = 0.5 * (c + c.T)
+        b = 0.5 * (c + c.T)
     norm_b = float(abs(b).max()) or 1.0
     try:
         with warnings.catch_warnings():

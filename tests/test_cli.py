@@ -384,6 +384,23 @@ def test_eigensolver_failure_exits_3_with_error_json(config_file, tmp_path, monk
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, module, name", [
+    ("solve", operators, "assemble"), ("simulate", mc, "simulate_ensemble")])
+def test_out_of_memory_exits_2_with_error_json(config_file, tmp_path, monkeypatch, capsys,
+                                               command, module, name):
+    # a configured grid or ensemble too large for memory is the config's
+    # fault, not a traceback; stand-ins raise as numpy does, allocating nothing
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 12.0 GiB for an array")
+
+    monkeypatch.setattr(module, name, fail)
+    assert main([command, "--config", config_file()]) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err == {"error": "MemoryError", "message": "Unable to allocate 12.0 GiB for an array"}
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("out of memory: ") and stderr.count("\n") == 1
+
+
 def test_banded_block_verifies_without_densifying(config_file, tmp_path, monkeypatch):
     # horizon 1/16 at h = 1/256: each domain row couples about 32 of 256 cells
     path = config_file(lambda__="0.0625", h__="0.00390625")
@@ -569,6 +586,32 @@ def test_a_part_the_kernel_support_cannot_leave_exits_2(config_file, tmp_path):
         assert ("x=1.5625" if command == "moments" else "(1.5, 2.5)") in err["message"]
 
 
+def test_a_bivariate_table_at_infinite_t_max_exits_2(config_file, tmp_path):
+    # every jump from (3, 4) lands in (3.1, 3.8], so no walk from there is
+    # absorbed; the widest support over the x nodes, (-0.9, 0.6), once let
+    # (3, 4) "reach" the absorbing [2.5, 3], and simulate walked forever
+    y = [-0.5, 0.5, 0.6, 3.1, 3.2, 3.8]
+    rows = {0.0: [1, 1, 0, 0, 0, 0], 4.0: [0, 0, 0, 0, 1, 1]}
+    table = tmp_path / "bivariate.csv"
+    table.write_text("".join(f"{x},{yj},{v}\n" for x, row in rows.items()
+                             for yj, v in zip(y, row)))
+    path = _tabulated_config(config_file, tmp_path, table)
+    text = (Path(path).read_text().replace("t_max = 500.0", "t_max = inf")
+            .replace("omega = [[0.0, 1.0]]", "omega = [[0.0, 1.0], [3.0, 4.0]]")
+            .replace("omega_d = full", "omega_d = [[-1.0, 0.0], [2.5, 3.0]]")
+            .replace("h = 0.015625", "h = 0.125").replace("n_paths = 5000", "n_paths = 50"))
+    Path(path).write_text(text)
+    cfg = load_config(path)
+    with pytest.raises(ConfigurationError, match=r"needs a finite t_max.*bivariate kernel table"
+                                                 r".*set a finite \[mc\] t_max, or leave it unset"):
+        mc._check_ends(cfg.kernel, cfg.partition, cfg.t_max)  # fails fast where it would hang
+    for command in ("simulate", "compare"):
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigurationError" and "finite t_max" in err["message"]
+
+
 def test_infinite_t_max_simulates_on_absorbing_domain(config_file, tmp_path):
     # every walk is absorbed, so no censoring horizon is needed
     path = config_file(t_max__="inf", n_paths__="200")
@@ -748,8 +791,9 @@ def test_compare_assembles_one_operator(config_file, monkeypatch):
 def test_verify_evaluates_domain_rows_only(config_file, monkeypatch):
     # the density verify checks vanishes on the absorbing set, so no stage
     # needs a kernel row out of an absorbing cell: on this grid of one
-    # dyadic width the whole run evaluates the kernel once, at the offsets
-    # from a source at 0
+    # dyadic width the run evaluates the kernel twice, each time at the
+    # offsets from a source at 0, once to assemble the operator and once
+    # to rebuild its rates for the balance check
     from jumpexit.kernels import CompoundPoissonUniform
     calls, ops = [], []
     quadrature, assemble = CompoundPoissonUniform.quadrature_values, operators.assemble
@@ -767,7 +811,7 @@ def test_verify_evaluates_domain_rows_only(config_file, monkeypatch):
     assert main(["verify", "--config", config_file()]) == 0
     (op,) = ops
     assert op.exit_weights.min() > 0.0  # every cell jumps into the absorbing set
-    assert calls == [0.0]
+    assert calls == [0.0, 0.0]
 
 
 def test_verify_leaves_the_shared_matrix_unchanged(config_file, tmp_path, monkeypatch):

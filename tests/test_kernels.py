@@ -32,13 +32,14 @@ def test_jump_support_is_where_the_law_has_mass():
     table = TabulatedKernel(horizon=1.0, displacements=np.array([-0.6, -0.2, 0.1, 0.5]),
                             values=np.array([1.0, 0.0, 0.0, 2.0]))
     assert table.jump_support().bounds == ((-0.6, -0.2), (0.1, 0.5))
-    # a bivariate table: from the lowest to the highest displacement any x
-    # node's law charges, (-0.5, 0.5) at x = 0 and (-1, 0.5) at x = 1
+    # a bivariate table's support moves with x, and no one set of
+    # displacements bounds the rows between or beyond its x nodes
     bivariate = TabulatedKernel(horizon=1.0, x_nodes=np.array([0.0, 1.0]),
                                 y_nodes=np.array([-0.5, 0.0, 0.5, 1.5]),
                                 grid_values=np.array([[1.0, 1.0, 0.0, 0.0],
                                                       [0.0, 0.0, 1.0, 1.0]]))
-    assert bivariate.jump_support().bounds == ((-1.0, 0.5),)
+    with pytest.raises(ValueError, match="translation-invariant"):
+        bivariate.jump_support()
 
 
 # --- cell averages ----------------------------------------------------------

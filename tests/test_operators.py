@@ -2,7 +2,9 @@
 identities: adjointness, balance laws, flux bookkeeping, sign structure."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from conftest import kernel_cases
 from jumpexit.errors import ConfigurationError
 from jumpexit.geometry import DomainPartition, Intervals, build_grid
 from jumpexit.kernels import CompoundPoissonUniform, JumpKernel, TabulatedKernel, TruncatedStable
-from jumpexit.operators import (_offset_rows, _row_loop, adjoint_check, assemble, balance_check,
+from jumpexit import operators
+from jumpexit.operators import (DiscreteOperator, _offset_rows, _rate_rows, _row_loop,
+                                adjoint_check, assemble, balance_check,
                                 divergence_theorem_check, dump_operator)
 from jumpexit.solver import (_cell_without_exit, coercivity_sigma, evolve, exit_moments,
                              uniform_density)
@@ -53,7 +57,7 @@ def test_zero_kernel_gives_zero_rows():
                            values=np.zeros(9))
     op = make_op(zero)
     # only the domain block is stored, and it is all zero
-    assert op.a_star.shape == op.domain_rows.shape == (op.n_cells, op.n_cells)
+    assert op.a_star.shape == op.a_gen.shape == (op.n_cells, op.n_cells)
     assert np.all(op.a_star.toarray() == 0.0)
     assert op.exit_weights.shape == (op.n_cells,)
     assert np.all(op.killing_rate == 0.0)
@@ -179,19 +183,28 @@ def test_matrices_match_dense_two_point_flux(balance_case):
     assert balance_check(op, u) <= 1e-12
 
 
-def _zero_row(op, k):
-    rows = op.domain_rows.copy()
-    rows.data[rows.indptr[k]:rows.indptr[k + 1]] = 0.0
-    return rows
+def _zero_rate_row(op, k):
+    """Both matrices as if the rates out of cell k were lost: the
+    off-diagonal entries of row k of A_bwd and of column k of A_fwd."""
+    gen, fwd = op.a_gen.toarray(), op.a_star.toarray()
+    diagonal = gen[k, k], fwd[k, k]
+    gen[k, :] = 0.0
+    fwd[:, k] = 0.0
+    gen[k, k], fwd[k, k] = diagonal
+    return {"a_gen": sp.csr_matrix(gen), "a_star": sp.csr_matrix(fwd)}
 
 
 @pytest.mark.parametrize("mutation", [
     lambda op: {"a_star": op.a_star * (1 + 1e-8)},
     lambda op: {"a_gen": op.a_gen * (1 + 1e-8)},
     lambda op: {"a_star": op.a_gen, "a_gen": op.a_star},
-    lambda op: {"domain_rows": _zero_row(op, op.n_cells // 3)},
-], ids=["a_star_scaled", "a_gen_scaled", "swapped", "zeroed_domain_row"])
+    lambda op: _zero_rate_row(op, op.n_cells // 3),
+    lambda op: {"kernel": dataclasses.replace(op.kernel, values=op.kernel.values * (1 + 1e-8))},
+], ids=["a_star_scaled", "a_gen_scaled", "swapped", "zeroed_domain_row", "kernel_rates_scaled"])
 def test_balance_check_catches_corrupted_operator(mutation):
+    # the check rebuilds the rates from op.kernel, so the matrices are
+    # caught when they stray from the kernel, and so is a kernel that is
+    # not the one they were assembled from
     op = make_op(asym_kernel(), h=1 / 16)
     u = random_density(op, seed=5)
     assert balance_check(op, u) <= 1e-12
@@ -310,7 +323,7 @@ def test_cell_rates_match_the_jump_law_pieces(case):
     # collar included)
     kernel, part, _ = case
     op = assemble(kernel, build_grid(part, _property_h(kernel, part, 8)), part)
-    loss = op.domain_rows @ op.widths + op.killing_rate
+    loss = -op.a_gen.diagonal()
     scale = max(float(loss.max()), 1e-300)
     for k, (x, w) in enumerate(zip(op.centers, op.widths)):
         own = Intervals(((x - 0.5 * w, x + 0.5 * w),))
@@ -357,15 +370,16 @@ def all_cells_reference(kernel, partition, h):
 
 
 def assert_matches_reference(op, ref):
-    """The domain block of the all-cells reference is ``op.domain_rows``,
-    and the matrices' off-diagonal entries are its rates times the target
+    """The domain block of the all-cells reference is the rates that
+    ``_rate_rows`` rebuilds from ``op.kernel`` for the balance check, and
+    the matrices' off-diagonal entries are its rates times the target
     widths, bit for bit; the killing rate is the reference's rates summed
     over the absorbing cells, and each diagonal entry minus the loss, to
     rounding."""
     dom, absorbing, w_all = ref["domain"], ref["absorbing"], ref["widths"]
     from_domain = ref["values"][dom]
     block = from_domain[:, dom]
-    got = op.domain_rows
+    got = _rate_rows(op.kernel, op.centers, op.widths)
     assert got.shape == block.shape
     assert np.array_equal(got.indptr, block.indptr)
     assert np.array_equal(got.indices, block.indices)
@@ -489,7 +503,46 @@ def test_assembly_evaluates_domain_rows_only(stable_kernel_05, monkeypatch):
     ((x, offsets),) = calls
     k = offsets / h
     assert x == 0.0 and np.array_equal(k, np.rint(k)) and np.all(k != 0)
-    assert op.domain_rows.nnz > offsets.size
+    assert op.a_gen.nnz > offsets.size
+
+
+@pytest.mark.parametrize("kernel", [CompoundPoissonUniform(rate=0.2, horizon=1.0), asym_kernel(),
+                                    bivariate_short_table()],
+                         ids=["symmetric", "asymmetric", "bivariate"])
+def test_the_operator_keeps_no_third_matrix(kernel, monkeypatch):
+    # the rates are scaled in place into the generator: nothing holds
+    # them once assembly returns, and the operator holds its two matrices,
+    # its cells, its exit weights and its kernel (whose horizon it is)
+    refs, rate_rows = [], operators._rate_rows
+
+    def keeping(*args):
+        rows = rate_rows(*args)
+        refs.append(weakref.ref(rows))
+        return rows
+
+    monkeypatch.setattr(operators, "_rate_rows", keeping)
+    op = make_op(kernel, h=1 / 16)
+    gc.collect()
+    (ref,) = refs
+    assert ref() is None
+    assert [f.name for f in dataclasses.fields(DiscreteOperator) if not f.name.startswith("_")] == [
+        "centers", "widths", "a_star", "a_gen", "exit_weights", "kernel"]
+    assert op.kernel is kernel
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=kernel_cases(), cells_per_horizon=st.sampled_from([6, 8, 12]))
+def test_the_balance_check_rebuilds_the_assembled_rates(case, cells_per_horizon):
+    # the rates the balance check evaluates again from op.kernel, times the
+    # target widths, are the off-diagonal entries of A_bwd bit for bit, and
+    # through the transpose (v_ji w_j) those of A_fwd
+    kernel, part, _ = case
+    op = assemble(kernel, build_grid(part, _property_h(kernel, part, cells_per_horizon)), part)
+    rates = _rate_rows(op.kernel, op.centers, op.widths).toarray()
+    for a, v in ((op.a_gen, rates), (op.a_star, rates.T)):
+        a = a.toarray()
+        np.fill_diagonal(a, 0.0)
+        assert a.tobytes() == (v * op.widths).tobytes()
 
 
 def test_one_matrix_serves_both_directions_and_nothing_changes_it(tmp_path):

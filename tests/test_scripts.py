@@ -92,6 +92,8 @@ def test_output_digests_repeat_and_do_not_depend_on_threads(tmp_path, case):
     assert one.keys() == two.keys()
     assert {name for command, _, name in one if command == "simulate"} == {
         "ensemble.csv", "mc_survival.csv", "resolved.ini"}
+    assert {name for command, _, name in one if command == "verify"} == {
+        "operator.csv", "operator_meta.json", "resolved.ini", "sigma.txt", "verify_report.json"}
     for key in one:
         if key[0] in ("simulate", "compare"):
             assert one[key] == two[key], key

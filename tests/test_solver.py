@@ -11,10 +11,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
 from conftest import EXIT_RATE, exp_survival, point_mass
-from jumpexit import operators
+from jumpexit import operators, solver
 from jumpexit.errors import ConfigurationError, NumericalError
 from jumpexit.geometry import DomainPartition, build_grid
-from jumpexit.kernels import CompoundPoissonUniform
+from jumpexit.kernels import CompoundPoissonUniform, TabulatedKernel
 from jumpexit.operators import _factor, assemble
 from jumpexit.solver import (DensityTrajectory, coercivity_sigma, evolve, exit_moments,
                              mean_exit_time, on_step_grid, uniform_density)
@@ -342,6 +342,29 @@ def _symmetrized_block(op):
     sw = np.sqrt(op.widths)
     c = sw[:, None] * -op.a_gen.toarray() / sw[None, :]
     return 0.5 * (c + c.T)
+
+
+@pytest.mark.parametrize("case", ["symmetric", "mixed_widths", "asymmetric"])
+def test_sigma_dense_block_is_the_two_array_formula_bit_for_bit(case, monkeypatch):
+    # the dense block is built in one array, and must be 0.5 (c + c^T)
+    # with c = W^1/2 (-A) W^-1/2, formed array by array, entry for entry
+    z = np.linspace(-1.0, 1.0, 41)
+    kernel = (TabulatedKernel(horizon=1.0, displacements=z, values=np.where(z > 0, 0.35, 0.15))
+              if case == "asymmetric" else CompoundPoissonUniform(rate=0.2, horizon=1.0))
+    omega = [(0.0, 1.0), (1.6, 2.4)] if case == "mixed_widths" else [(0.0, 1.0)]
+    part = DomainPartition.build(omega, horizon=1.0, absorbing="full")
+    op = assemble(kernel, build_grid(part, 1 / 16), part)
+    assert operators._is_dense(op.a_gen) and (np.ptp(op.widths) > 0) == (case == "mixed_widths")
+    blocks, eigsh = [], solver.eigsh
+
+    def keeping(b, *args, **kwargs):
+        blocks.append(b.copy())
+        return eigsh(b, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "eigsh", keeping)
+    coercivity_sigma(op)
+    (b,) = blocks
+    assert b.tobytes() == _symmetrized_block(op).tobytes()
 
 
 @pytest.mark.parametrize("kernel", ["stable_kernel_05", "stable_kernel_15"])
