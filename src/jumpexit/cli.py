@@ -153,17 +153,20 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> int:
 
 def _path_lines(cfg: RunConfig, t_max: float, first: int, stop: int) -> str:
     """The ``paths.csv`` lines of paths ``first .. stop-1``; path i draws
-    from ``path_rng(seed, i)`` alone."""
-    partition = None if cfg.paths_free_space else cfg.partition  # None: free space
-    rows = []
-    for i in range(first, stop):
-        rng = mc.path_rng(cfg.seed, i)
-        if cfg.paths_brownian:
-            path = mc.brownian_path(0.0, rng, t_max, n_steps=cfg.paths_n_steps)
-        else:
-            x0 = 0.0 if partition is None else partition.domain.sample_uniform(rng)
-            path = mc.simulate_path(cfg.kernel, x0, rng, t_max, partition=partition)
-        rows.extend([i, t, x] for t, x in zip(path.times, path.positions))
+    from ``path_rng(seed, i)`` alone. Jump-process paths are recorded by
+    the lockstep walk (``mc._walk``) in free space or in the configured
+    domain; Brownian ones by ``brownian_path``, path by path."""
+    if cfg.paths_brownian:
+        rows = []
+        for i in range(first, stop):
+            path = mc.brownian_path(0.0, mc.path_rng(cfg.seed, i), t_max,
+                                    n_steps=cfg.paths_n_steps)
+            rows.extend([i, t, x] for t, x in zip(path.times, path.positions))
+    else:
+        partition = None if cfg.paths_free_space else cfg.partition  # None: free space
+        *_, (ids, times, positions) = mc._walk(cfg.kernel, partition, cfg.seed, t_max,
+                                               first, stop, record=True)
+        rows = zip(ids.tolist(), times.tolist(), positions.tolist())
     return "".join(_csv_lines(rows))
 
 

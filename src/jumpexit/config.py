@@ -18,7 +18,12 @@ from .errors import ConfigurationError
 from .geometry import DomainPartition, Grid, Intervals, build_grid
 from .kernels import (CompoundPoissonUniform, JumpKernel, TruncatedStable,
                       load_tabulated_csv)
-from .solver import on_step_grid
+
+
+def on_step_grid(t: float, dt: float) -> bool:
+    """Whether ``t`` is a whole number of steps ``dt``, to relative 1e-9."""
+    return abs(round(t / dt) * dt - t) <= 1e-9 * t
+
 
 _DEFAULTS = {
     "solver": {"scheme": "implicit_euler", "dt": 0.01, "t_end": 50.0, "k_max": 1},

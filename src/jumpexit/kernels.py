@@ -199,7 +199,11 @@ def _clip_column(rows, p, rlo, rhi):
     keep = hi > lo
     if not keep.any():
         return None
-    p = p.clip(lo, hi)
+    return _kept_rows(rows, p.clip(lo, hi), keep)
+
+
+def _kept_rows(rows, p, keep):
+    """The column ``(rows, p)`` on the rows where ``keep`` holds."""
     return (rows, p) if keep.all() else (rows[keep], _take(p, keep))
 
 
@@ -311,12 +315,15 @@ class JumpKernel:
         pieces, masses = self._pieces(x, region)
         return JumpLaw(x, pieces, masses, float(sum(masses)))
 
-    def jump_laws(self, xs: np.ndarray, region: Intervals) -> JumpLaws:
+    def jump_laws(self, xs: np.ndarray, region: Intervals | None) -> JumpLaws:
         """``jump_law(x, region)`` for every point x of ``xs``, in one pass
-        over the pieces."""
+        over the pieces; with no region, the pieces with ``hi > lo``."""
         xs = np.asarray(xs, dtype=float)
-        clipped = (_clip_column(rows, p, rlo, rhi)
-                   for rows, p in self._piece_columns(xs) for rlo, rhi in region.bounds)
+        if region is None:
+            clipped = (_kept_rows(rows, p, p.hi > p.lo) for rows, p in self._piece_columns(xs))
+        else:
+            clipped = (_clip_column(rows, p, rlo, rhi)
+                       for rows, p in self._piece_columns(xs) for rlo, rhi in region.bounds)
         columns = [c for c in clipped if c is not None]
         masses = [p.mass() for _, p in columns]
         total = np.zeros(xs.size)

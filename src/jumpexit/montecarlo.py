@@ -4,17 +4,21 @@ Each path draws exponential waits at the local censored jump rate (the
 rate integral over domain + absorbing set only, so jumps into the
 unreachable collar never occur) and lands by exact inverse-CDF sampling.
 A path ends when it lands in the absorbing set, or is censored at ``t_max``.
+In free space (no partition) a path starts at 0, jumps anywhere and ends
+only at ``t_max``.
 
-Ensembles walk in lockstep, one chunk of paths per worker: each step
-builds one batched ``JumpLaws`` for the positions of every live path of
-the batch, takes every path's wait and landing from it, and drops the
-paths that were absorbed or censored; a half-empty batch takes in the
-chunk's next paths. Jump counts have a long tail, so most steps would
-carry a few live paths and still pay the whole step's numpy overhead
-(about 0.3 ms, against about 10 us for one scalar law): once every path
-of the chunk has joined and at most ``_TAIL`` (32) are live, each of
-those finishes alone on the scalar ``JumpLaw`` walk, ``_walk_path``.
-``simulate_path`` records its few long paths on the same walk.
+One loop, ``_walk``, walks the paths of an ensemble and the sample paths
+of the ``paths`` subcommand, which it also records, in lockstep, one chunk
+of paths per worker: each step builds one batched ``JumpLaws`` for the
+positions of every live path of the batch, takes every path's wait and
+landing from it, and drops the paths that were absorbed or censored; a
+half-empty batch takes in the chunk's next paths. Jump counts have a long
+tail, so most steps would carry a few live paths and still pay the whole
+step's numpy overhead (about 0.3 ms, against about 10 us for one scalar
+law): once every path of the chunk has joined and at most ``_TAIL`` (32)
+are live, each of those finishes alone on the scalar ``JumpLaw`` walk,
+``_walk_path``. ``simulate_path`` records one free-space path on the
+scalar walk.
 
 ``map_chunks`` cuts the paths of an ensemble, or of the ``paths``
 subcommand, into one chunk of consecutive paths per worker process.
@@ -149,9 +153,10 @@ def _walk_path(kernel: JumpKernel, partition: DomainPartition | None, x: float, 
     landing uniform from ``rng``. The path ends when it lands outside the
     domain and inside the absorbing set, as in the lockstep walk; with no
     partition it walks free space and ends only at ``t_max``. ``times`` and
-    ``positions``, when given, collect each jump's time and landing. Returns
-    the end time, the last position, the jumps made and whether the path was
-    censored. A zero rate is a ``ConfigurationError``.
+    ``positions``, when given, collect each jump's time and landing, and
+    ``(t_max, x)`` when the path is censored. Returns the end time, the
+    last position, the jumps made and whether the path was censored. A zero
+    rate is a ``ConfigurationError``.
     """
     region = None if partition is None else partition.reachable
     jumps = 0
@@ -162,6 +167,9 @@ def _walk_path(kernel: JumpKernel, partition: DomainPartition | None, x: float, 
             raise _stuck(x)
         t += rng.standard_exponential() / rate
         if t > t_max:
+            if times is not None:
+                times.append(t_max)
+                positions.append(x)
             return t_max, x, jumps, True
         x = law.sample(rng)
         jumps += 1
@@ -173,11 +181,13 @@ def _walk_path(kernel: JumpKernel, partition: DomainPartition | None, x: float, 
             return t, x, jumps, False
 
 
-def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: float,
-          first: int, stop: int) -> tuple[np.ndarray, ...]:
+def _walk(kernel: JumpKernel, partition: DomainPartition | None, seed: int, t_max: float,
+          first: int, stop: int, record: bool = False) -> tuple[np.ndarray, ...]:
     """Walk paths ``first .. stop-1`` until each is absorbed or censored.
     Path i draws from the stream of ``path_rng(seed, i)``: first its start,
-    uniform over the domain, as it joins the batch.
+    uniform over the domain, as it joins the batch. With no partition the
+    paths walk free space: each starts at 0 and draws no start, no region
+    clips its jumps and nothing absorbs it.
 
     Every lockstep step builds one batched jump law for all live positions,
     then draws every live path's exponential wait and then its uniform, in
@@ -189,16 +199,20 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: floa
     alone by ``_walk_path`` from its stream's state.
     A zero rate is a ``ConfigurationError``; when several paths fail, the
     first one's error is raised, as a path-by-path walk would raise it.
-    Returns ``x0, exit_time, exit_location, jumps, censored`` in path order.
+    Returns ``x0, exit_time, exit_location, jumps, censored`` in path order;
+    with ``record``, also the sample paths as three arrays ``(path, t, x)``
+    of rows in path order, then jump order: each path's start at t = 0, its
+    every jump, and then ``(t_max, x)`` if it was censored.
     """
     n = stop - first
-    region = partition.reachable
-    x0 = np.empty(n)
+    region = None if partition is None else partition.reachable
+    x0 = np.zeros(n)
     exit_time = np.zeros(n)  # elapsed time until the path ends
     exit_location = np.full(n, np.nan)
     jumps = np.zeros(n, dtype=np.int64)
     censored = np.zeros(n, dtype=bool)
     errors = {}
+    rows = []  # (ids, t, x) arrays, each path's rows in the order it made them
     ids = np.empty(0, dtype=np.int64)
     x = np.empty(0)
     streams = PathStreams.seeded(seed, first, first)
@@ -207,10 +221,13 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: floa
         if joined < n and ids.size <= _BATCH // 2:
             new = np.arange(joined, min(n, joined + _BATCH - ids.size))
             fresh = PathStreams.seeded(seed, first + joined, first + joined + new.size)
-            x0[new] = partition.domain.uniform_points(fresh.random())
+            if partition is not None:
+                x0[new] = partition.domain.uniform_points(fresh.random())
             streams.extend(fresh)
             ids, x = np.concatenate([ids, new]), np.concatenate([x, x0[new]])
             joined += new.size
+            if record:
+                rows.append((new, np.zeros(new.size), x0[new]))
         law = kernel.jump_laws(x, region)
         rate = law.total
         stuck = rate <= 0.0
@@ -227,15 +244,22 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: floa
         y = law.sample(uniforms)
         jumped = ~(stuck | over)
         jumps[ids] += jumped
-        out = jumped & ~partition.domain.contains(y) & partition.absorbing.contains(y)
-        exit_location[ids[out]] = y[out]
-        live = jumped & ~out
+        if record:  # its landing, or (t_max, x) if censored; a stuck path raises below
+            rows.append((ids, exit_time[ids], np.where(over, x, y)))
+        if partition is None:
+            live = jumped
+        else:
+            out = jumped & ~partition.domain.contains(y) & partition.absorbing.contains(y)
+            exit_location[ids[out]] = y[out]
+            live = jumped & ~out
         streams.keep(live)
         ids, x = ids[live], y[live]
     for k, i in enumerate(ids):
+        times, positions = ([], []) if record else (None, None)
         try:
             t_end, y_end, more, over = _walk_path(kernel, partition, float(x[k]),
-                                                  float(exit_time[i]), t_max, streams.generator(k))
+                                                  float(exit_time[i]), t_max,
+                                                  streams.generator(k), times, positions)
         except ConfigurationError as exc:
             errors[int(i)] = exc
             continue
@@ -243,9 +267,16 @@ def _walk(kernel: JumpKernel, partition: DomainPartition, seed: int, t_max: floa
         jumps[i] += more
         if not over:
             exit_location[i] = y_end
+        if record:
+            rows.append((np.full(len(times), i), np.array(times), np.array(positions)))
     if errors:
         raise errors[min(errors)]
-    return x0, exit_time, exit_location, jumps, censored
+    ensemble = x0, exit_time, exit_location, jumps, censored
+    if not record:
+        return ensemble
+    path, t, x = (np.concatenate(a) for a in zip(*rows))
+    order = np.argsort(path, kind="stable")
+    return *ensemble, (path[order] + first, t[order], x[order])
 
 
 def map_chunks(work, n: int, workers: int) -> list:
@@ -284,17 +315,15 @@ def simulate_ensemble(kernel: JumpKernel, partition: DomainPartition, n_paths: i
 
 
 def simulate_path(kernel: JumpKernel, x0: float, rng: np.random.Generator,
-                  t_max: float, partition: DomainPartition | None = None) -> SamplePath:
-    """Record a sample path from ``x0``, censored at ``t_max``: the free
-    jump process when ``partition`` is None, otherwise the walk confined to
-    the partition, which stops when it is absorbed. A walk that nothing
-    absorbs needs a finite ``t_max``."""
-    _check_ends(kernel, partition, t_max)
+                  t_max: float) -> SamplePath:
+    """Record a sample path of the free jump process from ``x0``, censored
+    at ``t_max``, which must be finite: nothing absorbs the walk. The
+    ``paths`` subcommand records its sample paths, confined ones included,
+    on the lockstep walk, ``_walk``, which gives the same path bit for bit
+    from ``x0 = 0`` and ``path_rng(seed, i)``."""
+    _check_ends(kernel, None, t_max)
     times, positions = [0.0], [float(x0)]
-    _, x, _, over = _walk_path(kernel, partition, float(x0), 0.0, t_max, rng, times, positions)
-    if over:
-        times.append(t_max)
-        positions.append(x)
+    _walk_path(kernel, None, float(x0), 0.0, t_max, rng, times, positions)
     return SamplePath(times=np.array(times), positions=np.array(positions))
 
 

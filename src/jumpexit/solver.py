@@ -28,6 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, eigsh
 
+from .config import on_step_grid
 from .errors import ConfigurationError, NumericalError
 from .operators import DiscreteOperator, _factor, _is_dense
 
@@ -88,11 +89,6 @@ def _validate_u0(op: DiscreteOperator, u0: np.ndarray) -> np.ndarray:
     if abs(mass - 1.0) > 1e-8:
         raise ConfigurationError(f"u0 must integrate to 1, got {mass}")
     return u0
-
-
-def on_step_grid(t: float, dt: float) -> bool:
-    """Whether ``t`` is a whole number of steps ``dt``, to relative 1e-9."""
-    return abs(round(t / dt) * dt - t) <= 1e-9 * t
 
 
 def evolve(op: DiscreteOperator, u0: np.ndarray, dt: float, t_end: float) -> DensityTrajectory:

@@ -267,8 +267,14 @@ def test_paths_free_space_and_brownian(config_file, tmp_path):
     POWER_LAW + "\n[paths]\nn_paths = 5\nfree_space = false\n",
     BASE_CONFIG + "\n[paths]\nn_paths = 5\nbrownian = true\nn_steps = 50\n",
     POWER_LAW + "\n[paths]\nn_paths = 1\nfree_space = true\n",
-], ids=["free_space", "confined", "brownian", "one_path"])
+    BASE_CONFIG + "\n[paths]\nn_paths = 100\nfree_space = true\n",
+    POWER_LAW + "\n[paths]\nn_paths = 100\nfree_space = false\n",
+], ids=["free_space", "confined", "brownian", "one_path", "free_space_lockstep",
+        "confined_lockstep"])
 def test_paths_outputs_identical_at_any_thread_count(config_file, tmp_path, text):
+    # at most 5 paths per chunk walk the scalar tail alone; 100 paths split
+    # into chunks of at least 25 (one per worker, the CPUs allowing) walk
+    # lockstep steps first
     path = config_file(text=text)
     runs = [tmp_path / str(threads) for threads in (1, 2, 3, 4)]
     for threads, out in enumerate(runs, start=1):
@@ -837,7 +843,9 @@ def test_verify_leaves_the_shared_matrix_unchanged(config_file, tmp_path, monkey
 def test_benchmark_tracer_reads_solver_counts(config_file, tmp_path):
     # the benchmark's layer wrappers read op.a_star.nnz, the generator LU
     # factors, the sigma iteration count and the ensemble and sample-path
-    # counts; keep them readable
+    # counts; keep them readable. The paths subcommand records on the
+    # lockstep walk, so the sample-path count comes from simulate_path,
+    # as scripts/fluctuation_regimes.py calls it
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py")
     tracer_mod = importlib.util.module_from_spec(spec)
@@ -845,9 +853,11 @@ def test_benchmark_tracer_reads_solver_counts(config_file, tmp_path):
     tracer = tracer_mod.Tracer()
     tracer_mod.install(tracer)
     path = config_file(n_paths__="500")
+    cfg = load_config(path)
     try:
         for command in ("solve", "moments", "verify", "simulate", "paths"):
             assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+        mc.simulate_path(cfg.kernel, 0.0, mc.path_rng(cfg.seed, 0), 50.0)
     finally:
         tracer.uninstall()
     counts = {}
@@ -855,7 +865,6 @@ def test_benchmark_tracer_reads_solver_counts(config_file, tmp_path):
         counts.update(span["counts"])
     assert counts["nnz"] > 0
     assert counts["lu_fill"] > 0
-    cfg = load_config(path)
     a_gen = operators.assemble(cfg.kernel, cfg.build_grid(), cfg.partition).a_gen
     n_int = a_gen.shape[0]
     assert operators._is_dense(a_gen)

@@ -26,13 +26,22 @@ from jumpexit.errors import ConfigurationError
 from jumpexit.geometry import DomainPartition, Intervals
 from jumpexit.kernels import (CompoundPoissonUniform, JumpKernel, JumpLaw, JumpLaws,
                               TabulatedKernel, TruncatedStable)
-from jumpexit.montecarlo import (ExitEnsemble, brownian_path, empirical_survival,
+from jumpexit.montecarlo import (ExitEnsemble, SamplePath, brownian_path, empirical_survival,
                                  path_rng, simulate_ensemble, simulate_path,
                                  survival_z_scores)
 from jumpexit.solver import evolve, uniform_density
 
 AD_CRIT_1PCT = 3.857
 KS_CRIT_1PCT = 1.628
+
+
+def recorded_paths(kernel, partition, seed, t_max, n_paths):
+    """The sample paths 0 .. n_paths-1 as the ``paths`` subcommand records
+    them: on the lockstep walk, each from its start (uniform over the
+    domain, or 0 in free space)."""
+    *_, (path, t, x) = mc._walk(kernel, partition, seed, t_max, 0, n_paths, record=True)
+    cuts = np.flatnonzero(np.diff(path)) + 1
+    return [SamplePath(times=a, positions=b) for a, b in zip(np.split(t, cuts), np.split(x, cuts))]
 
 
 def test_exit_records_well_formed(analytic_ensemble, analytic_partition):
@@ -103,8 +112,8 @@ def test_censored_process_never_exits():
     part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="empty")
     ens = simulate_ensemble(k, part, n_paths=50, seed=3, t_max=30.0)
     assert np.all(ens.censored)
-    path = simulate_path(k, 0.5, path_rng(3, 0), t_max=100.0, partition=part)
-    assert np.all((path.positions > 0.0) & (path.positions < 1.0))
+    for path in recorded_paths(k, part, 3, 100.0, 5):
+        assert np.all((path.positions > 0.0) & (path.positions < 1.0))
 
 
 def test_a_partition_confines_the_sample_path():
@@ -114,8 +123,7 @@ def test_a_partition_confines_the_sample_path():
     k = CompoundPoissonUniform(rate=0.2, horizon=1.0)
     part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing=[(1.0, 2.0)])
     left = 0
-    for i in range(50):
-        path = simulate_path(k, 0.5, path_rng(12, i), 200.0, partition=part)
+    for i, path in enumerate(recorded_paths(k, part, 12, 200.0, 50)):
         inside = part.domain.contains(path.positions)
         assert np.all(inside[:-1])
         assert inside[-1] or (path.positions[-1] > 1.0 and path.times[-1] < 200.0)
@@ -128,13 +136,12 @@ def test_a_walk_nothing_absorbs_needs_a_finite_t_max():
     full = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
     empty = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="empty")
     for t_max in (np.inf, np.nan):
-        for partition in (None, empty):
-            with pytest.raises(ConfigurationError, match="nothing absorbs needs a finite t_max"):
-                simulate_path(k, 0.5, path_rng(0, 0), t_max, partition=partition)
+        with pytest.raises(ConfigurationError, match="nothing absorbs needs a finite t_max"):
+            simulate_path(k, 0.5, path_rng(0, 0), t_max)
         with pytest.raises(ConfigurationError, match="nothing absorbs needs a finite t_max"):
             simulate_ensemble(k, empty, n_paths=4, seed=0, t_max=t_max)
     # absorption ends the walk whatever t_max is
-    assert simulate_path(k, 0.5, path_rng(0, 0), np.inf, partition=full).times[-1] < np.inf
+    assert recorded_paths(k, full, 0, np.inf, 1)[0].times[-1] < np.inf
 
 
 def test_a_walk_from_a_part_nothing_absorbs_needs_a_finite_t_max():
@@ -146,10 +153,10 @@ def test_a_walk_from_a_part_nothing_absorbs_needs_a_finite_t_max():
     for t_max in (np.inf, np.nan):
         with pytest.raises(ConfigurationError, match=r"nothing absorbs needs a finite t_max"
                                                      r".*domain part \(5\.0, 6\.0\)"):
-            simulate_path(k, 0.5, path_rng(0, 0), t_max, partition=part)
+            simulate_ensemble(k, part, n_paths=4, seed=0, t_max=t_max)
         with pytest.raises(ConfigurationError, match="nothing absorbs needs a finite t_max"):
             mc._check_ends(k, part, t_max)  # the check simulate_ensemble makes first
-    assert simulate_path(k, 0.5, path_rng(0, 0), 50.0, partition=part).times[-1] <= 50.0
+    assert recorded_paths(k, part, 0, 50.0, 1)[0].times[-1] <= 50.0
 
 
 def test_a_chain_of_components_reaches_the_absorbing_set():
@@ -194,22 +201,22 @@ def _land_first_at(monkeypatch, law_class, y0):
     monkeypatch.setattr(law_class, "sample", first_at)
 
 
-@pytest.mark.parametrize("walk", ["simulate_path", "simulate_ensemble"])
+@pytest.mark.parametrize("walk", ["recorded_path", "simulate_ensemble"])
 def test_a_landing_on_the_shared_endpoint_stays_in_the_domain(walk, monkeypatch):
     # x = 1.0 ends the domain (0, 1) and starts the absorbing set (1, 2):
     # the scalar walk and the lockstep walk both keep a landing there in
-    # the domain and jump on from it
+    # the domain and jump on from it. Every path lands at 1.0 in the first
+    # lockstep step; the first path that the scalar tail walk takes on
+    # lands there again
     k = CompoundPoissonUniform(rate=0.2, horizon=1.0)
     part = DomainPartition.build([(0.0, 1.0)], horizon=1.0, absorbing="full")
     _land_first_at(monkeypatch, JumpLaw, 1.0)
-    if walk == "simulate_path":
-        path = simulate_path(k, 0.5, path_rng(5, 0), 1e4, partition=part)
-        assert path.positions[1] == 1.0 and path.positions.size > 2
+    _land_first_at(monkeypatch, JumpLaws, 1.0)
+    if walk == "recorded_path":
+        path, = recorded_paths(k, part, 5, 1e4, 1)
+        assert path.positions[1] == path.positions[2] == 1.0 and path.positions.size > 3
         assert not part.domain.contains(path.positions[-1])
         return
-    # every path lands at 1.0 in the first lockstep step; the first path
-    # that the scalar tail walk takes on lands there again
-    _land_first_at(monkeypatch, JumpLaws, 1.0)
     ens = simulate_ensemble(k, part, n_paths=8, seed=5, t_max=1e4)
     assert not ens.censored.any() and np.all(ens.jumps >= 2)
     assert not part.domain.contains(ens.exit_location).any()
@@ -225,8 +232,7 @@ def test_strict_absorbing_subset_censors_the_rest():
     assert ok.sum() > 0
     assert np.all(ens.exit_location[ok] >= 1.0)
     left = Intervals(((-1.0, 0.0),))
-    for i in range(200):
-        path = simulate_path(k, 0.5, path_rng(11, i), t_max=50.0, partition=part)
+    for path in recorded_paths(k, part, 11, 50.0, 200):
         assert not any(left.contains(p) for p in path.positions)
         assert np.max(np.abs(np.diff(path.positions))) < 1.0  # range invariant
 
@@ -288,9 +294,7 @@ def test_standardized_waits_are_unit_exponential():
     k = CompoundPoissonUniform(rate=0.2, horizon=1.0)
     region = part.reachable
     pooled = []
-    for i in range(400):
-        rng = path_rng(21, i)
-        path = simulate_path(k, 0.5, rng, t_max=300.0, partition=part)
+    for path in recorded_paths(k, part, 21, 300.0, 400):
         waits = np.diff(path.times)
         xs = path.positions[:-1]
         censored_tail = part.domain.contains(path.positions[-1]) and path.times[-1] == 300.0
@@ -509,14 +513,14 @@ def test_jump_law_matches_rate_and_draw(family):
 @given(case=kernel_cases(), seed=st.integers(0, 2**32 - 1))
 def test_each_batched_row_is_the_scalar_law(case, seed):
     # row i of jump_laws(xs, region) is jump_law(xs[i], region) bit for
-    # bit: the same masses in piece order, the same total, and the same
-    # landing from the same uniform
+    # bit, in free space (None) too: the same masses in piece order, the
+    # same total, and the same landing from the same uniform
     kernel, part, _ = case
     xs = part.domain.uniform_points(np.random.default_rng(seed).random(16))
     u = np.array([path_rng(seed, i).random() for i in range(xs.size)])
     (lo, hi), = part.domain.dilate(kernel.horizon).bounds[:1]
     union = Intervals.from_pairs([(lo, lo + 0.3 * (hi - lo)), (lo + 0.5 * (hi - lo), hi)])
-    regions = [part.reachable, union] + [part.absorbing] * (not part.absorbing.empty)
+    regions = [None, part.reachable, union] + [part.absorbing] * (not part.absorbing.empty)
     for region in regions:
         laws = kernel.jump_laws(xs, region)
         y = laws.sample(u)
@@ -650,14 +654,89 @@ def test_zero_rate_error_reads_the_same_on_every_walk():
     kernel, part = _stuck_table()
     message = ("zero jump rate at x=0.8: the point cannot reach the rest of the "
                "configured region")
-    for partition in (None, part):
-        with pytest.raises(ConfigurationError) as got:
-            simulate_path(kernel, 0.8, path_rng(0, 0), t_max=10.0, partition=partition)
-        assert str(got.value) == message
+    with pytest.raises(ConfigurationError) as got:
+        simulate_path(kernel, 0.8, path_rng(0, 0), t_max=10.0)
+    assert str(got.value) == message
+    with pytest.raises(ConfigurationError) as got:
+        mc._walk_path(kernel, part, 0.8, 0.0, 10.0, path_rng(0, 0))
+    assert str(got.value) == message
     with pytest.raises(ConfigurationError) as got:
         simulate_ensemble(kernel, part, n_paths=12, seed=0, t_max=10.0)
     x = float(str(got.value).split("x=")[1].split(":")[0])
     assert x >= 0.7 and str(got.value) == message.replace("0.8", repr(x))
+
+
+# --- the recorded walk of the paths subcommand --------------------------------
+
+def scalar_reference_paths(kernel, partition, seed, t_max, first, stop):
+    """Path i's record for each i in ``first .. stop-1`` from ``_walk_path``
+    alone, on ``path_rng(seed, i)``: the times and positions of its start
+    (uniform over the domain, or 0 in free space), of every jump, and of
+    ``(t_max, x)`` when it is censored; or its ``ConfigurationError``."""
+    records = {}
+    for i in range(first, stop):
+        rng = path_rng(seed, i)
+        x0 = 0.0 if partition is None else partition.domain.sample_uniform(rng)
+        times, positions = [0.0], [x0]
+        try:
+            mc._walk_path(kernel, partition, x0, 0.0, t_max, rng, times, positions)
+        except ConfigurationError as exc:
+            records[i] = exc
+        else:
+            records[i] = (np.array(times), np.array(positions))
+    return records
+
+
+def check_recorded_walk(kernel, partition, seed, t_max, first, stop):
+    """``_walk``'s recorded rows are every path's scalar record, bit for
+    bit, in path order; when paths get stuck, the lowest-numbered one's
+    error is raised."""
+    want = scalar_reference_paths(kernel, partition, seed, t_max, first, stop)
+    failed = [i for i, record in want.items() if isinstance(record, ConfigurationError)]
+    if failed:
+        with pytest.raises(ConfigurationError) as got:
+            mc._walk(kernel, partition, seed, t_max, first, stop, record=True)
+        assert str(got.value) == str(want[min(failed)])
+        return
+    *ensemble, (path, t, x) = mc._walk(kernel, partition, seed, t_max, first, stop, record=True)
+    assert path.dtype == np.int64
+    assert path.tolist() == [i for i, (times, _) in want.items() for _ in times]
+    assert t.tobytes() == np.concatenate([times for times, _ in want.values()]).tobytes()
+    assert x.tobytes() == np.concatenate([xs for _, xs in want.values()]).tobytes()
+    unrecorded = mc._walk(kernel, partition, seed, t_max, first, stop)
+    for got, one in zip(ensemble, unrecorded):
+        assert got.tobytes() == one.tobytes()
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(case=kernel_cases(), seed=_seeds, first=st.integers(0, 1000),
+       t_frac=st.floats(0.05, 0.5))
+def test_recorded_walk_is_the_scalar_walk(case, seed, first, t_frac):
+    # 80 paths: the lockstep walk takes them to the end at _TAIL = 0, and
+    # at the default hands the last 32 to the scalar walk
+    kernel, part, t_scale = case
+    for partition, tail in itertools.product((None, part), (0, mc._TAIL)):
+        with mock.patch.object(mc, "_TAIL", tail):
+            check_recorded_walk(kernel, partition, seed, t_scale * t_frac, first, first + 80)
+
+
+def test_recorded_walk_refills_its_batch(monkeypatch):
+    # a batch of 16 refills as the 80 paths end; the rows do not move
+    kernel, part, t_max = _family_cases()["capped_power_law"]
+    monkeypatch.setattr(mc, "_BATCH", 16)
+    for partition, tail in itertools.product((None, part), (0, mc._TAIL)):
+        monkeypatch.setattr(mc, "_TAIL", tail)
+        check_recorded_walk(kernel, partition, 4, 0.025 * t_max, 0, 80)
+
+
+def test_recorded_walk_raises_the_first_stuck_paths_error(monkeypatch):
+    # confined, a path that starts or lands at x >= 0.7 is stuck; in free
+    # space every path starts at 0 and gets stuck where it lands there
+    monkeypatch.setattr(mc, "_BATCH", 3)
+    kernel, part = _stuck_table()
+    for seed, partition, tail in itertools.product(range(4), (None, part), (0, mc._TAIL)):
+        monkeypatch.setattr(mc, "_TAIL", tail)
+        check_recorded_walk(kernel, partition, seed, 10.0, 0, 12)
 
 
 @pytest.mark.parametrize("workers, cpus, pool, chunks", [

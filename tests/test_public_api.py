@@ -101,7 +101,7 @@ def test_public_surface_has_callers_outside_tests():
     surface, params = _public_surface()
     assert {"Intervals.from_pairs", "DiscreteOperator.exit_weights",
             "ExitMoments.values"} <= set(surface)
-    assert ("simulate_path", "partition", 4) in params
+    assert ("simulate_ensemble", "workers", 5) in params
     unused = [s for s in surface
               if s.rpartition(".")[2] not in (attributes if "." in s else names)]
     unused += [f"{callee}({p})" for callee, p, i in params

@@ -2,8 +2,10 @@
 validated against the analytic exponential exit law and against each other
 (moment solves vs time-integrated survival)."""
 
+import ast
 import dataclasses
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +87,18 @@ def test_survival_at_reads_the_step_grid_rule():
             traj.survival_at(t)
     with pytest.raises(ValueError, match="not on the recorded step grid"):
         traj.survival_at(0.11)  # past the run
+
+
+def test_the_config_reads_the_step_grid_rule_without_the_solver():
+    # load_config and the solver share one on_step_grid, and config.py
+    # imports nothing from the solver, which imports scipy
+    from jumpexit import config
+    tree = ast.parse(Path(config.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names}
+    assert not any("solver" in name for name in imported if name)
+    assert on_step_grid is config.on_step_grid
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0, 10.0])
