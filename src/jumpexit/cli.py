@@ -18,8 +18,12 @@ not fit in memory, included), 3 numerical failure, 4 verification-check
 failure. Failures also leave a machine-readable ``error.json`` in the
 output directory when possible.
 
-Everything a run writes is deterministic for a fixed config and seed, and
-every file starts with a comment echoing the resolved-config hash.
+Everything a run writes is deterministic for a fixed config and seed. The
+CSVs above, ``sigma.txt`` and ``resolved.ini`` start with a comment echoing
+the resolved-config hash, and ``verify_report.json`` holds it as a key;
+``operator.csv``, ``operator_meta.json`` and ``error.json`` do not carry it.
+Each CSV declares the kind of each column where it is written: ``INT`` or
+``FLOAT``.
 """
 
 import argparse
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import montecarlo as mc
 from . import operators, solver
-from .config import RunConfig, configured_output_dir, load_config, write_resolved
+from .config import FLOAT, RunConfig, configured_output_dir, load_config, write_resolved
 from .errors import ConfigurationError, NumericalError
 
 EXIT_OK = 0
@@ -40,40 +44,25 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
-_F = "%.17g"
+INT = "%d"  # the two kinds of CSV column: a whole number (a boolean as 1/0) or FLOAT
 
 
-def _row_format(types) -> str:
-    """printf format of one CSV line with these cell types: integers and
-    booleans as whole numbers (booleans as 1/0), everything else as a
-    float to 17 significant digits."""
-    return ",".join("%d" if issubclass(t, (int, np.integer, np.bool_)) else _F
-                    for t in types) + "\n"
+def _lines(kinds, *columns) -> str:
+    """One line per row of ``columns``, each cell in its column's kind."""
+    line = ",".join(kinds) + "\n"
+    return "".join(map(line.__mod__, zip(*(np.asarray(c).tolist() for c in columns))))
 
 
-def _csv_lines(rows):
-    """Each row as one CSV line, in the format ``_row_format`` gives its
-    cell types."""
-    formats = {}  # cell types -> line format; a file's rows share a few
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = _row_format(types)
-        yield fmt % row
-
-
-def _write_lines(path: Path, cfg_hash: str, header: list[str], lines) -> None:
-    """Write the hash comment, the header and the formatted ``lines``."""
+def _write(path: Path, cfg_hash: str, texts) -> None:
+    """Write the hash comment, then ``texts``."""
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg_hash}\n")
-        fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
+        fh.writelines(texts)
 
 
-def _write_csv(path: Path, cfg_hash: str, header: list[str], rows) -> None:
-    _write_lines(path, cfg_hash, header, _csv_lines(rows))
+def _write_csv(path: Path, cfg_hash: str, header: dict[str, str], *columns) -> None:
+    """A CSV whose ``header`` maps each column's name to its kind."""
+    _write(path, cfg_hash, [",".join(header) + "\n", _lines(header.values(), *columns)])
 
 
 def _prepare_out(cfg: RunConfig) -> Path:
@@ -95,8 +84,8 @@ def _solve_survival(cfg: RunConfig):
 def cmd_solve(cfg: RunConfig) -> int:
     out = _prepare_out(cfg)
     _, traj = _solve_survival(cfg)
-    rows = zip(traj.times, traj.survival, traj.absorbed_cdf)
-    _write_csv(out / "survival.csv", cfg.config_hash, ["t", "S", "F"], rows)
+    _write_csv(out / "survival.csv", cfg.config_hash, {"t": FLOAT, "S": FLOAT, "F": FLOAT},
+               traj.times, traj.survival, traj.absorbed_cdf)
     return EXIT_OK
 
 
@@ -104,9 +93,9 @@ def cmd_moments(cfg: RunConfig, k_max: int) -> int:
     out = _prepare_out(cfg)
     op = _operator(cfg)
     moments = solver.exit_moments(op, k_max)
-    header = ["x"] + [f"m_{m.order}" for m in moments]
-    rows = zip(op.centers, *(m.values for m in moments))
-    _write_csv(out / "met.csv", cfg.config_hash, header, rows)
+    header = {"x": FLOAT} | {f"m_{m.order}": FLOAT for m in moments}
+    _write_csv(out / "met.csv", cfg.config_hash, header, op.centers,
+               *(m.values for m in moments))
     return EXIT_OK
 
 
@@ -133,16 +122,15 @@ def _ensemble(cfg: RunConfig, workers: int, t_max: float):
 def cmd_simulate(cfg: RunConfig, workers: int) -> int:
     out = _prepare_out(cfg)
     ens = _ensemble(cfg, workers, _default_t_max(cfg))
-    rows = (
-        [i, ens.x0[i], ens.exit_time[i], ens.exit_location[i], ens.jumps[i], ens.censored[i]]
-        for i in range(ens.n_paths)
-    )
     _write_csv(out / "ensemble.csv", cfg.config_hash,
-               ["path_id", "x0", "T", "y_exit", "N", "censored"], rows)
+               {"path_id": INT, "x0": FLOAT, "T": FLOAT, "y_exit": FLOAT, "N": INT,
+                "censored": INT},
+               range(ens.n_paths), ens.x0, ens.exit_time, ens.exit_location, ens.jumps,
+               ens.censored)
     times = np.linspace(0.0, cfg.t_end, 201)
     s_hat, stderr = mc.empirical_survival(ens, times)
-    _write_csv(out / "mc_survival.csv", cfg.config_hash, ["t", "S_hat", "stderr"],
-               zip(times, s_hat, stderr))
+    _write_csv(out / "mc_survival.csv", cfg.config_hash,
+               {"t": FLOAT, "S_hat": FLOAT, "stderr": FLOAT}, times, s_hat, stderr)
     unknown = int(np.isnan(s_hat).sum())
     if unknown:
         print(f"warning: {unknown} of {times.size} rows of mc_survival.csv are NaN: they lie "
@@ -151,23 +139,25 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> int:
     return EXIT_OK
 
 
+_PATH_COLUMNS = {"path_id": INT, "t": FLOAT, "x": FLOAT}
+
+
 def _path_lines(cfg: RunConfig, t_max: float, first: int, stop: int) -> str:
     """The ``paths.csv`` lines of paths ``first .. stop-1``; path i draws
     from ``path_rng(seed, i)`` alone. Jump-process paths are recorded by
     the lockstep walk (``mc._walk``) in free space or in the configured
     domain; Brownian ones by ``brownian_path``, path by path."""
     if cfg.paths_brownian:
-        rows = []
-        for i in range(first, stop):
-            path = mc.brownian_path(0.0, mc.path_rng(cfg.seed, i), t_max,
-                                    n_steps=cfg.paths_n_steps)
-            rows.extend([i, t, x] for t, x in zip(path.times, path.positions))
+        paths = [mc.brownian_path(0.0, mc.path_rng(cfg.seed, i), t_max,
+                                  n_steps=cfg.paths_n_steps) for i in range(first, stop)]
+        ids = np.repeat(np.arange(first, stop), cfg.paths_n_steps + 1)
+        times = np.concatenate([p.times for p in paths])
+        positions = np.concatenate([p.positions for p in paths])
     else:
         partition = None if cfg.paths_free_space else cfg.partition  # None: free space
         *_, (ids, times, positions) = mc._walk(cfg.kernel, partition, cfg.seed, t_max,
                                                first, stop, record=True)
-        rows = zip(ids.tolist(), times.tolist(), positions.tolist())
-    return "".join(_csv_lines(rows))
+    return _lines(_PATH_COLUMNS.values(), ids, times, positions)
 
 
 def cmd_paths(cfg: RunConfig, workers: int) -> int:
@@ -176,7 +166,7 @@ def cmd_paths(cfg: RunConfig, workers: int) -> int:
         raise ConfigurationError(f"[mc] t_max must be finite to record sample paths, got {t_max}")
     out = _prepare_out(cfg)
     chunks = mc.map_chunks(partial(_path_lines, cfg, t_max), cfg.paths_n, workers)
-    _write_lines(out / "paths.csv", cfg.config_hash, ["path_id", "t", "x"], chunks)
+    _write(out / "paths.csv", cfg.config_hash, [",".join(_PATH_COLUMNS) + "\n", *chunks])
     return EXIT_OK
 
 
@@ -224,11 +214,9 @@ def cmd_verify(cfg: RunConfig, dump_operator: bool = False) -> int:
     else:
         checks["coercivity_positive"] = {
             "value": sig.value, "threshold": 1e-10 * norm, "pass": bool(sig.value > 1e-10 * norm)}
-    with open(out / "sigma.txt", "w") as fh:
-        fh.write(f"# config_hash={cfg.config_hash}\n")
-        fh.write(f"sigma = {_F % sig.value}\n")
-        fh.write(f"residual = {_F % sig.residual}\n")
-        fh.write(f"iterations = {sig.iterations}\n")  # eigensolver calls: 1
+    _write(out / "sigma.txt", cfg.config_hash,
+           [f"sigma = {FLOAT % sig.value}\n", f"residual = {FLOAT % sig.residual}\n",
+            f"iterations = {sig.iterations}\n"])  # eigensolver calls: 1
 
     if dump_operator:
         operators.dump_operator(op, out / "operator.csv", out / "operator_meta.json")
@@ -260,8 +248,8 @@ def cmd_compare(cfg: RunConfig, workers: int) -> int:
     s_hat, _ = mc.empirical_survival(ens, times)
     z, stderr = mc.survival_z_scores(ens, times, s_solver)
     _write_csv(out / "compare.csv", cfg.config_hash,
-               ["t", "S_solver", "S_mc", "stderr", "z"],
-               zip(times, s_solver, s_hat, stderr, z))
+               {"t": FLOAT, "S_solver": FLOAT, "S_mc": FLOAT, "stderr": FLOAT, "z": FLOAT},
+               times, s_solver, s_hat, stderr, z)
     worst = float(np.max(np.abs(z)))
     for t, zs in zip(times, z):
         print(f"t={t:g}: z={zs:+.2f}")

@@ -3,8 +3,9 @@
 A run is described by one INI-style file with sections ``[kernel]``,
 ``[domain]``, ``[grid]``, ``[solver]``, ``[mc]``, ``[output]`` and optional
 ``[compare]`` / ``[paths]``. List values are JSON. The resolved
-configuration (defaults included) is hashed; every output file echoes the
-hash so artifacts are traceable to the exact run that made them.
+configuration (defaults included) is hashed; the CSVs, ``sigma.txt``,
+``resolved.ini`` and ``verify_report.json`` echo the hash, so artifacts are
+traceable to the exact run that made them.
 """
 
 import configparser
@@ -18,6 +19,9 @@ from .errors import ConfigurationError
 from .geometry import DomainPartition, Grid, Intervals, build_grid
 from .kernels import (CompoundPoissonUniform, JumpKernel, TruncatedStable,
                       load_tabulated_csv)
+
+
+FLOAT = "%.17g"  # every float an output file holds: 17 significant digits read back exactly
 
 
 def on_step_grid(t: float, dt: float) -> bool:
@@ -79,6 +83,14 @@ def _float(raw: str) -> float:
     return value
 
 
+def _check_numbers(key: str, values) -> None:
+    """Refuse a boolean or a string among ``values``, taken from JSON:
+    ``float`` would read ``true`` as 1 and ``"2.5"`` as 2.5."""
+    for v in values:
+        if isinstance(v, (bool, str)):
+            raise ConfigurationError(f"{key} must be numbers, got {v!r}")
+
+
 def _bool(raw: str) -> bool:
     val = raw.strip().lower()
     if val in ("1", "true", "yes", "on"):
@@ -117,13 +129,15 @@ def _build_partition(cp, horizon: float) -> tuple[DomainPartition, dict]:
     if (not isinstance(omega, list) or not omega
             or not all(isinstance(p, list) and len(p) == 2 for p in omega)):
         raise ConfigurationError(f"[domain] omega must be a list of [lo, hi] pairs, got {omega!r}")
+    _check_numbers("[domain] omega endpoints", (v for pair in omega for v in pair))
     omega_d_raw = _get(cp, "domain", "omega_d", str, "full").strip()
     if omega_d_raw in ("full", "empty"):
         absorbing = omega_d_raw
     else:
         try:
             pairs = json.loads(omega_d_raw)
-        except json.JSONDecodeError as exc:
+            _check_numbers("[domain] omega_d endpoints", (v for pair in pairs for v in pair))
+        except (json.JSONDecodeError, TypeError) as exc:
             raise ConfigurationError(
                 f"[domain] omega_d must be 'full', 'empty', or interval pairs: {exc}"
             ) from exc
@@ -211,6 +225,7 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
     checkpoints = _get(cp, "compare", "checkpoints", json.loads, default)
     if not isinstance(checkpoints, list) or not checkpoints:
         raise ConfigurationError(f"[compare] checkpoints must be a nonempty list, got {checkpoints!r}")
+    _check_numbers("[compare] checkpoints", checkpoints)
     try:
         checkpoints = [float(t) for t in checkpoints]
     except (TypeError, ValueError) as exc:

@@ -65,38 +65,12 @@ class Intervals:
             inside |= (lo <= x) & (x <= hi)
         return inside
 
-    def dilate(self, r: float) -> "Intervals":
-        if r < 0:
-            raise ValueError("dilation radius must be nonnegative")
-        if self.empty:
-            return self
-        return Intervals.from_pairs((lo - r, hi + r) for lo, hi in self.bounds)
-
     def union(self, other: "Intervals") -> "Intervals":
         if self.empty:
             return other
         if other.empty:
             return self
         return Intervals.from_pairs(self.bounds + other.bounds)
-
-    def difference(self, other: "Intervals") -> "Intervals":
-        """Set difference self \\ other (up to measure zero)."""
-        out = []
-        for lo, hi in self.bounds:
-            cuts = [(lo, hi)]
-            for blo, bhi in other.bounds:
-                nxt = []
-                for clo, chi in cuts:
-                    if bhi <= clo or blo >= chi:
-                        nxt.append((clo, chi))
-                        continue
-                    if blo > clo:
-                        nxt.append((clo, min(blo, chi)))
-                    if bhi < chi:
-                        nxt.append((max(bhi, clo), chi))
-                cuts = nxt
-            out.extend(c for c in cuts if c[1] > c[0])
-        return Intervals(tuple(out))
 
     def uniform_points(self, uniforms: np.ndarray) -> np.ndarray:
         """The points that uniforms in [0, 1) map to, uniformly with respect
@@ -123,13 +97,16 @@ class Intervals:
 def interaction_domain(omega: Intervals, horizon: float) -> Intervals:
     """Collar of points outside ``omega`` reachable in one jump.
 
-    The collar is the horizon-dilation of the domain minus the domain
-    itself. Components of ``omega`` closer than twice the horizon produce
-    a single merged collar piece between them.
+    In each gap of ``omega``, the unbounded ones at either end included,
+    the collar holds the points within ``horizon`` of either edge. A gap
+    narrower than twice the horizon is a single merged collar piece.
     """
     if not 0 < horizon < np.inf:
         raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
-    return omega.dilate(horizon).difference(omega)
+    ends = [-np.inf, *(e for pair in omega.bounds for e in pair), np.inf]
+    pieces = [p for a, b in zip(ends[::2], ends[1::2])  # the gaps of omega
+              for p in ((a, min(a + horizon, b)), (max(b - horizon, a), b))]
+    return Intervals.from_pairs(p for p in pieces if p[1] > p[0])
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
+from .config import FLOAT
 from .errors import ConfigurationError, NumericalError
 from .geometry import DomainPartition, Grid
 from .kernels import JumpKernel
@@ -318,11 +319,12 @@ def dump_operator(op: DiscreteOperator, csv_path, meta_path) -> None:
     sidecar with the grid metadata, for external inspection. ``i`` and
     ``j`` are positions in the sidecar's ``centers`` list."""
     coo = op.a_star.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    line = f"%d,%d,{FLOAT}\n"
     with open(csv_path, "w") as fh:
         fh.write("i,j,value\n")
-        order = np.lexsort((coo.col, coo.row))
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{i},{j},{v:.17g}\n")
+        fh.writelines(map(line.__mod__, zip(coo.row[order].tolist(), coo.col[order].tolist(),
+                                            coo.data[order].tolist())))
     meta = {
         "n_cells": int(op.n_cells),
         "horizon": op.kernel.horizon,

@@ -2,6 +2,7 @@
 exit codes, and byte-level reproducibility."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -17,8 +18,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import jumpexit
 from jumpexit import montecarlo as mc
 from jumpexit import operators, solver
-from jumpexit.cli import _write_csv, main
-from jumpexit.config import load_config
+from jumpexit.cli import INT, _write_csv, main
+from jumpexit.config import FLOAT, load_config
 from jumpexit.errors import ConfigurationError, NumericalError
 
 BASE_CONFIG = """\
@@ -461,9 +462,13 @@ def test_rejected_config_exits_2_with_error_json(config_file, tmp_path, key, val
     ("compare", '[compare]\ncheckpoints = [1.0, "a"]', "checkpoints"),
     ("paths", "[paths]\nbrownian = true\nn_steps = 0", "n_steps"),
     ("paths", "[paths]\nn_paths = -3", "n_paths"),
+    # float() reads JSON's true as 1 and "2.5" as 2.5: neither is a number
+    ("solve", {"omega__": "[[false, true]]"}, "[domain] omega endpoints must be numbers"),
+    ("solve", {"omega_d__": "[[-1.0, false]]"}, "[domain] omega_d endpoints must be numbers"),
+    ("compare", '[compare]\ncheckpoints = [true, "2.5"]', "[compare] checkpoints must be numbers"),
 ], ids=["t_max_nan", "t_max_zero", "t_max_negative", "paths_t_max_inf", "checkpoints_empty",
         "checkpoints_not_list", "checkpoints_not_numbers", "brownian_zero_steps",
-        "negative_paths"])
+        "negative_paths", "omega_booleans", "omega_d_boolean", "checkpoints_boolean_and_string"])
 def test_rejected_run_input_exits_2_with_error_json(config_file, tmp_path, command, change, match):
     if isinstance(change, dict):
         path = config_file(**change)
@@ -678,16 +683,59 @@ def _reference_fmt(x) -> str:
 
 
 def test_csv_cells_render_as_before(tmp_path):
-    rows = [
-        [7, np.int64(-3), 0.1, np.float64(1 / 3), np.nan, True, np.bool_(False)],
-        [0, np.int64(2**40), -2.5e-300, np.float64(-np.inf), np.float64(np.nan),
-         False, np.bool_(True)],
-        [2**70, np.int32(5), 1e22, np.float32(0.1), float("inf"), np.True_, 3],
-    ]
-    _write_csv(tmp_path / "t.csv", "abc", ["a", "b"], iter(rows))
-    expected = "# config_hash=abc\na,b\n" + "".join(
-        ",".join(_reference_fmt(c) for c in row) + "\n" for row in rows)
+    # each column declares its kind once; cells of any type a column may
+    # hold render as the reference renders them by type
+    columns = {
+        "a": (INT, [7, 0, 2**70]),
+        "b": (INT, [np.int64(-3), np.int64(2**40), np.int32(5)]),
+        "c": (FLOAT, [0.1, -2.5e-300, 1e22]),
+        "d": (FLOAT, [np.float64(1 / 3), np.float64(-np.inf), np.float32(0.1)]),
+        "e": (FLOAT, [np.nan, np.float64(np.nan), float("inf")]),
+        "f": (INT, [True, False, np.True_]),
+        "g": (INT, [np.bool_(False), np.bool_(True), 3]),
+    }
+    cells = [c for _, c in columns.values()]
+    _write_csv(tmp_path / "t.csv", "abc", {k: kind for k, (kind, _) in columns.items()}, *cells)
+    expected = "# config_hash=abc\na,b,c,d,e,f,g\n" + "".join(
+        ",".join(_reference_fmt(c) for c in row) + "\n" for row in zip(*cells))
     assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
+# The CLI files no host's libm or LAPACK reaches: a uniform kernel walks on
+# uniform draws and exponential waits, a Brownian path is normal draws times
+# a square root, the operator is sums and products of the kernel's constant
+# density, and [mc] t_max is set, so no solve picks the censoring time. The
+# solver's files, sigma.txt and any power-law file are left out. Each case
+# is (command, config text appended, file).
+BYTE_PIN_RUNS = {
+    "ensemble": ("simulate", "", "ensemble.csv"),
+    "mc_survival": ("simulate", "", "mc_survival.csv"),
+    "free_space_paths": ("paths", "\n[paths]\nn_paths = 40\nfree_space = true\n", "paths.csv"),
+    "confined_paths": ("paths", "\n[paths]\nn_paths = 40\nfree_space = false\n", "paths.csv"),
+    "brownian_paths": ("paths", "\n[paths]\nn_paths = 3\nbrownian = true\nn_steps = 50\n",
+                       "paths.csv"),
+    "operator": ("verify", "", "operator.csv"),
+}
+
+# sha256 of each file, recorded before each CSV declared its line format:
+# the writer must not move a byte.
+BYTE_PINS = {
+    "brownian_paths": "cf4e565cec20d8ae766301b0cc9b93664900705774fe886cfbb9ae56a251de95",
+    "confined_paths": "78004df72d1de0d3909c8de364eb7e4818bc573d4782ecd6afd3e5657217f6cf",
+    "ensemble": "5e4455320d1c17b59a6148062fe58e2a0889408868b4b967befab5f665d12f48",
+    "free_space_paths": "a13fe54069f44bcf1eb784f73ec14b4a2a6298bd82cd49db4193e2d8a3847c9e",
+    "mc_survival": "e40d5e2e5d37fb53f665835c0224d9b0d6a32d1a19bd8e99b1a223d54c171ab6",
+    "operator": "5f902ddfd0daa0a39771f6953b249e11c52c25761da3d56df51a2e26899c30e2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BYTE_PIN_RUNS))
+def test_host_independent_files_are_pinned(config_file, tmp_path, case):
+    command, extra, name = BYTE_PIN_RUNS[case]
+    out = tmp_path / case
+    argv = [command, "--config", config_file(text=BASE_CONFIG + extra), "--out", str(out)]
+    assert main(argv + (["--dump-operator"] if command == "verify" else [])) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == BYTE_PINS[case]
 
 
 def test_rejected_config_reports_to_its_own_output_dir(config_file, tmp_path, monkeypatch):

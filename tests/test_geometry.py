@@ -53,10 +53,47 @@ def test_union_and_intersection_measures(a, b):
                                            rel=1e-12, abs=1e-12)
 
 
-@given(interval_unions(), interval_unions())
-def test_difference_partitions_measure(a, b):
-    assert measure(a.difference(b)) + measure(intersect(a, b)) == pytest.approx(
-        measure(a), rel=1e-12, abs=1e-12)
+def collar_by_difference(omega, r):
+    """The collar as it used to be built (reference): the components grown
+    by ``r`` and merged, minus ``omega``, cut by cut."""
+    out = []
+    for lo, hi in Intervals.from_pairs((lo - r, hi + r) for lo, hi in omega.bounds).bounds:
+        cuts = [(lo, hi)]
+        for blo, bhi in omega.bounds:
+            nxt = []
+            for clo, chi in cuts:
+                if bhi <= clo or blo >= chi:
+                    nxt.append((clo, chi))
+                    continue
+                if blo > clo:
+                    nxt.append((clo, min(blo, chi)))
+                if bhi < chi:
+                    nxt.append((max(bhi, clo), chi))
+            cuts = nxt
+        out.extend(c for c in cuts if c[1] > c[0])
+    return tuple(out)
+
+
+@st.composite
+def domains_with_horizon(draw):
+    """A horizon and a union whose gaps are drawn at random or at exactly
+    the horizon, twice it, or 1e-12: where collar pieces just meet."""
+    lam = draw(st.floats(1e-3, 5))
+    x = draw(st.floats(-20, 20))
+    pairs = []
+    for _ in range(draw(st.integers(1, 5))):
+        length = draw(st.floats(1e-3, 5))
+        pairs.append((x, x + length))
+        x += length + draw(st.sampled_from([lam, 2 * lam, 1e-12]) | st.floats(1e-9, 10))
+    return Intervals.from_pairs(pairs), lam
+
+
+@settings(max_examples=300)
+@given(st.one_of(domains_with_horizon(),
+                 st.tuples(interval_unions(), st.floats(1e-3, 10))))
+def test_collar_is_the_grown_domain_minus_the_domain(case):
+    omega, lam = case
+    assert interaction_domain(omega, lam).bounds == collar_by_difference(omega, lam)
 
 
 @pytest.mark.parametrize("omega, lam, expected", [

@@ -23,7 +23,7 @@ from jumpexit import _streams
 from jumpexit import montecarlo as mc
 from jumpexit._streams import PathStreams
 from jumpexit.errors import ConfigurationError
-from jumpexit.geometry import DomainPartition, Intervals
+from jumpexit.geometry import DomainPartition, Intervals, interaction_domain
 from jumpexit.kernels import (CompoundPoissonUniform, JumpKernel, JumpLaw, JumpLaws,
                               TabulatedKernel, TruncatedStable)
 from jumpexit.montecarlo import (ExitEnsemble, SamplePath, brownian_path, empirical_survival,
@@ -518,7 +518,7 @@ def test_each_batched_row_is_the_scalar_law(case, seed):
     kernel, part, _ = case
     xs = part.domain.uniform_points(np.random.default_rng(seed).random(16))
     u = np.array([path_rng(seed, i).random() for i in range(xs.size)])
-    (lo, hi), = part.domain.dilate(kernel.horizon).bounds[:1]
+    (lo, hi), = part.domain.union(interaction_domain(part.domain, kernel.horizon)).bounds[:1]
     union = Intervals.from_pairs([(lo, lo + 0.3 * (hi - lo)), (lo + 0.5 * (hi - lo), hi)])
     regions = [None, part.reachable, union] + [part.absorbing] * (not part.absorbing.empty)
     for region in regions:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import kernel_cases
 from jumpexit.errors import ConfigurationError
-from jumpexit.geometry import DomainPartition, Intervals, build_grid
+from jumpexit.geometry import DomainPartition, Intervals, build_grid, interaction_domain
 from jumpexit.kernels import CompoundPoissonUniform, JumpKernel, TabulatedKernel, TruncatedStable
 from jumpexit import operators
 from jumpexit.operators import (DiscreteOperator, _offset_rows, _rate_rows, _row_loop,
@@ -217,7 +217,7 @@ _PROPERTY_MAX_CELLS = 200
 def _property_h(kernel, part, cells_per_horizon):
     """A cell width of at most lambda/6 that puts no more than
     ``_PROPERTY_MAX_CELLS`` cells across the domain and its collar."""
-    reach = part.domain.dilate(kernel.horizon).bounds
+    reach = part.domain.union(interaction_domain(part.domain, kernel.horizon)).bounds
     h = max(kernel.horizon / cells_per_horizon,
             (reach[-1][1] - reach[0][0]) / _PROPERTY_MAX_CELLS)
     assert h <= kernel.horizon / 6
@@ -466,7 +466,7 @@ def test_offset_table_rows_equal_the_row_loop(case):
     # table builds the loop's rows bit for bit, and a bivariate table,
     # whose rows are no one function of the offset, is left to the loop
     kernel, part, _ = case
-    reach = part.domain.dilate(kernel.horizon).bounds
+    reach = part.domain.union(interaction_domain(part.domain, kernel.horizon)).bounds
     lo, hi = reach[0][0], reach[-1][1]
     h = 2.0 ** math.ceil(math.log2(max(kernel.horizon / 16, (hi - lo) / 400)))
     x = (np.arange(math.floor(lo / h), math.ceil(hi / h)) + 0.5) * h

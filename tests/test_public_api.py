@@ -7,7 +7,9 @@ A name only unit tests reach is surface to maintain with no caller; delete
 it or give it one. ``tests/test_acceptance.py`` counts as a reader, because
 its gates are the contract the library is held to: a field that only a gate
 reads (``SigmaEstimate.mode``, say) is still part of what the library
-promises.
+promises. Private helpers, the functions, methods and classes of the library
+named with one leading underscore, need a reader in those same files outside
+their own body.
 
 References are read off the syntax tree. A method, property or field counts
 when some code reads it as an attribute; any other name when it is read,
@@ -24,6 +26,7 @@ import ast
 import dataclasses
 import enum
 import inspect
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -32,17 +35,26 @@ import jumpexit
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _reader_files() -> list[Path]:
+    """The library but ``__init__.py``, the scripts, the benchmark and the
+    acceptance gates."""
+    files = [p for p in (ROOT / "src" / "jumpexit").glob("*.py") if p.name != "__init__.py"]
+    return files + [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+                    ROOT / "tests" / "test_acceptance.py"]
+
+
 def _references() -> tuple[set[str], set[str], set[tuple[str, object]]]:
     """Names read anywhere (bare, imported or as an attribute); the subset
     read as attributes, which is how methods and fields are reached; and
     the arguments passed, as ``(callee name, keyword)`` and ``(callee name,
     position)`` pairs."""
-    files = [p for p in (ROOT / "src" / "jumpexit").glob("*.py") if p.name != "__init__.py"]
-    files += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
-              ROOT / "tests" / "test_acceptance.py"]
     names, attributes, passed = set(), set(), set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path in _reader_files():
+        for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -107,3 +119,29 @@ def test_public_surface_has_callers_outside_tests():
     unused += [f"{callee}({p})" for callee, p, i in params
                if (callee, p) not in passed and (callee, i) not in passed]
     assert unused == []
+
+
+def _loads(tree: ast.AST):
+    """Each name read in ``tree``, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_private_helpers_have_readers_outside_their_definitions():
+    # a function, method or class named with one leading underscore needs a
+    # reader among the same files, and outside its own body: a helper only
+    # unit tests or its own recursion reach is left over
+    reads = Counter(name for path in _reader_files() for name in _loads(_parse(path)))
+    helpers, unread = 0, []
+    for path in sorted((ROOT / "src" / "jumpexit").glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                helpers += 1
+                if reads[node.name] == Counter(_loads(node))[node.name]:
+                    unread.append(f"{path.name}:{node.lineno} {node.name}")
+    assert helpers > 20
+    assert unread == []
